@@ -35,8 +35,8 @@ int main() {
   options.num_workers = 4;         // Simulated cluster size (<= 64).
   options.threads_per_worker = 2;  // Logical shards per worker — fixes the
                                    // decomposition, not the host threads.
-  options.parallel_workers = true;   // Overlap workers on the host pool...
-  options.host_threads = 0;          // ...sized to the hardware (default).
+  options.host_threads = 0;  // Host pool sized to the hardware (default);
+                             // 1 runs every worker task inline, in order.
   options.execution_mode = ExecutionMode::kBsp;  // kAsync for BFS/SSSP/CC.
   options.record_steps = true;  // Per-superstep samples for the cost model.
   GraphApi<BfsData> fl(graph, options);

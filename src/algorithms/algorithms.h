@@ -133,13 +133,20 @@ struct SsspResult {
   int rounds = 0;
   Metrics metrics;
 };
+/// Frontier-based Bellman-Ford under BSP; in async mode, delta-stepping with
+/// kDefaultSsspDelta (RunSsspDeltaStepping's async program).
 SsspResult RunSssp(const GraphPtr& graph, VertexId root,
                    const RuntimeOptions& options = {});
+
+/// Delta-stepping bucket width tuned for the generators' uniform (0, 1]
+/// edge weights.
+inline constexpr float kDefaultSsspDelta = 0.25f;
 
 /// Delta-stepping SSSP (Meyer & Sanders): distance-range buckets, light
 /// edges (w <= delta) relaxed to a fixpoint inside each bucket before heavy
 /// edges fire once — the classic frontier-scheduling refinement that needs
-/// FLASH's driver-side control flow and subset algebra.
+/// FLASH's driver-side control flow and subset algebra. In async mode the
+/// buckets are the async engine's priority buckets.
 SsspResult RunSsspDeltaStepping(const GraphPtr& graph, VertexId root,
                                 float delta,
                                 const RuntimeOptions& options = {});

@@ -1,7 +1,8 @@
 // Single-Source Shortest Paths (frontier-based Bellman-Ford).
 //
 // The classic ISVP companion of BFS: each superstep relaxes the out-edges
-// of vertices whose distance improved, with a min reduce.
+// of vertices whose distance improved, with a min reduce. Async mode runs
+// delta-stepping (sssp_delta.cc), whose buckets the async engine schedules.
 
 #include "algorithms/algorithms.h"
 #include "core/api.h"
@@ -15,62 +16,33 @@ struct SsspData {
   float dis = kInfF;
   FLASH_FIELDS(dis)
 };
-
-/// Async port: delta-stepping folded into the engine scheduler — the bucket
-/// of a vertex is floor(dis / delta), so the per-worker lowest-bucket drain
-/// reproduces the light-edge fixpoint/heavy-edge cascade without any
-/// driver-side subset algebra. Idempotent min => bit-identical to BSP.
-struct SsspAsyncProgram {
-  struct Message {
-    float dis;
-  };
-  static constexpr Monotonicity kMonotonicity = Monotonicity::kIdempotent;
-  float delta = 0.25f;
-  bool OnDequeue(SsspData&, VertexId) { return true; }
-  bool Gen(const SsspData& s, VertexId, VertexId, float w, Message& m) {
-    m.dis = s.dis + w;
-    return true;
-  }
-  bool Apply(const Message& m, SsspData& d, VertexId) {
-    if (m.dis >= d.dis) return false;
-    d.dis = m.dis;
-    return true;
-  }
-  uint32_t Priority(const SsspData& d, VertexId) const {
-    return d.dis <= 0.0f ? 0 : static_cast<uint32_t>(d.dis / delta);
-  }
-};
 }  // namespace
 
 SsspResult RunSssp(const GraphPtr& graph, VertexId root,
                    const RuntimeOptions& options) {
+  if (options.execution_mode == ExecutionMode::kAsync) {
+    return RunSsspDeltaStepping(graph, root, kDefaultSsspDelta, options);
+  }
   GraphApi<SsspData> fl(graph, options);
   SsspResult result;
   // LLOC-BEGIN
   fl.VertexMap(fl.V(), CTrue, [&](SsspData& v, VertexId id) {
     v.dis = (id == root) ? 0.0f : kInfF;
   });
-  if (options.execution_mode == ExecutionMode::kAsync) {
-    SsspAsyncProgram program;
-    if (options.async_delta > 0.0f) program.delta = options.async_delta;
-    AsyncRun(fl, program, {root});
-    result.rounds = static_cast<int>(fl.metrics().async.rounds);
-  } else {
-    VertexSubset frontier = fl.VertexMap(
-        fl.V(), [&](const SsspData&, VertexId id) { return id == root; });
-    while (fl.Size(frontier) != 0) {
-      frontier = fl.EdgeMap(
-          frontier, fl.E(),
-          [](const SsspData& s, const SsspData& d, VertexId, VertexId, float w) {
-            return s.dis + w < d.dis;
-          },
-          [](const SsspData& s, SsspData& d, VertexId, VertexId, float w) {
-            d.dis = std::min(d.dis, s.dis + w);
-          },
-          CTrue,
-          [](const SsspData& t, SsspData& d) { d.dis = std::min(d.dis, t.dis); });
-      ++result.rounds;
-    }
+  VertexSubset frontier = fl.VertexMap(
+      fl.V(), [&](const SsspData&, VertexId id) { return id == root; });
+  while (fl.Size(frontier) != 0) {
+    frontier = fl.EdgeMap(
+        frontier, fl.E(),
+        [](const SsspData& s, const SsspData& d, VertexId, VertexId, float w) {
+          return s.dis + w < d.dis;
+        },
+        [](const SsspData& s, SsspData& d, VertexId, VertexId, float w) {
+          d.dis = std::min(d.dis, s.dis + w);
+        },
+        CTrue,
+        [](const SsspData& t, SsspData& d) { d.dis = std::min(d.dis, t.dis); });
+    ++result.rounds;
   }
   // LLOC-END
   result.distance = fl.ExtractResults<float>(

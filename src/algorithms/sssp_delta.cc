@@ -30,7 +30,7 @@ struct DeltaAsyncProgram {
     float dis;
   };
   static constexpr Monotonicity kMonotonicity = Monotonicity::kIdempotent;
-  float delta = 1.0f;
+  float delta = kDefaultSsspDelta;
   bool OnDequeue(DeltaData&, VertexId) { return true; }
   bool Gen(const DeltaData& s, VertexId, VertexId, float w, Message& m) {
     m.dis = s.dis + w;

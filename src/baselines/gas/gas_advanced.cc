@@ -93,8 +93,6 @@ GasBcResult Bc(const GraphPtr& graph, VertexId root,
   for (const StepSample& s : backward_engine.metrics().steps) {
     result.metrics.AddStep(s, true);
   }
-  result.metrics.compute_seconds += backward_engine.metrics().compute_seconds;
-  result.metrics.comm_seconds += backward_engine.metrics().comm_seconds;
   return result;
 }
 

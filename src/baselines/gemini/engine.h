@@ -76,22 +76,19 @@ class Engine {
     sample.kind = StepKind::kVertexMap;
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
-    {
-      ScopedTimer timer(&metrics_.compute_seconds);
-      for (int w = 0; w < options_.num_workers; ++w) {
-        Timer worker_timer;
-        uint64_t worker_verts = 0;
-        for (VertexId v : partition_.OwnedVertices(w)) {
-          if (!active.Test(v)) continue;
-          ++worker_verts;
-          total += fn(v);
-        }
-        sample.verts_total += worker_verts;
-        sample.verts_max = std::max(sample.verts_max, worker_verts);
-        double seconds = worker_timer.Seconds();
-        sample.comp_total += seconds;
-        sample.comp_max = std::max(sample.comp_max, seconds);
+    for (int w = 0; w < options_.num_workers; ++w) {
+      Timer worker_timer;
+      uint64_t worker_verts = 0;
+      for (VertexId v : partition_.OwnedVertices(w)) {
+        if (!active.Test(v)) continue;
+        ++worker_verts;
+        total += fn(v);
       }
+      sample.verts_total += worker_verts;
+      sample.verts_max = std::max(sample.verts_max, worker_verts);
+      double seconds = worker_timer.Seconds();
+      sample.comp_total += seconds;
+      sample.comp_max = std::max(sample.comp_max, seconds);
     }
     AccountAllReduce(&sample);
     metrics_.AddStep(sample, true);
@@ -124,7 +121,6 @@ class Engine {
     sample.kind = StepKind::kEdgeMapSparse;
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
-    ScopedTimer timer(&metrics_.compute_seconds);
     for (int w = 0; w < options_.num_workers; ++w) {
       Timer worker_timer;
       uint64_t worker_edges = 0;
@@ -172,7 +168,6 @@ class Engine {
     sample.kind = StepKind::kEdgeMapDense;
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
-    ScopedTimer timer(&metrics_.compute_seconds);
     for (int w = 0; w < options_.num_workers; ++w) {
       Timer worker_timer;
       uint64_t worker_edges = 0;
@@ -209,10 +204,7 @@ class Engine {
   }
 
   void FinishExchange(StepSample* sample) {
-    {
-      ScopedTimer timer(&metrics_.comm_seconds);
-      bus_.Exchange();
-    }
+    bus_.Exchange();
     sample->bytes_total += bus_.LastTotalBytes();
     sample->bytes_max += bus_.LastMaxWorkerBytes();
     sample->msgs_total += bus_.LastMessages();

@@ -121,27 +121,24 @@ class Engine {
       StepSample sample;
       sample.kind = StepKind::kVertexMap;
       bool any_active = false;
-      {
-        ScopedTimer timer(&metrics_.compute_seconds);
-        for (int w = 0; w < options_.num_workers; ++w) {
-          Timer worker_timer;
-          uint64_t worker_verts = 0;
-          for (VertexId v : partition_.OwnedVertices(w)) {
-            bool has_mail = !inbox_[v].empty();
-            if (halted_[v] && !has_mail) continue;
-            halted_[v] = 0;
-            any_active = true;
-            ++worker_verts;
-            Context ctx(this, w, v);
-            compute(ctx, std::span<const Msg>(inbox_[v]));
-            inbox_[v].clear();
-          }
-          sample.verts_total += worker_verts;
-          sample.verts_max = std::max(sample.verts_max, worker_verts);
-          double seconds = worker_timer.Seconds();
-          sample.comp_total += seconds;
-          sample.comp_max = std::max(sample.comp_max, seconds);
+      for (int w = 0; w < options_.num_workers; ++w) {
+        Timer worker_timer;
+        uint64_t worker_verts = 0;
+        for (VertexId v : partition_.OwnedVertices(w)) {
+          bool has_mail = !inbox_[v].empty();
+          if (halted_[v] && !has_mail) continue;
+          halted_[v] = 0;
+          any_active = true;
+          ++worker_verts;
+          Context ctx(this, w, v);
+          compute(ctx, std::span<const Msg>(inbox_[v]));
+          inbox_[v].clear();
         }
+        sample.verts_total += worker_verts;
+        sample.verts_max = std::max(sample.verts_max, worker_verts);
+        double seconds = worker_timer.Seconds();
+        sample.comp_total += seconds;
+        sample.comp_max = std::max(sample.comp_max, seconds);
       }
       DeliverMessages(&sample);
       if (any_active) {
@@ -173,55 +170,49 @@ class Engine {
     const int m = options_.num_workers;
     // Sender side: combine per destination (Pregel+ early aggregation),
     // serialise cross-worker traffic, deliver local messages directly.
-    {
-      ScopedTimer timer(&metrics_.serialize_seconds);
-      for (int w = 0; w < m; ++w) {
-        auto& queue = outgoing_[w];
-        if (combiner_) {
-          std::sort(queue.begin(), queue.end(),
-                    [](const Outgoing& a, const Outgoing& b) {
-                      return a.dst < b.dst;
-                    });
-          size_t out = 0;
-          for (size_t i = 0; i < queue.size();) {
-            Msg combined = queue[i].msg;
-            size_t j = i + 1;
-            while (j < queue.size() && queue[j].dst == queue[i].dst) {
-              combined = (*combiner_)(combined, queue[j].msg);
-              ++j;
-            }
-            queue[out++] = Outgoing{queue[i].dst, combined};
-            i = j;
+    for (int w = 0; w < m; ++w) {
+      auto& queue = outgoing_[w];
+      if (combiner_) {
+        std::sort(queue.begin(), queue.end(),
+                  [](const Outgoing& a, const Outgoing& b) {
+                    return a.dst < b.dst;
+                  });
+        size_t out = 0;
+        for (size_t i = 0; i < queue.size();) {
+          Msg combined = queue[i].msg;
+          size_t j = i + 1;
+          while (j < queue.size() && queue[j].dst == queue[i].dst) {
+            combined = (*combiner_)(combined, queue[j].msg);
+            ++j;
           }
-          queue.resize(out);
+          queue[out++] = Outgoing{queue[i].dst, combined};
+          i = j;
         }
-        for (const Outgoing& out : queue) {
-          int owner = partition_.Owner(out.dst);
-          if (owner == w) {
-            inbox_[out.dst].push_back(out.msg);
-          } else {
-            BufferWriter& channel = bus_.Channel(w, owner);
-            channel.WriteVarint(out.dst);
-            FieldCodec::Write(channel, out.msg);
-            bus_.CountMessages(w, owner);
-          }
-        }
-        queue.clear();
+        queue.resize(out);
       }
+      for (const Outgoing& out : queue) {
+        int owner = partition_.Owner(out.dst);
+        if (owner == w) {
+          inbox_[out.dst].push_back(out.msg);
+        } else {
+          BufferWriter& channel = bus_.Channel(w, owner);
+          channel.WriteVarint(out.dst);
+          FieldCodec::Write(channel, out.msg);
+          bus_.CountMessages(w, owner);
+        }
+      }
+      queue.clear();
     }
-    {
-      ScopedTimer timer(&metrics_.comm_seconds);
-      bus_.Exchange();
-      for (int w = 0; w < m; ++w) {
-        for (int src = 0; src < m; ++src) {
-          if (src == w) continue;
-          BufferReader reader(bus_.Incoming(w, src));
-          while (!reader.AtEnd()) {
-            VertexId dst = static_cast<VertexId>(reader.ReadVarint());
-            Msg msg{};
-            FieldCodec::Read(reader, msg);
-            inbox_[dst].push_back(msg);
-          }
+    bus_.Exchange();
+    for (int w = 0; w < m; ++w) {
+      for (int src = 0; src < m; ++src) {
+        if (src == w) continue;
+        BufferReader reader(bus_.Incoming(w, src));
+        while (!reader.AtEnd()) {
+          VertexId dst = static_cast<VertexId>(reader.ReadVarint());
+          Msg msg{};
+          FieldCodec::Read(reader, msg);
+          inbox_[dst].push_back(msg);
         }
       }
     }

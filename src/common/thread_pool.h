@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -13,17 +13,16 @@
 
 namespace flash {
 
-/// A small fork-join pool providing ParallelFor over index ranges and a
-/// work-stealing per-task entry point (ParallelForWorkers). One pool drives
-/// the whole simulated cluster: every worker partition of a BSP phase is a
-/// task, so all of the paper's m processes genuinely overlap on the host
-/// (the "c threads per process" are folded into the same pool; the two
-/// threads notionally reserved for MPI send/recv compute instead, since the
-/// transport is in-memory).
+/// A small fork-join pool with one work-stealing entry point,
+/// ParallelForWorkers. One pool drives the whole simulated cluster: every
+/// (worker, shard) partition of a BSP phase is a task, so all of the paper's
+/// m processes genuinely overlap on the host (the "c threads per process"
+/// are folded into the same pool; the two threads notionally reserved for
+/// MPI send/recv compute instead, since the transport is in-memory).
 ///
-/// With num_threads == 1 everything runs inline on the caller thread in
-/// index order; this is the default on single-core hosts and keeps the
-/// execution path bit-for-bit identical to the sequential worker loop.
+/// With num_threads == 1 every task runs inline on the caller thread in
+/// index order: the sequential baseline (RuntimeOptions::host_threads = 1)
+/// and the default on single-core hosts.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads) : num_threads_(num_threads) {
@@ -46,52 +45,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return num_threads_; }
-
-  /// Applies fn(i) to every i in [begin, end). Blocks until complete. The
-  /// range is split into contiguous chunks, one batch per thread, with
-  /// dynamic chunk stealing via an atomic cursor for load balance (skewed
-  /// degree distributions make static splits very unbalanced).
-  template <typename Fn>
-  void ParallelFor(size_t begin, size_t end, Fn&& fn, size_t grain = 1024) {
-    if (end <= begin) return;
-    size_t n = end - begin;
-    if (num_threads_ == 1 || n <= grain) {
-      for (size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    std::atomic<size_t> cursor{begin};
-    auto run_chunks = [&] {
-      while (true) {
-        size_t start = cursor.fetch_add(grain, std::memory_order_relaxed);
-        if (start >= end) break;
-        size_t stop = std::min(start + grain, end);
-        for (size_t i = start; i < stop; ++i) fn(i);
-      }
-    };
-    RunOnAll(run_chunks);
-  }
-
-  /// Splits [begin, end) into exactly num_threads() contiguous shards and
-  /// runs fn(shard_index, shard_begin, shard_end), one shard per thread.
-  /// Used where each shard must accumulate into private buffers that the
-  /// caller merges deterministically afterwards.
-  template <typename Fn>
-  void ParallelShards(size_t begin, size_t end, Fn&& fn) {
-    const int shards = num_threads_;
-    if (shards == 1 || end <= begin) {
-      fn(0, begin, end);
-      return;
-    }
-    std::atomic<int> next_shard{0};
-    const size_t n = end - begin;
-    RunOnAll([&] {
-      int s = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards) return;
-      size_t lo = begin + n * static_cast<size_t>(s) / shards;
-      size_t hi = begin + n * static_cast<size_t>(s + 1) / shards;
-      fn(s, lo, hi);
-    });
-  }
 
   /// Runs fn(i) once for every i in [0, count) with dynamic work stealing
   /// (one index at a time off an atomic cursor). This is the superstep
@@ -116,6 +69,7 @@ class ThreadPool {
     });
   }
 
+ private:
   /// Runs `task` once on every pool thread (including the caller) and waits.
   void RunOnAll(const std::function<void()>& task) {
     if (num_threads_ == 1) {
@@ -135,7 +89,6 @@ class ThreadPool {
     task_ = nullptr;
   }
 
- private:
   void WorkerLoop() {
     uint64_t seen_generation = 0;
     while (true) {

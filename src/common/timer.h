@@ -2,7 +2,6 @@
 #define FLASH_COMMON_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace flash {
 
@@ -28,23 +27,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time into a double on scope exit; used for the
-/// per-phase time breakdown (compute / communication / serialisation).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() {
-    if (sink_ != nullptr) *sink_ += timer_.Seconds();
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  Timer timer_;
 };
 
 }  // namespace flash

@@ -274,35 +274,26 @@ class AsyncEngine {
       }
       api_.storage_->PlanBlocks(plan_scratch_, /*out_dir=*/true);
     }
-    {
-      ScopedTimer compute_timer(&api_.metrics_.compute_seconds);
-      api_.RunPerWorker("async:drain", [&](int w) {
-        Timer timer;
-        task_tally[w].edges = DrainLowestBucket(w);
-        task_tally[w].verts = drains_[w] - prev_drains_[w];
-        FlushLanes(w);
-        const double seconds = timer.Seconds();
-        task_tally[w].seconds = seconds;
-        worker_seconds_[w] += seconds;
-      });
-    }
-    {
-      ScopedTimer comm_timer(&api_.metrics_.comm_seconds);
-      api_.bus_.Exchange();
-      sample.bytes_total += api_.bus_.LastTotalBytes();
-      sample.bytes_max += api_.bus_.LastMaxWorkerBytes();
-      sample.msgs_total += api_.bus_.LastMessages();
-    }
-    {
-      ScopedTimer compute_timer(&api_.metrics_.compute_seconds);
-      api_.RunPerWorker("async:apply", [&](int w) {
-        Timer timer;
-        worker_tally[w].verts = ApplyInbound(w);
-        const double seconds = timer.Seconds();
-        worker_tally[w].seconds = seconds;
-        worker_seconds_[w] += seconds;
-      });
-    }
+    api_.RunPerWorker("async:drain", [&](int w) {
+      Timer timer;
+      task_tally[w].edges = DrainLowestBucket(w);
+      task_tally[w].verts = drains_[w] - prev_drains_[w];
+      FlushLanes(w);
+      const double seconds = timer.Seconds();
+      task_tally[w].seconds = seconds;
+      worker_seconds_[w] += seconds;
+    });
+    api_.bus_.Exchange();
+    sample.bytes_total += api_.bus_.LastTotalBytes();
+    sample.bytes_max += api_.bus_.LastMaxWorkerBytes();
+    sample.msgs_total += api_.bus_.LastMessages();
+    api_.RunPerWorker("async:apply", [&](int w) {
+      Timer timer;
+      worker_tally[w].verts = ApplyInbound(w);
+      const double seconds = timer.Seconds();
+      worker_tally[w].seconds = seconds;
+      worker_seconds_[w] += seconds;
+    });
     if (planned) {
       const EpochIo io = api_.storage_->EndEpoch();
       sample.storage_bytes = io.bytes;
@@ -516,51 +507,45 @@ class AsyncEngine {
         num_workers_ >= 64 ? ~uint64_t{0}
                            : ((uint64_t{1} << num_workers_) - 1);
     uint64_t committed = 0;
-    {
-      ScopedTimer ser_timer(&api_.metrics_.serialize_seconds);
-      api_.RunPerWorker("async:sync", [&](int w) {
-        std::vector<VertexId>& touched = touched_[w];
-        std::sort(touched.begin(), touched.end());
-        std::vector<WireLane>& lanes = lanes_[w];
-        BufferWriter& enc = api_.encode_scratch_[w];
-        for (const VertexId v : touched) {
-          uint64_t targets = broadcast
-                                 ? (all_workers_mask & ~(uint64_t{1} << w))
-                                 : api_.partition_.MirrorMask(v);
-          if (targets == 0) continue;
-          enc.Clear();
-          SerializeFields(api_.stores_[w].Current(v), mask, enc);
-          while (targets != 0) {
-            const int dst = __builtin_ctzll(targets);
-            targets &= targets - 1;
-            WireLane& lane = lanes[dst];
-            lane.ids.push_back(v);
-            lane.payload.WriteRaw(enc.bytes().data(), enc.size());
-          }
-        }
-        enc.Recycle(api_.encode_high_water_[w]);
-        for (int dst = 0; dst < num_workers_; ++dst) {
+    api_.RunPerWorker("async:sync", [&](int w) {
+      std::vector<VertexId>& touched = touched_[w];
+      std::sort(touched.begin(), touched.end());
+      std::vector<WireLane>& lanes = lanes_[w];
+      BufferWriter& enc = api_.encode_scratch_[w];
+      for (const VertexId v : touched) {
+        uint64_t targets = broadcast
+                               ? (all_workers_mask & ~(uint64_t{1} << w))
+                               : api_.partition_.MirrorMask(v);
+        if (targets == 0) continue;
+        enc.Clear();
+        SerializeFields(api_.stores_[w].Current(v), mask, enc);
+        while (targets != 0) {
+          const int dst = __builtin_ctzll(targets);
+          targets &= targets - 1;
           WireLane& lane = lanes[dst];
-          if (!lane.empty()) {
-            const WireFramePart part = lane.AsPart();
-            EncodeWireFrame(api_.bus_.Channel(w, dst), mask, &part, 1);
-            api_.bus_.CountMessages(w, dst, lane.ids.size());
-          }
-          lane.Recycle();
+          lane.ids.push_back(v);
+          lane.payload.WriteRaw(enc.bytes().data(), enc.size());
         }
-      });
-      for (int w = 0; w < num_workers_; ++w) committed += touched_[w].size();
-    }
-    {
-      ScopedTimer comm_timer(&api_.metrics_.comm_seconds);
-      api_.bus_.Exchange();
-      api_.RunPerWorker("async:sync_apply", [&](int w) {
-        for (int src = 0; src < num_workers_; ++src) {
-          if (src == w) continue;
-          api_.ApplyMirrorFrame(w, mask, api_.bus_.Incoming(w, src));
+      }
+      enc.Recycle(api_.encode_high_water_[w]);
+      for (int dst = 0; dst < num_workers_; ++dst) {
+        WireLane& lane = lanes[dst];
+        if (!lane.empty()) {
+          const WireFramePart part = lane.AsPart();
+          EncodeWireFrame(api_.bus_.Channel(w, dst), mask, &part, 1);
+          api_.bus_.CountMessages(w, dst, lane.ids.size());
         }
-      });
-    }
+        lane.Recycle();
+      }
+    });
+    for (int w = 0; w < num_workers_; ++w) committed += touched_[w].size();
+    api_.bus_.Exchange();
+    api_.RunPerWorker("async:sync_apply", [&](int w) {
+      for (int src = 0; src < num_workers_; ++src) {
+        if (src == w) continue;
+        api_.ApplyMirrorFrame(w, mask, api_.bus_.Incoming(w, src));
+      }
+    });
     sample.bytes_total += api_.bus_.LastTotalBytes();
     sample.bytes_max += api_.bus_.LastMaxWorkerBytes();
     sample.msgs_total += api_.bus_.LastMessages();

@@ -83,7 +83,7 @@ struct NoMap {};
 
 /// Identity of the simulated worker the current thread is executing for.
 /// Superstep tasks of different workers run concurrently on the host pool
-/// (RuntimeOptions::parallel_workers), so the execution context must be
+/// (RuntimeOptions::host_threads), so the execution context must be
 /// thread-local rather than an engine member; GraphApi::Read() resolves
 /// replica lookups through it.
 inline thread_local int tls_worker = 0;

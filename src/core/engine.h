@@ -42,10 +42,11 @@ namespace flash {
 ///
 /// Within a superstep the worker dimension is embarrassingly parallel —
 /// workers touch disjoint master sets and single-writer (src, dst) bus
-/// channels — so by default (RuntimeOptions::parallel_workers) every phase
-/// runs all (worker, shard) partitions concurrently on one work-stealing
-/// host pool, with barriers only where BSP requires them (after round-1
-/// sends, after Exchange, after mirror apply). The logical shard count and
+/// channels — so every phase runs all (worker, shard) partitions
+/// concurrently on one work-stealing host pool of
+/// RuntimeOptions::host_threads threads (1 runs them inline, in order), with
+/// barriers only where BSP requires them (after round-1 sends, after
+/// Exchange, after mirror apply). The logical shard count and
 /// split are fixed by threads_per_worker, never by the executing thread
 /// count, and per-shard buffers are merged in worker/shard order, so
 /// frontiers, wire bytes, messages, and results are bit-identical at every
@@ -118,10 +119,15 @@ class GraphApi {
     storage_paged_ = storage_->paged();
     if (storage_paged_) {
       storage_->ApplyRuntimeLimits(options_.edge_cache_bytes,
-                                   options_.storage_prefetch_depth,
-                                   options_.storage_dense_fraction);
+                                   options_.storage_prefetch_depth);
       storage_->SetTracer(tracer_.get());
     }
+  }
+
+  /// Detaches the tracer from the graph's storage: the graph may outlive
+  /// this engine and its (possibly engine-owned) tracer.
+  ~GraphApi() {
+    if (storage_paged_) storage_->SetTracer(nullptr);
   }
 
   GraphApi(const GraphApi&) = delete;
@@ -278,6 +284,10 @@ class GraphApi {
 
   // --- primitives -----------------------------------------------------------
 
+  /// Adaptive EDGEMAP goes dense when |U| + outdeg(U) > |E| / kDenseThreshold
+  /// (Ligra's heuristic and divisor).
+  static constexpr double kDenseThreshold = 20.0;
+
   /// VERTEXMAP(U, F): pure filter — Out = {v in U : F(v)}. One superstep.
   template <typename F>
   VertexSubset VertexMap(const VertexSubset& U, F&& f) {
@@ -311,7 +321,7 @@ class GraphApi {
         }
         use_dense = static_cast<double>(frontier_work) >
                     static_cast<double>(graph_->NumEdges()) /
-                        options_.dense_threshold;
+                        kDenseThreshold;
         break;
       }
     }
@@ -357,58 +367,55 @@ class GraphApi {
     std::vector<std::vector<VertexId>> shard_dirty(num_workers * shards);
     std::vector<StepTally> task_tally(num_workers * shards);
     std::vector<StepTally> worker_tally(num_workers);
-    {
-      ScopedTimer compute_timer(&metrics_.compute_seconds);
-      RunWorkerShards(
-          "dense:scan",
-          [&](int w) { return partition_.OwnedVertices(w).size(); },
-          [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
-            VertexStore<VData>& store = stores_[w];
-            const auto& targets = partition_.OwnedVertices(w);
-            const int t = w * shards + s;
-            uint64_t edges = 0;
-            VData vnew;
-            for (size_t i = lo; i < hi; ++i) {
-              VertexId v = targets[i];
-              const VData& dcur = store.Current(v);
-              if (!internal::InvokeCond(c, dcur, v)) continue;
-              bool touched = false;
-              H->ForIn(v, store, [&](VertexId src, float weight) -> bool {
-                ++edges;
-                if (touched && !internal::InvokeCond(c, vnew, v)) return false;
-                if (!ubits.Test(src)) return true;
-                const VData& scur = store.Current(src);
-                const VData& dview = touched ? vnew : dcur;
-                if (internal::InvokeEdgeF(f, scur, dview, src, v, weight)) {
-                  if (!touched) {
-                    vnew = dcur;
-                    touched = true;
-                  }
-                  internal::InvokeEdgeM(m, scur, vnew, src, v, weight);
-                }
-                return true;
-              });
-              if (touched) {
-                VData& next = store.MutableNext(v, shard_dirty[t]);
-                next = std::move(vnew);
-                shard_out[t].push_back(v);
-              }
-            }
-            task_tally[t].edges = edges;
-            task_tally[t].seconds = task_timer.Seconds();
-          });
-      RunPerWorker("dense:merge", [&](int w) {
-        Timer merge_timer;
-        for (int s = 0; s < shards; ++s) {
+    RunWorkerShards(
+        "dense:scan",
+        [&](int w) { return partition_.OwnedVertices(w).size(); },
+        [&](int w, int s, size_t lo, size_t hi) {
+          Timer task_timer;
+          VertexStore<VData>& store = stores_[w];
+          const auto& targets = partition_.OwnedVertices(w);
           const int t = w * shards + s;
-          AppendTo(out[w], shard_out[t]);
-          stores_[w].AppendDirty(std::move(shard_dirty[t]));
-        }
-        worker_tally[w].verts = partition_.OwnedVertices(w).size();
-        worker_tally[w].seconds = merge_timer.Seconds();
-      });
-    }
+          uint64_t edges = 0;
+          VData vnew;
+          for (size_t i = lo; i < hi; ++i) {
+            VertexId v = targets[i];
+            const VData& dcur = store.Current(v);
+            if (!internal::InvokeCond(c, dcur, v)) continue;
+            bool touched = false;
+            H->ForIn(v, store, [&](VertexId src, float weight) -> bool {
+              ++edges;
+              if (touched && !internal::InvokeCond(c, vnew, v)) return false;
+              if (!ubits.Test(src)) return true;
+              const VData& scur = store.Current(src);
+              const VData& dview = touched ? vnew : dcur;
+              if (internal::InvokeEdgeF(f, scur, dview, src, v, weight)) {
+                if (!touched) {
+                  vnew = dcur;
+                  touched = true;
+                }
+                internal::InvokeEdgeM(m, scur, vnew, src, v, weight);
+              }
+              return true;
+            });
+            if (touched) {
+              VData& next = store.MutableNext(v, shard_dirty[t]);
+              next = std::move(vnew);
+              shard_out[t].push_back(v);
+            }
+          }
+          task_tally[t].edges = edges;
+          task_tally[t].seconds = task_timer.Seconds();
+        });
+    RunPerWorker("dense:merge", [&](int w) {
+      Timer merge_timer;
+      for (int s = 0; s < shards; ++s) {
+        const int t = w * shards + s;
+        AppendTo(out[w], shard_out[t]);
+        stores_[w].AppendDirty(std::move(shard_dirty[t]));
+      }
+      worker_tally[w].verts = partition_.OwnedVertices(w).size();
+      worker_tally[w].seconds = merge_timer.Seconds();
+    });
     FoldTallies(task_tally, shards, worker_tally, sample);
     return FinishStep(std::move(out), sample);
   }
@@ -454,155 +461,146 @@ class GraphApi {
     // the wire — they are deferred into per-shard pending lists (a real
     // worker updates local memory directly); cross-worker updates are
     // serialised into per-shard per-destination lanes.
-    {
-      ScopedTimer compute_timer(&metrics_.compute_seconds);
-      RunWorkerShards(
-          "sparse:push",
-          [&](int w) { return U.Owned(w).size(); },
-          [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
-            VertexStore<VData>& store = stores_[w];
-            const auto& frontier = U.Owned(w);
-            std::vector<WireLane>& lanes = sparse_lanes_[w][s];
-            std::vector<LocalUpdate>& pending = local_pending_[w][s];
-            uint64_t edges = 0;
-            VData tmp;
-            for (size_t i = lo; i < hi; ++i) {
-              VertexId u = frontier[i];
-              const VData& scur = store.Current(u);
-              H->ForOut(u, store, [&](VertexId dst, float weight) {
-                ++edges;
-                const VData& dcur = store.Current(dst);
-                if (!internal::InvokeCond(c, dcur, dst)) return;
-                if (!internal::InvokeEdgeF(f, scur, dcur, u, dst, weight)) {
-                  return;
-                }
-                tmp = dcur;
-                internal::InvokeEdgeM(m, scur, tmp, u, dst, weight);
-                int owner = partition_.Owner(dst);
-                if (owner == w) {
-                  pending.push_back({dst, tmp});
-                  return;
-                }
-                WireLane& lane = lanes[owner];
-                lane.ids.push_back(dst);
-                SerializeFields(tmp, mask, lane.payload);
-              });
-            }
-            StepTally& tally = task_tally[w * shards + s];
-            tally.edges = edges;
-            tally.seconds = task_timer.Seconds();
-          });
+    RunWorkerShards(
+        "sparse:push",
+        [&](int w) { return U.Owned(w).size(); },
+        [&](int w, int s, size_t lo, size_t hi) {
+          Timer task_timer;
+          VertexStore<VData>& store = stores_[w];
+          const auto& frontier = U.Owned(w);
+          std::vector<WireLane>& lanes = sparse_lanes_[w][s];
+          std::vector<LocalUpdate>& pending = local_pending_[w][s];
+          uint64_t edges = 0;
+          VData tmp;
+          for (size_t i = lo; i < hi; ++i) {
+            VertexId u = frontier[i];
+            const VData& scur = store.Current(u);
+            H->ForOut(u, store, [&](VertexId dst, float weight) {
+              ++edges;
+              const VData& dcur = store.Current(dst);
+              if (!internal::InvokeCond(c, dcur, dst)) return;
+              if (!internal::InvokeEdgeF(f, scur, dcur, u, dst, weight)) {
+                return;
+              }
+              tmp = dcur;
+              internal::InvokeEdgeM(m, scur, tmp, u, dst, weight);
+              int owner = partition_.Owner(dst);
+              if (owner == w) {
+                pending.push_back({dst, tmp});
+                return;
+              }
+              WireLane& lane = lanes[owner];
+              lane.ids.push_back(dst);
+              SerializeFields(tmp, mask, lane.payload);
+            });
+          }
+          StepTally& tally = task_tally[w * shards + s];
+          tally.edges = edges;
+          tally.seconds = task_timer.Seconds();
+        });
 
-      // Round 1 join: apply the deferred own-master updates in shard order
-      // (shards split the frontier contiguously, so this is frontier order
-      // at every shard count) and coalesce each destination's shard lanes
-      // into one delta-encoded wire frame on the bus. The merged id
-      // sequence is frontier emission order — invariant to the shard count
-      // — so frame bytes are schedule-invariant. Each worker touches only
-      // its own store and outgoing channels.
-      RunPerWorker("sparse:flush", [&](int w) {
-        Timer merge_timer;
-        VertexStore<VData>& store = stores_[w];
-        std::vector<VertexId> dirty;
-        uint64_t applied = 0;
-        for (int s = 0; s < shards; ++s) {
-          for (LocalUpdate& update : local_pending_[w][s]) {
-            bool first = !store.IsDirty(update.dst);
-            VData& next = store.MutableNext(update.dst, dirty);
-            r(update.value, next);
-            if (first) out[w].push_back(update.dst);
-            ++applied;
-          }
-          RecyclePooled(local_pending_[w][s], local_pending_high_water_[w][s]);
+    // Round 1 join: apply the deferred own-master updates in shard order
+    // (shards split the frontier contiguously, so this is frontier order
+    // at every shard count) and coalesce each destination's shard lanes
+    // into one delta-encoded wire frame on the bus. The merged id
+    // sequence is frontier emission order — invariant to the shard count
+    // — so frame bytes are schedule-invariant. Each worker touches only
+    // its own store and outgoing channels.
+    RunPerWorker("sparse:flush", [&](int w) {
+      Timer merge_timer;
+      VertexStore<VData>& store = stores_[w];
+      std::vector<VertexId> dirty;
+      uint64_t applied = 0;
+      for (int s = 0; s < shards; ++s) {
+        for (LocalUpdate& update : local_pending_[w][s]) {
+          bool first = !store.IsDirty(update.dst);
+          VData& next = store.MutableNext(update.dst, dirty);
+          r(update.value, next);
+          if (first) out[w].push_back(update.dst);
+          ++applied;
         }
-        store.AppendDirty(std::move(dirty));
-        std::vector<WireFramePart> parts;
-        parts.reserve(shards);
+        RecyclePooled(local_pending_[w][s], local_pending_high_water_[w][s]);
+      }
+      store.AppendDirty(std::move(dirty));
+      std::vector<WireFramePart> parts;
+      parts.reserve(shards);
+      for (int dst = 0; dst < num_workers; ++dst) {
+        if (dst == w) continue;
+        parts.clear();
+        uint64_t count = 0;
+        for (int s = 0; s < shards; ++s) {
+          WireLane& lane = sparse_lanes_[w][s][dst];
+          if (lane.empty()) continue;
+          parts.push_back(lane.AsPart());
+          count += lane.ids.size();
+        }
+        if (count == 0) continue;
+        EncodeWireFrame(bus_.Channel(w, dst), mask, parts.data(),
+                        parts.size());
+        bus_.CountMessages(w, dst, count);
+      }
+      for (int s = 0; s < shards; ++s) {
         for (int dst = 0; dst < num_workers; ++dst) {
-          if (dst == w) continue;
-          parts.clear();
-          uint64_t count = 0;
-          for (int s = 0; s < shards; ++s) {
-            WireLane& lane = sparse_lanes_[w][s][dst];
-            if (lane.empty()) continue;
-            parts.push_back(lane.AsPart());
-            count += lane.ids.size();
-          }
-          if (count == 0) continue;
-          EncodeWireFrame(bus_.Channel(w, dst), mask, parts.data(),
-                          parts.size());
-          bus_.CountMessages(w, dst, count);
+          sparse_lanes_[w][s][dst].Recycle();
         }
-        for (int s = 0; s < shards; ++s) {
-          for (int dst = 0; dst < num_workers; ++dst) {
-            sparse_lanes_[w][s][dst].Recycle();
-          }
-        }
-        worker_tally[w].verts += applied;
-        worker_tally[w].seconds += merge_timer.Seconds();
-      });
-    }
+      }
+      worker_tally[w].verts += applied;
+      worker_tally[w].seconds += merge_timer.Seconds();
+    });
 
     // Round 1 exchange + owner-side reduce.
-    {
-      ScopedTimer comm_timer(&metrics_.comm_seconds);
-      bus_.Exchange();
-      sample.bytes_total += bus_.LastTotalBytes();
-      sample.bytes_max += bus_.LastMaxWorkerBytes();
-      sample.msgs_total += bus_.LastMessages();
-    }
-    {
-      ScopedTimer compute_timer(&metrics_.compute_seconds);
-      // Owner-side fold, three phases. Scan: parse every incoming frame's
-      // header + delta ids (cheap, serial per worker) and index where its
-      // payload records start. Decode: rebuild the update values across all
-      // (worker, shard) tasks — pure reads, batch count headers give each
-      // shard an exact record range. Apply: fold the decoded values with R
-      // strictly in the original (source, record) order on one task per
-      // worker, so the reduction chain — and any floating-point rounding —
-      // is bit-identical at every host thread count.
-      RunPerWorker("sparse:scan", [&](int w) {
-        Timer scan_timer;
-        ScanIncomingFrames(w, mask);
-        worker_tally[w].seconds += scan_timer.Seconds();
-      });
-      const bool fixed = FieldsAreFixedSize<VData>();
-      const size_t stride = fixed ? FixedFieldsByteSize<VData>(mask) : 0;
-      RunWorkerShards(
-          "sparse:decode",
-          [&](int w) {
-            return fixed ? recv_[w].ids.size() : recv_[w].frames.size();
-          },
-          [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
-            if (fixed) {
-              DecodeRecordRange(w, lo, hi, mask, stride);
-            } else {
-              DecodeFrameRange(w, lo, hi, mask);
-            }
-            task_tally[w * shards + s].seconds += task_timer.Seconds();
-          });
-      RunPerWorker("sparse:apply", [&](int w) {
-        Timer apply_timer;
-        RecvScratch& scratch = recv_[w];
-        VertexStore<VData>& store = stores_[w];
-        std::vector<VertexId> dirty;
-        const size_t n = scratch.ids.size();
-        for (size_t i = 0; i < n; ++i) {
-          const VertexId v = scratch.ids[i];
-          FLASH_DCHECK(partition_.Owner(v) == w);
-          bool first = !store.IsDirty(v);
-          VData& next = store.MutableNext(v, dirty);
-          r(scratch.values[i], next);
-          if (first) out[w].push_back(v);
-        }
-        store.AppendDirty(std::move(dirty));
-        scratch.Recycle();
-        worker_tally[w].verts += n;
-        worker_tally[w].seconds += apply_timer.Seconds();
-      });
-    }
+    bus_.Exchange();
+    sample.bytes_total += bus_.LastTotalBytes();
+    sample.bytes_max += bus_.LastMaxWorkerBytes();
+    sample.msgs_total += bus_.LastMessages();
+    // Owner-side fold, three phases. Scan: parse every incoming frame's
+    // header + delta ids (cheap, serial per worker) and index where its
+    // payload records start. Decode: rebuild the update values across all
+    // (worker, shard) tasks — pure reads, batch count headers give each
+    // shard an exact record range. Apply: fold the decoded values with R
+    // strictly in the original (source, record) order on one task per
+    // worker, so the reduction chain — and any floating-point rounding —
+    // is bit-identical at every host thread count.
+    RunPerWorker("sparse:scan", [&](int w) {
+      Timer scan_timer;
+      ScanIncomingFrames(w, mask);
+      worker_tally[w].seconds += scan_timer.Seconds();
+    });
+    const bool fixed = FieldsAreFixedSize<VData>();
+    const size_t stride = fixed ? FixedFieldsByteSize<VData>(mask) : 0;
+    RunWorkerShards(
+        "sparse:decode",
+        [&](int w) {
+          return fixed ? recv_[w].ids.size() : recv_[w].frames.size();
+        },
+        [&](int w, int s, size_t lo, size_t hi) {
+          Timer task_timer;
+          if (fixed) {
+            DecodeRecordRange(w, lo, hi, mask, stride);
+          } else {
+            DecodeFrameRange(w, lo, hi, mask);
+          }
+          task_tally[w * shards + s].seconds += task_timer.Seconds();
+        });
+    RunPerWorker("sparse:apply", [&](int w) {
+      Timer apply_timer;
+      RecvScratch& scratch = recv_[w];
+      VertexStore<VData>& store = stores_[w];
+      std::vector<VertexId> dirty;
+      const size_t n = scratch.ids.size();
+      for (size_t i = 0; i < n; ++i) {
+        const VertexId v = scratch.ids[i];
+        FLASH_DCHECK(partition_.Owner(v) == w);
+        bool first = !store.IsDirty(v);
+        VData& next = store.MutableNext(v, dirty);
+        r(scratch.values[i], next);
+        if (first) out[w].push_back(v);
+      }
+      store.AppendDirty(std::move(dirty));
+      scratch.Recycle();
+      worker_tally[w].verts += n;
+      worker_tally[w].seconds += apply_timer.Seconds();
+    });
     FoldTallies(task_tally, shards, worker_tally, sample);
     return FinishStep(std::move(out), sample);
   }
@@ -619,19 +617,16 @@ class GraphApi {
     BeginSuperstep();
     T acc = init;
     std::vector<std::vector<T>> mapped(options_.num_workers);
-    {
-      ScopedTimer compute_timer(&metrics_.compute_seconds);
-      RunPerWorker("reduce:map", [&](int w) {
-        const auto& owned = U.Owned(w);
-        std::vector<T>& values = mapped[w];
-        values.reserve(owned.size());
-        for (VertexId v : owned) {
-          values.push_back(map(stores_[w].Current(v), v));
-        }
-      });
-      for (int w = 0; w < options_.num_workers; ++w) {
-        for (T& value : mapped[w]) acc = reduce(acc, value);
+    RunPerWorker("reduce:map", [&](int w) {
+      const auto& owned = U.Owned(w);
+      std::vector<T>& values = mapped[w];
+      values.reserve(owned.size());
+      for (VertexId v : owned) {
+        values.push_back(map(stores_[w].Current(v), v));
       }
+    });
+    for (int w = 0; w < options_.num_workers; ++w) {
+      for (T& value : mapped[w]) acc = reduce(acc, value);
     }
     AccountAggregate(sizeof(T), U.TotalSize());
     return acc;
@@ -672,7 +667,6 @@ class GraphApi {
   /// driver-side state across workers.
   template <typename Fn>
   void ForEachWorker(Fn&& fn) {
-    ScopedTimer compute_timer(&metrics_.compute_seconds);
     for (int w = 0; w < options_.num_workers; ++w) {
       internal::WorkerScope scope(w);
       fn(w);
@@ -758,12 +752,10 @@ class GraphApi {
     return std::move(result).value();
   }
 
-  /// Host threads driving the simulation: with parallel_workers all worker
-  /// partitions of a superstep execute concurrently (bounded by the host's
-  /// cores unless host_threads overrides); otherwise one worker's shard
-  /// pool, as the legacy sequential loop had.
+  /// Host threads driving the simulation: all worker partitions of a
+  /// superstep execute concurrently, bounded by the host's cores unless
+  /// host_threads overrides.
   static int HostThreads(const RuntimeOptions& options) {
-    if (!options.parallel_workers) return options.threads_per_worker;
     int want = options.num_workers * options.threads_per_worker;
     int cap = options.host_threads;
     if (cap <= 0) {
@@ -787,17 +779,6 @@ class GraphApi {
     obs::Tracer* const tracer = tracer_.get();
     if (tracer != nullptr) tracer->BeginPhase();
     OBS_SPAN(tracer, label, obs::SpanKind::kPhase);
-    if (!options_.parallel_workers) {
-      for (int w = 0; w < num_workers; ++w) {
-        const size_t n = size_of(w);
-        pool_.ParallelShards(0, n, [&](int s, size_t lo, size_t hi) {
-          internal::WorkerScope scope(w);
-          OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, s);
-          task(w, s, lo, hi);
-        });
-      }
-      return;
-    }
     pool_.ParallelForWorkers(num_workers * shards, [&](int t) {
       const int w = t / shards;
       const int s = t % shards;
@@ -819,14 +800,6 @@ class GraphApi {
     obs::Tracer* const tracer = tracer_.get();
     if (tracer != nullptr) tracer->BeginPhase();
     OBS_SPAN(tracer, label, obs::SpanKind::kPhase);
-    if (!options_.parallel_workers) {
-      for (int w = 0; w < options_.num_workers; ++w) {
-        internal::WorkerScope scope(w);
-        OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, -1);
-        fn(w);
-      }
-      return;
-    }
     pool_.ParallelForWorkers(options_.num_workers, [&](int w) {
       internal::WorkerScope scope(w);
       OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, -1);
@@ -1061,39 +1034,36 @@ class GraphApi {
     std::vector<std::vector<VertexId>> shard_dirty(num_workers * shards);
     std::vector<StepTally> task_tally(num_workers * shards);
     std::vector<StepTally> worker_tally(num_workers);
-    {
-      ScopedTimer compute_timer(&metrics_.compute_seconds);
-      RunWorkerShards(
-          "vmap:filter",
-          [&](int w) { return U.Owned(w).size(); },
-          [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
-            VertexStore<VData>& store = stores_[w];
-            const auto& owned = U.Owned(w);
-            const int t = w * shards + s;
-            for (size_t i = lo; i < hi; ++i) {
-              VertexId v = owned[i];
-              const VData& cur = store.Current(v);
-              if (!internal::InvokeVertexF(f, cur, v)) continue;
-              shard_out[t].push_back(v);
-              if constexpr (kHasMap) {
-                VData& next = store.MutableNext(v, shard_dirty[t]);
-                internal::InvokeVertexM(m, next, v);
-              }
-            }
-            task_tally[t].seconds = task_timer.Seconds();
-          });
-      RunPerWorker("vmap:merge", [&](int w) {
-        Timer merge_timer;
-        for (int s = 0; s < shards; ++s) {
+    RunWorkerShards(
+        "vmap:filter",
+        [&](int w) { return U.Owned(w).size(); },
+        [&](int w, int s, size_t lo, size_t hi) {
+          Timer task_timer;
+          VertexStore<VData>& store = stores_[w];
+          const auto& owned = U.Owned(w);
           const int t = w * shards + s;
-          AppendTo(out[w], shard_out[t]);
-          stores_[w].AppendDirty(std::move(shard_dirty[t]));
-        }
-        worker_tally[w].verts = U.Owned(w).size();
-        worker_tally[w].seconds = merge_timer.Seconds();
-      });
-    }
+          for (size_t i = lo; i < hi; ++i) {
+            VertexId v = owned[i];
+            const VData& cur = store.Current(v);
+            if (!internal::InvokeVertexF(f, cur, v)) continue;
+            shard_out[t].push_back(v);
+            if constexpr (kHasMap) {
+              VData& next = store.MutableNext(v, shard_dirty[t]);
+              internal::InvokeVertexM(m, next, v);
+            }
+          }
+          task_tally[t].seconds = task_timer.Seconds();
+        });
+    RunPerWorker("vmap:merge", [&](int w) {
+      Timer merge_timer;
+      for (int s = 0; s < shards; ++s) {
+        const int t = w * shards + s;
+        AppendTo(out[w], shard_out[t]);
+        stores_[w].AppendDirty(std::move(shard_dirty[t]));
+      }
+      worker_tally[w].verts = U.Owned(w).size();
+      worker_tally[w].seconds = merge_timer.Seconds();
+    });
     FoldTallies(task_tally, shards, worker_tally, sample);
     return FinishStep(std::move(out), sample);
   }
@@ -1116,114 +1086,108 @@ class GraphApi {
     const uint64_t all_workers_mask =
         num_workers >= 64 ? ~uint64_t{0} : ((uint64_t{1} << num_workers) - 1);
 
-    {
-      ScopedTimer ser_timer(&metrics_.serialize_seconds);
-      RunPerWorker("barrier:commit", [&](int w) {
-        // Ascending commit order makes every destination's id batch sorted —
-        // the densest delta encoding — and is unobservable otherwise:
-        // committed masters are disjoint promotions and the out-frontier was
-        // already fixed during the compute phase.
-        stores_[w].SortDirtyForCommit();
-        std::vector<WireLane>& lanes = commit_lanes_[w];
-        WireLane& log_lane = log_lane_[w];
-        BufferWriter& enc = encode_scratch_[w];
-        BufferWriter& sub = subset_scratch_[w];
-        uint32_t bounds[VData::kNumFields + 1];
-        // Serialize-once: each committed value is encoded a single time.
-        // When redo-logging, the encoding carries all fields (the log needs
-        // full master state) and the mirror subset is copied out of it via
-        // the recorded field-segment boundaries; otherwise the sync mask is
-        // encoded directly and fanned out as-is.
-        const uint32_t encode_mask = log_recovery ? all_fields : mask;
-        const bool subset = mask != encode_mask;
-        uint64_t committed = 0;
-        stores_[w].Commit([&](VertexId v, const VData& value) {
-          ++committed;
-          uint64_t targets = broadcast
-                                 ? (all_workers_mask & ~(uint64_t{1} << w))
-                                 : partition_.MirrorMask(v);
-          if (!log_recovery && targets == 0) return;
-          enc.Clear();
-          SerializeFieldsSegmented(value, encode_mask, enc, bounds);
-          if (log_recovery) {
-            log_lane.ids.push_back(v);
-            log_lane.payload.WriteRaw(enc.bytes().data(), enc.size());
-          }
-          if (targets == 0) return;
-          const uint8_t* wire = enc.bytes().data();
-          size_t wire_size = enc.size();
-          if (subset) {
-            sub.Clear();
-            AppendMaskedSegments(enc.bytes().data(), bounds,
-                                 VData::kNumFields, mask, sub);
-            wire = sub.bytes().data();
-            wire_size = sub.size();
-          }
-          while (targets != 0) {
-            int dst = __builtin_ctzll(targets);
-            targets &= targets - 1;
-            WireLane& lane = lanes[dst];
-            lane.ids.push_back(v);
-            lane.payload.WriteRaw(wire, wire_size);
-          }
-        });
-        committed_scratch_[w] = committed;
-        for (int dst = 0; dst < num_workers; ++dst) {
-          WireLane& lane = lanes[dst];
-          if (!lane.empty()) {
-            const WireFramePart part = lane.AsPart();
-            EncodeWireFrame(bus_.Channel(w, dst), mask, &part, 1);
-            bus_.CountMessages(w, dst, lane.ids.size());
-          }
-          lane.Recycle();
-        }
+    RunPerWorker("barrier:commit", [&](int w) {
+      // Ascending commit order makes every destination's id batch sorted —
+      // the densest delta encoding — and is unobservable otherwise:
+      // committed masters are disjoint promotions and the out-frontier was
+      // already fixed during the compute phase.
+      stores_[w].SortDirtyForCommit();
+      std::vector<WireLane>& lanes = commit_lanes_[w];
+      WireLane& log_lane = log_lane_[w];
+      BufferWriter& enc = encode_scratch_[w];
+      BufferWriter& sub = subset_scratch_[w];
+      uint32_t bounds[VData::kNumFields + 1];
+      // Serialize-once: each committed value is encoded a single time.
+      // When redo-logging, the encoding carries all fields (the log needs
+      // full master state) and the mirror subset is copied out of it via
+      // the recorded field-segment boundaries; otherwise the sync mask is
+      // encoded directly and fanned out as-is.
+      const uint32_t encode_mask = log_recovery ? all_fields : mask;
+      const bool subset = mask != encode_mask;
+      uint64_t committed = 0;
+      stores_[w].Commit([&](VertexId v, const VData& value) {
+        ++committed;
+        uint64_t targets = broadcast
+                               ? (all_workers_mask & ~(uint64_t{1} << w))
+                               : partition_.MirrorMask(v);
+        if (!log_recovery && targets == 0) return;
+        enc.Clear();
+        SerializeFieldsSegmented(value, encode_mask, enc, bounds);
         if (log_recovery) {
-          if (!log_lane.empty()) {
-            // The redo-log record is the same wire frame the mirrors would
-            // see under an all-fields mask; replay parses it identically.
-            enc.Clear();
-            const WireFramePart part = log_lane.AsPart();
-            EncodeWireFrame(enc, all_fields, &part, 1);
-            ckpt_->log(w).Append(LogRecordType::kCommit, all_fields,
-                                 enc.bytes().data(), enc.size());
-          }
-          log_lane.Recycle();
+          log_lane.ids.push_back(v);
+          log_lane.payload.WriteRaw(enc.bytes().data(), enc.size());
         }
-        enc.Recycle(encode_high_water_[w]);
+        if (targets == 0) return;
+        const uint8_t* wire = enc.bytes().data();
+        size_t wire_size = enc.size();
+        if (subset) {
+          sub.Clear();
+          AppendMaskedSegments(enc.bytes().data(), bounds,
+                               VData::kNumFields, mask, sub);
+          wire = sub.bytes().data();
+          wire_size = sub.size();
+        }
+        while (targets != 0) {
+          int dst = __builtin_ctzll(targets);
+          targets &= targets - 1;
+          WireLane& lane = lanes[dst];
+          lane.ids.push_back(v);
+          lane.payload.WriteRaw(wire, wire_size);
+        }
       });
-      for (int w = 0; w < num_workers; ++w) {
-        metrics_.masters_committed += committed_scratch_[w];
+      committed_scratch_[w] = committed;
+      for (int dst = 0; dst < num_workers; ++dst) {
+        WireLane& lane = lanes[dst];
+        if (!lane.empty()) {
+          const WireFramePart part = lane.AsPart();
+          EncodeWireFrame(bus_.Channel(w, dst), mask, &part, 1);
+          bus_.CountMessages(w, dst, lane.ids.size());
+        }
+        lane.Recycle();
       }
-    }
-    {
-      ScopedTimer comm_timer(&metrics_.comm_seconds);
-      bus_.Exchange();
       if (log_recovery) {
-        // Log appends must record each worker's frames in source order, so
-        // keep the serial per-worker walk when redo-logging.
-        RunPerWorker("barrier:apply", [&](int w) {
-          for (int src = 0; src < num_workers; ++src) {
-            if (src == w) continue;
-            const auto& buffer = bus_.Incoming(w, src);
-            if (buffer.empty()) continue;
-            ckpt_->log(w).Append(LogRecordType::kMirror, mask, buffer.data(),
-                                 buffer.size());
-            ApplyMirrorFrame(w, mask, buffer);
-          }
-        });
-      } else {
-        // Mirror updates for a vertex come only from its unique master, so
-        // source channels decode + apply concurrently across shards.
-        RunWorkerShards(
-            "barrier:apply",
-            [&](int) { return static_cast<size_t>(num_workers); },
-            [&](int w, int /*shard*/, size_t lo, size_t hi) {
-              for (size_t src = lo; src < hi; ++src) {
-                if (static_cast<int>(src) == w) continue;
-                ApplyMirrorFrame(w, mask, bus_.Incoming(w, src));
-              }
-            });
+        if (!log_lane.empty()) {
+          // The redo-log record is the same wire frame the mirrors would
+          // see under an all-fields mask; replay parses it identically.
+          enc.Clear();
+          const WireFramePart part = log_lane.AsPart();
+          EncodeWireFrame(enc, all_fields, &part, 1);
+          ckpt_->log(w).Append(LogRecordType::kCommit, all_fields,
+                               enc.bytes().data(), enc.size());
+        }
+        log_lane.Recycle();
       }
+      enc.Recycle(encode_high_water_[w]);
+    });
+    for (int w = 0; w < num_workers; ++w) {
+      metrics_.masters_committed += committed_scratch_[w];
+    }
+    bus_.Exchange();
+    if (log_recovery) {
+      // Log appends must record each worker's frames in source order, so
+      // keep the serial per-worker walk when redo-logging.
+      RunPerWorker("barrier:apply", [&](int w) {
+        for (int src = 0; src < num_workers; ++src) {
+          if (src == w) continue;
+          const auto& buffer = bus_.Incoming(w, src);
+          if (buffer.empty()) continue;
+          ckpt_->log(w).Append(LogRecordType::kMirror, mask, buffer.data(),
+                               buffer.size());
+          ApplyMirrorFrame(w, mask, buffer);
+        }
+      });
+    } else {
+      // Mirror updates for a vertex come only from its unique master, so
+      // source channels decode + apply concurrently across shards.
+      RunWorkerShards(
+          "barrier:apply",
+          [&](int) { return static_cast<size_t>(num_workers); },
+          [&](int w, int /*shard*/, size_t lo, size_t hi) {
+            for (size_t src = lo; src < hi; ++src) {
+              if (static_cast<int>(src) == w) continue;
+              ApplyMirrorFrame(w, mask, bus_.Incoming(w, src));
+            }
+          });
     }
     sample.bytes_total += bus_.LastTotalBytes();
     sample.bytes_max += bus_.LastMaxWorkerBytes();

@@ -38,10 +38,6 @@ void Metrics::Absorb(const Metrics& other) {
   masters_committed += other.masters_committed;
   wire_pool_peak_bytes =
       std::max(wire_pool_peak_bytes, other.wire_pool_peak_bytes);
-  compute_seconds += other.compute_seconds;
-  comm_seconds += other.comm_seconds;
-  serialize_seconds += other.serialize_seconds;
-  other_seconds += other.other_seconds;
 
   fault.fragments_sent += other.fault.fragments_sent;
   fault.drops += other.fault.drops;
@@ -123,10 +119,7 @@ std::string Metrics::ToString() const {
       << " verts=" << vertices_updated << " msgs=" << messages
       << " bytes=" << bytes << " dense=" << dense_steps
       << " sparse=" << sparse_steps << " committed=" << masters_committed
-      << " pool_peak=" << wire_pool_peak_bytes
-      << " wall=" << TotalSeconds() << "s"
-      << " (compute=" << compute_seconds << " comm=" << comm_seconds
-      << " ser=" << serialize_seconds << " other=" << other_seconds << ")";
+      << " pool_peak=" << wire_pool_peak_bytes;
   if (fault.Any()) out << " fault[" << fault.ToString() << "]";
   if (async.Any()) out << " async[" << async.ToString() << "]";
   if (walks.Any()) out << " walks[" << walks.ToString() << "]";

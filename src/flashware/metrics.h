@@ -180,12 +180,6 @@ struct Metrics {
   /// each barrier. Bounds the memory the pooling policy holds back.
   uint64_t wire_pool_peak_bytes = 0;
 
-  /// Wall-clock breakdown of the simulation (paper §V-E categories).
-  double compute_seconds = 0;
-  double comm_seconds = 0;       // Mirror sync + message application.
-  double serialize_seconds = 0;  // Encoding/decoding payloads.
-  double other_seconds = 0;      // Setup, subset bookkeeping.
-
   /// Fault-injection and recovery counters (all zero without a FaultPlan).
   FaultStats fault;
 
@@ -222,10 +216,6 @@ struct Metrics {
     storage_blocks_read += sample.storage_blocks;
     storage_decode_bytes += sample.storage_decode_bytes;
     if (record_steps) steps.push_back(sample);
-  }
-
-  double TotalSeconds() const {
-    return compute_seconds + comm_seconds + serialize_seconds + other_seconds;
   }
 
   /// Folds another run's counters into this one — the accumulator used when

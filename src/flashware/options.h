@@ -46,14 +46,12 @@ struct RuntimeOptions {
   /// actually execute, which is what keeps runs bit-identical.
   int threads_per_worker = 1;
 
-  /// Execute all worker partitions of every BSP phase concurrently on one
-  /// host pool (the paper's m processes genuinely overlap). Frontiers, wire
-  /// bytes/messages, and results are bit-identical to the sequential worker
-  /// loop — per-shard buffers are merged in worker/shard order either way.
-  /// Off keeps the legacy sequential loop (the scaling benchmark baseline).
-  bool parallel_workers = true;
-
-  /// Host threads driving the simulation when parallel_workers is on;
+  /// Host threads driving the simulation. All worker partitions of every
+  /// phase run concurrently on one host pool (the paper's m processes
+  /// genuinely overlap); 1 runs them inline in worker/shard order, the
+  /// sequential baseline. Frontiers, wire bytes/messages, and results are
+  /// bit-identical at every value — per-shard buffers are merged in
+  /// worker/shard order either way.
   /// 0 = min(num_workers * threads_per_worker, hardware cores).
   int host_threads = 0;
 
@@ -66,15 +64,6 @@ struct RuntimeOptions {
   /// idempotent (min/max-style) algorithms — at any host_threads, but pay a
   /// relaxed per-round drain instead of a global barrier per superstep.
   ExecutionMode execution_mode = ExecutionMode::kBsp;
-
-  /// Bucket width for the async engine's delta-stepping scheduler (weighted
-  /// algorithms only; unweighted ones bucket by level). 0 picks a default
-  /// tuned for the generators' uniform (0, 1] weights.
-  float async_delta = 0.0f;
-
-  /// Dense if |U| + outdeg(U) > |E| / dense_threshold (Ligra's heuristic;
-  /// Ligra uses 20).
-  double dense_threshold = 20.0;
 
   /// §IV-C "synchronize critical properties only": ship only the declared
   /// critical fields to mirrors. Off = ship every field (ablation).
@@ -118,11 +107,6 @@ struct RuntimeOptions {
   /// per superstep. -1 keeps the backend's configured depth; 0 disables
   /// prefetch (demand paging only). Ignored by in-memory graphs.
   int storage_prefetch_depth = -1;
-
-  /// Planned-block coverage fraction at which the paged backend switches
-  /// from sparse (demand + prefetch) to dense (sweep in file order) block
-  /// scheduling. Negative keeps the backend's configured fraction.
-  double storage_dense_fraction = -1.0;
 
   /// Plan-ahead paging for the async engine: before each micro-round's
   /// drain, the engine derives the round's edge-block set from the queued

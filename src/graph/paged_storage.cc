@@ -460,11 +460,10 @@ void PagedStorage::ForEachOutEdge(const EdgeFn& fn) {
   }
 }
 
-void PagedStorage::ApplyRuntimeLimits(uint64_t cache_bytes, int prefetch_depth,
-                                      double dense_fraction) {
+void PagedStorage::ApplyRuntimeLimits(uint64_t cache_bytes,
+                                      int prefetch_depth) {
   if (cache_bytes > 0) cache_bytes_ = cache_bytes;
   if (prefetch_depth >= 0) prefetch_depth_ = prefetch_depth;
-  if (dense_fraction >= 0) dense_fraction_ = dense_fraction;
 }
 
 void PagedStorage::BeginEpoch() {

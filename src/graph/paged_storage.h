@@ -117,8 +117,9 @@ struct BlockHeader {
 };
 static_assert(sizeof(BlockHeader) == 32, "on-disk layout");
 
-/// Tuning knobs of a paged graph, set at Open and overridable per run via
-/// RuntimeOptions (GraphStorage::ApplyRuntimeLimits).
+/// Tuning knobs of a paged graph, set at Open. The cache budget and prefetch
+/// depth are overridable per run via RuntimeOptions
+/// (GraphStorage::ApplyRuntimeLimits).
 struct PagedOptions {
   /// LRU block-cache budget. Enforced at epoch barriers: within an epoch
   /// the cache may transiently exceed it (up to the epoch's working set),
@@ -167,8 +168,7 @@ class PagedStorage final : public GraphStorage {
 
   void ForEachOutEdge(const EdgeFn& fn) override;
 
-  void ApplyRuntimeLimits(uint64_t cache_bytes, int prefetch_depth,
-                          double dense_fraction) override;
+  void ApplyRuntimeLimits(uint64_t cache_bytes, int prefetch_depth) override;
   void BeginEpoch() override;
   void PlanBlocks(std::span<const VertexId> vertices, bool out_dir) override;
   void PlanSweep(bool out_dir, uint64_t frontier_size) override;

@@ -127,8 +127,7 @@ class GraphStorage {
   /// Engine-construction hook: RuntimeOptions override the backend's
   /// configured limits. 0 / negative values keep the current setting.
   virtual void ApplyRuntimeLimits(uint64_t /*cache_bytes*/,
-                                  int /*prefetch_depth*/,
-                                  double /*dense_fraction*/) {}
+                                  int /*prefetch_depth*/) {}
 
   /// Superstep entry: quiesce any trailing prefetch, then open a new epoch.
   virtual void BeginEpoch() {}

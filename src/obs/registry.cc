@@ -128,15 +128,6 @@ Registry BuildRegistry(const flash::Metrics& metrics,
   reg.Gauge("flash_wire_pool_peak_bytes",
             static_cast<double>(metrics.wire_pool_peak_bytes),
             "Peak capacity retained across pooled wire buffers");
-  // Wall-clock breakdown (cumulative seconds; float counters).
-  reg.CounterF("flash_compute_seconds_total", metrics.compute_seconds,
-               "Simulation seconds in compute phases");
-  reg.CounterF("flash_comm_seconds_total", metrics.comm_seconds,
-               "Simulation seconds in exchange/mirror phases");
-  reg.CounterF("flash_serialize_seconds_total", metrics.serialize_seconds,
-               "Simulation seconds serialising payloads");
-  reg.CounterF("flash_other_seconds_total", metrics.other_seconds,
-               "Simulation seconds in setup/bookkeeping");
   // Async-engine counters (AsyncStats; exact integers plus the cumulative
   // busiest-worker compute seconds the cost model prices).
   const AsyncStats& a = metrics.async;

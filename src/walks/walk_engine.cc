@@ -51,7 +51,6 @@ struct WalkTally {
 /// Host threads driving the walk: one task per worker (walker pools are
 /// per-worker single-writer), bounded like core/engine.h's HostThreads.
 int HostThreadCount(const RuntimeOptions& options) {
-  if (!options.parallel_workers) return 1;
   int cap = options.host_threads > 0
                 ? options.host_threads
                 : static_cast<int>(std::thread::hardware_concurrency());
@@ -103,8 +102,7 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   const bool paged = graph.is_paged();
   if (paged) {
     storage->ApplyRuntimeLimits(options_.edge_cache_bytes,
-                                options_.storage_prefetch_depth,
-                                options_.storage_dense_fraction);
+                                options_.storage_prefetch_depth);
     storage->SetTracer(tracer);
   }
 
@@ -173,7 +171,6 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
       storage->PlanBlocks(plan_scratch, /*out_dir=*/true);
     }
 
-    Timer compute_timer;
     pool.ParallelForWorkers(m, [&](int w) {
       Timer task_timer;
       WalkTally& wt = walk_tally[w];
@@ -313,11 +310,9 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
       tally.edges += wt.shuffled;
       tally.seconds += task_timer.Seconds();
     });
-    result.metrics.compute_seconds += compute_timer.Seconds();
 
     // Barrier: ship the frames, then decode arrivals per destination (src
     // order, then record order — deterministic at any host thread count).
-    Timer comm_timer;
     bus.Exchange();
     pool.ParallelForWorkers(m, [&](int dst) {
       std::vector<WalkerRecord>& records = decode_scratch[dst];
@@ -340,7 +335,6 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
                        : static_cast<VertexId>(rec.prev)});
       }
     });
-    result.metrics.comm_seconds += comm_timer.Seconds();
 
     // Fold the step: counters first, then the storage epoch (the paged
     // backend bills this step's planned + demand block I/O here).
@@ -399,6 +393,8 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   if (injector.stats().Any()) result.metrics.fault = injector.stats();
   result.metrics.wire_pool_peak_bytes =
       std::max(result.metrics.wire_pool_peak_bytes, bus.PoolPeakBytes());
+  // The graph may outlive the tracer (result-owned when engine-made).
+  if (paged) storage->SetTracer(nullptr);
   if (tracer != nullptr) tracer->Fold();
   return result;
 }

@@ -218,12 +218,26 @@ TEST(AsyncEquivalence, SsspDeltaKnobPreservesFixpoint) {
   auto oracle = algo::RunSssp(graph, 0, BspOptions());
   for (float delta : {0.05f, 0.5f, 2.0f}) {
     SCOPED_TRACE("delta=" + std::to_string(delta));
-    RuntimeOptions options = AsyncOptions(4, false);
-    options.async_delta = delta;
-    auto run = algo::RunSssp(graph, 0, options);
+    auto run = algo::RunSsspDeltaStepping(graph, 0, delta,
+                                          AsyncOptions(4, false));
     EXPECT_EQ(run.distance, oracle.distance);
     ExpectConservation(run.metrics);
   }
+}
+
+// Async RunSssp is delta-stepping at the shared default bucket width: the
+// same program, so distances, rounds and every exact counter agree.
+TEST(AsyncEquivalence, SsspAsyncIsDefaultDeltaStepping) {
+  GraphPtr graph = testing::RoadGridTestGraph(64, true);
+  const RuntimeOptions options = AsyncOptions(4, false);
+  auto sssp = algo::RunSssp(graph, 0, options);
+  auto delta = algo::RunSsspDeltaStepping(graph, 0, 0.25f, options);
+  EXPECT_EQ(sssp.distance, delta.distance);
+  EXPECT_EQ(sssp.rounds, delta.rounds);
+  EXPECT_EQ(sssp.metrics.bytes, delta.metrics.bytes);
+  EXPECT_EQ(sssp.metrics.messages, delta.metrics.messages);
+  EXPECT_EQ(sssp.metrics.async.rounds, delta.metrics.async.rounds);
+  EXPECT_GT(sssp.metrics.async.rounds, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/dsu.h"
@@ -205,35 +207,26 @@ TEST(Dsu, UnionFind) {
 
 // --- ThreadPool --------------------------------------------------------------
 
-TEST(ThreadPool, ParallelForCoversRange) {
+TEST(ThreadPool, ParallelForWorkersRunsEveryIndexOnceAcrossReuse) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, 1000, [&](size_t i) { hits[i]++; }, /*grain=*/16);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelShardsPartition) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> ranges;
-  pool.ParallelShards(10, 100, [&](int, size_t lo, size_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(lo, hi);
-  });
-  std::sort(ranges.begin(), ranges.end());
-  size_t expected_lo = 10;
-  for (auto [lo, hi] : ranges) {
-    EXPECT_EQ(lo, expected_lo);
-    expected_lo = hi;
+  // One pool serves every superstep: reuse must neither drop nor repeat
+  // indices.
+  for (int round = 0; round < 3; ++round) {
+    pool.ParallelForWorkers(1000, [&](int i) { hits[i]++; });
   }
-  EXPECT_EQ(expected_lo, 100u);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 3);
 }
 
-TEST(ThreadPool, SingleThreadRunsInline) {
+TEST(ThreadPool, SingleThreadRunsInlineInIndexOrder) {
   ThreadPool pool(1);
-  int sum = 0;
-  pool.ParallelFor(0, 10, [&](size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum, 45);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  pool.ParallelForWorkers(10, [&](int i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 // --- Rng ---------------------------------------------------------------------

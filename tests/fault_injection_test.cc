@@ -180,9 +180,10 @@ TEST(FaultInjectionTest, SameSeedReproducesCountersAtAnyThreadCount) {
     auto replay = algo::RunBfs(graph, 0, options);
     EXPECT_EQ(replay.metrics.fault, first.metrics.fault) << pname;
     EXPECT_EQ(replay.metrics.bytes, first.metrics.bytes) << pname;
-    // Host parallelism must not perturb the fault stream: one lane, a
-    // constrained pool, and the sequential-worker fallback all agree.
-    for (int host_threads : {1, 3}) {
+    // Host parallelism must not perturb the fault stream: one inline lane,
+    // a constrained pool, and one thread per (worker, shard) task all agree.
+    for (int host_threads :
+         {1, 3, options.num_workers * options.threads_per_worker}) {
       RuntimeOptions narrow = options;
       narrow.host_threads = host_threads;
       auto run = algo::RunBfs(graph, 0, narrow);
@@ -190,11 +191,6 @@ TEST(FaultInjectionTest, SameSeedReproducesCountersAtAnyThreadCount) {
           << pname << " host_threads=" << host_threads;
       EXPECT_EQ(run.distance, first.distance);
     }
-    RuntimeOptions sequential = options;
-    sequential.parallel_workers = false;
-    auto run = algo::RunBfs(graph, 0, sequential);
-    EXPECT_EQ(run.metrics.fault, first.metrics.fault) << pname;
-    EXPECT_EQ(run.distance, first.distance);
   }
 }
 

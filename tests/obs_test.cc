@@ -202,7 +202,6 @@ TEST(RegistryTest, ExactIntegerCountersMatchLegacyMetrics) {
   metrics.bytes = 8888;
   metrics.dense_steps = 30;
   metrics.sparse_steps = 12;
-  metrics.compute_seconds = 1.5;
   metrics.fault.drops = 9;
   metrics.fault.checkpoints = 3;
   metrics.fault.checkpoint_bytes = 4096;
@@ -229,7 +228,6 @@ TEST(RegistryTest, ExactIntegerCountersMatchLegacyMetrics) {
   EXPECT_EQ(registry.Find("flash_checkpoints_total")->ivalue, 3u);
   EXPECT_EQ(registry.Find("flash_checkpoint_bytes_total")->ivalue, 4096u);
   EXPECT_DOUBLE_EQ(registry.Find("flash_workers")->dvalue, 4.0);
-  EXPECT_DOUBLE_EQ(registry.Find("flash_compute_seconds_total")->dvalue, 1.5);
 
   std::ostringstream prom;
   obs::WritePrometheus(prom, registry);

@@ -296,6 +296,29 @@ TEST(StorageTier, RuntimeOptionsPlumbThroughToTheBackend) {
   EXPECT_EQ(storage->stats().prefetch_issued, 0u);
 }
 
+// A traced pass whose tracer the engine owns (trace on, no tracer given)
+// frees that tracer when the engine dies, but the graph lives on: the
+// storage must not keep recording demand reads into it afterwards.
+TEST(StorageTier, TracedPassDetachesItsTracerFromTheStorage) {
+  GraphPtr mem = TestGraph();
+  TempBlockFile file(*mem, 4 << 10, "tracer");
+  GraphPtr pg = OpenPagedGraph(file.path()).value();
+  auto* storage = static_cast<PagedStorage*>(pg->storage());
+
+  RuntimeOptions options;
+  options.num_workers = 2;
+  options.edge_cache_bytes = 16 << 10;  // Barriers evict most blocks.
+  options.trace = true;
+  ASSERT_EQ(options.tracer, nullptr);
+  auto run = algo::RunBfs(pg, RootWithEdges(*mem), options);
+  EXPECT_GT(run.metrics.storage_bytes_read, 0u);
+
+  // Demand-read every out-block outside any engine: the cold ones load.
+  const uint64_t blocks_before = storage->stats().blocks_read;
+  for (VertexId v = 0; v < pg->NumVertices(); ++v) (void)pg->OutNeighbors(v);
+  EXPECT_GT(storage->stats().blocks_read, blocks_before);
+}
+
 // --- Dual-backend matrix --------------------------------------------------
 
 struct MatrixCase {

@@ -267,6 +267,27 @@ TEST(WalkEngine, WalkStepSamplesFeedTheCostModel) {
                        r.metrics.walks.terminations);
 }
 
+// The result owns the tracer of a traced walk (trace on, no tracer given);
+// once the result dies, a demand read on the still-live paged graph must not
+// record into it.
+TEST(WalkEngine, TracedRunDetachesItsTracerFromTheStorage) {
+  GraphPtr mem = TestGraph();
+  PagedTwin paged(mem, "tracer");
+  RuntimeOptions options = WalkOptions(2, 500, 4);
+  options.edge_cache_bytes = 8 << 10;  // Barriers evict most blocks.
+  options.trace = true;
+  {
+    auto r = WalkEngine(paged.twin, options).Run(WalkSpec{});
+    ASSERT_NE(r.tracer, nullptr);
+  }
+  auto* storage = paged.twin->storage();
+  const uint64_t blocks_before = storage->stats().blocks_read;
+  for (VertexId v = 0; v < paged.twin->NumVertices(); ++v) {
+    (void)paged.twin->OutNeighbors(v);
+  }
+  EXPECT_GT(storage->stats().blocks_read, blocks_before);
+}
+
 }  // namespace
 }  // namespace walks
 }  // namespace flash

@@ -212,11 +212,10 @@ TEST(WireFrame, SortedBatchSmallerThanPerMessageEncoding) {
 // ---------------------------------------------------------------------------
 // Engine integration: determinism across host thread counts.
 
-RuntimeOptions SweepOpts(int host_threads, bool parallel) {
+RuntimeOptions SweepOpts(int host_threads) {
   RuntimeOptions options;
   options.num_workers = 4;
   options.threads_per_worker = 4;
-  options.parallel_workers = parallel;
   options.host_threads = host_threads;
   return options;
 }
@@ -237,14 +236,14 @@ std::vector<std::pair<uint64_t, uint64_t>> TrafficTrace(const Metrics& m) {
 }
 
 // Receive-side decode shards by host capacity, so the per-superstep byte and
-// message sequence must be identical at host_threads 1/4/8 and equal to the
-// sequential engine's.
+// message sequence must be identical at host_threads 4/8/16 (16 = one thread
+// per (worker, shard) task) and equal to the inline host_threads = 1 run's.
 TEST(WireFormatEngine, TrafficBitIdenticalAcrossHostThreads) {
-  auto ref = algo::RunBfs(SweepGraph(), 0, SweepOpts(0, false));
+  auto ref = algo::RunBfs(SweepGraph(), 0, SweepOpts(1));
   const auto ref_trace = TrafficTrace(ref.metrics);
   ASSERT_FALSE(ref_trace.empty());
-  for (int host_threads : {1, 4, 8}) {
-    auto run = algo::RunBfs(SweepGraph(), 0, SweepOpts(host_threads, true));
+  for (int host_threads : {4, 8, 16}) {
+    auto run = algo::RunBfs(SweepGraph(), 0, SweepOpts(host_threads));
     EXPECT_EQ(run.distance, ref.distance) << "host_threads=" << host_threads;
     EXPECT_EQ(TrafficTrace(run.metrics), ref_trace)
         << "host_threads=" << host_threads;
@@ -253,10 +252,10 @@ TEST(WireFormatEngine, TrafficBitIdenticalAcrossHostThreads) {
 }
 
 TEST(WireFormatEngine, PageRankBitIdenticalAcrossHostThreads) {
-  auto ref = algo::RunPageRank(SweepGraph(), 10, SweepOpts(0, false));
+  auto ref = algo::RunPageRank(SweepGraph(), 10, SweepOpts(1));
   const auto ref_trace = TrafficTrace(ref.metrics);
-  for (int host_threads : {1, 4, 8}) {
-    auto run = algo::RunPageRank(SweepGraph(), 10, SweepOpts(host_threads, true));
+  for (int host_threads : {4, 8, 16}) {
+    auto run = algo::RunPageRank(SweepGraph(), 10, SweepOpts(host_threads));
     EXPECT_EQ(run.rank, ref.rank) << "host_threads=" << host_threads;
     EXPECT_EQ(TrafficTrace(run.metrics), ref_trace)
         << "host_threads=" << host_threads;

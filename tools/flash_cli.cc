@@ -794,7 +794,8 @@ int Run(const Args& args) {
     WriteVector(args.output, r.layer);
     metrics = r.metrics;
   } else if (a == "ssspdelta") {
-    auto r = algo::RunSsspDeltaStepping(graph, args.root, 0.25f, options);
+    auto r = algo::RunSsspDeltaStepping(graph, args.root,
+                                       algo::kDefaultSsspDelta, options);
     std::printf("delta-stepping sssp from %u: %d relaxation rounds\n",
                 args.root, r.rounds);
     WriteVector(args.output, r.distance);
