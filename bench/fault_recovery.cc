@@ -6,7 +6,7 @@
 // delta is pure fault-handling overhead.
 //
 // Emits out/BENCH_fault_recovery.json (out/ is created if needed). Knobs (env):
-//   FLASH_BENCH_SCALE        RMAT scale (default 16)
+//   FLASH_BENCH_SCALE        RMAT scale (default 16; a fraction shrinks it)
 //   FLASH_BENCH_PR_ITERS     PageRank iterations (default 10)
 //   FLASH_BENCH_DROP_PCTS    comma list of drop percentages (default "0,5,20")
 //   FLASH_BENCH_CRASHES      crash count in the crash configs (default 2)
@@ -76,7 +76,7 @@ void EmitRun(flash::bench::BenchReport& report, const std::string& graph_name,
 }  // namespace
 
 int main() {
-  const int scale = EnvInt("FLASH_BENCH_SCALE", 16);
+  const int scale = flash::bench::RmatScaleFromEnv(16);
   const int pr_iters = EnvInt("FLASH_BENCH_PR_ITERS", 10);
   const std::vector<int> drop_pcts =
       EnvIntList("FLASH_BENCH_DROP_PCTS", {0, 5, 20});

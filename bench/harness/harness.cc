@@ -22,6 +22,19 @@ double BenchScale() {
   return scale;
 }
 
+int RmatScaleFromEnv(int fallback) {
+  const char* env = std::getenv("FLASH_BENCH_SCALE");
+  if (env == nullptr) return fallback;
+  double value = std::atof(env);
+  if (value >= 1) return static_cast<int>(value);
+  int scale = fallback;
+  while (value > 0 && value < 1 && scale > 8) {
+    value *= 2;
+    --scale;
+  }
+  return scale;
+}
+
 int BenchWorkers() {
   static const int workers = [] {
     const char* env = std::getenv("FLASH_BENCH_WORKERS");

@@ -21,6 +21,11 @@ namespace flash::bench {
 /// (default 0.25 so the full suite completes on a laptop core).
 double BenchScale();
 
+/// RMAT scale for the RMAT-driven benches. FLASH_BENCH_SCALE >= 1 is the
+/// scale itself; a fraction (the BenchScale() smoke convention, e.g. 0.05)
+/// shrinks the `fallback` graph by that factor, down to scale 8.
+int RmatScaleFromEnv(int fallback);
+
 /// Simulated workers per run; FLASH_BENCH_WORKERS overrides (default 4,
 /// matching the paper's 4-node cluster).
 int BenchWorkers();

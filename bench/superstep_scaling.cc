@@ -8,7 +8,7 @@
 // the host_threads = 1 run.
 //
 // Emits out/BENCH_superstep_scaling.json (out/ is created if needed). Knobs (env):
-//   FLASH_BENCH_SCALE     RMAT scale (default 18)
+//   FLASH_BENCH_SCALE     RMAT scale (default 18; a fraction shrinks it)
 //   FLASH_BENCH_PR_ITERS  PageRank iterations (default 10)
 //   FLASH_BENCH_WORKERS   comma list of worker counts (default "1,4,8")
 //   FLASH_BENCH_THREADS   comma list of threads_per_worker (default "1,4")
@@ -86,7 +86,7 @@ void EmitStats(flash::bench::BenchReport& report,
 }  // namespace
 
 int main() {
-  const int scale = EnvInt("FLASH_BENCH_SCALE", 18);
+  const int scale = flash::bench::RmatScaleFromEnv(18);
   const int pr_iters = EnvInt("FLASH_BENCH_PR_ITERS", 10);
   const std::vector<int> worker_counts =
       EnvIntList("FLASH_BENCH_WORKERS", {1, 4, 8});

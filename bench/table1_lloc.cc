@@ -11,6 +11,8 @@
 // many algorithms are inexpressible outside FLASH.
 
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -239,6 +241,34 @@ int Main() {
                 for (const Row& r : Rows()) n += r.gas.has_value();
                 return n;
               }());
+  // Size of the system itself: LLoC of every src/ source, per layer (the
+  // directory directly under src/) and in total.
+  const std::filesystem::path src = std::filesystem::path(FLASH_SOURCE_DIR) / "src";
+  std::map<std::string, double> src_lloc;
+  int src_total = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(src)) {
+    const std::filesystem::path& path = entry.path();
+    if (!entry.is_regular_file() ||
+        (path.extension() != ".h" && path.extension() != ".cc")) {
+      continue;
+    }
+    auto lloc = CountLlocFile(path.string());
+    if (!lloc.ok()) {
+      FLASH_LOG(Error) << "cannot count " << path.string() << ": "
+                       << lloc.status().ToString();
+      continue;
+    }
+    const std::string layer = path.lexically_relative(src).begin()->string();
+    src_lloc["src_lloc_" + layer] += lloc->logical_lines;
+    src_total += lloc->logical_lines;
+  }
+  std::printf("\nsrc/ LLoC per layer:\n");
+  for (const auto& [name, lloc] : src_lloc) {
+    std::printf("  %-12s %5d\n", name.c_str() + 9, static_cast<int>(lloc));
+  }
+  std::printf("  %-12s %5d\n", "total", src_total);
+  src_lloc["src_lloc_total"] = src_total;
+  report.Add("-", {{"framework", "src"}}, std::move(src_lloc));
   report.Write();
   return 0;
 }

@@ -34,21 +34,6 @@ int EnvInt(const char* name, int fallback) {
   return value > 0 ? value : fallback;
 }
 
-// FLASH_BENCH_SCALE >= 1 is an RMAT scale; a fraction (the harness-wide
-// smoke convention, e.g. 0.05) shrinks the default graph by that factor.
-int EnvRmatScale(int fallback) {
-  const char* env = std::getenv("FLASH_BENCH_SCALE");
-  if (env == nullptr) return fallback;
-  double value = std::atof(env);
-  if (value >= 1) return static_cast<int>(value);
-  int scale = fallback;
-  while (value > 0 && value < 1 && scale > 8) {
-    value *= 2;
-    --scale;
-  }
-  return scale;
-}
-
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -85,7 +70,7 @@ bool CountersMatch(const flash::Metrics& a, const flash::Metrics& b) {
 }  // namespace
 
 int main() {
-  const int scale = EnvRmatScale(14);
+  const int scale = flash::bench::RmatScaleFromEnv(14);
   const int reps = EnvInt("FLASH_BENCH_REPS", 3);
   const int pr_iters = EnvInt("FLASH_BENCH_PR_ITERS", 5);
 

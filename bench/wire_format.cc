@@ -14,15 +14,13 @@
 //
 // Emits out/BENCH_wire_format.json. Knobs (env):
 //   FLASH_BENCH_SCALE    RMAT scale (default 18, matching superstep_scaling;
-//                        values < 8, e.g. the CI smoke fraction, fall back
-//                        to a small smoke scale)
+//                        a fraction shrinks it)
 //   FLASH_BENCH_WORKERS  simulated workers (default 4)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -39,10 +37,8 @@ namespace {
 using flash::BufferReader;
 using flash::BufferWriter;
 using flash::EncodeWireFrame;
-using flash::ReadWireFrameHeader;
-using flash::ReadWireFrameIds;
+using flash::ReadWireFrame;
 using flash::VertexId;
-using flash::WireFrameHeader;
 using flash::WireFramePart;
 using flash::WireId;
 
@@ -88,9 +84,11 @@ struct FormatCost {
 
 // Encodes and decodes every batch in both formats, accumulating exact byte
 // counts and wall time. `payload_bytes` is the per-record serialized VData
-// size (4 for both BFS's dis and PageRank's rank field).
+// size (4 for both BFS's dis and PageRank's rank field); `num_vertices`
+// bounds the decoded ids.
 void MeasureBatches(const std::vector<std::vector<Batch>>& supersteps,
-                    size_t payload_bytes, int repeats, FormatCost& cost) {
+                    size_t payload_bytes, uint64_t num_vertices, int repeats,
+                    FormatCost& cost) {
   std::vector<uint8_t> payload;
   std::vector<uint8_t> old_wire;
   BufferWriter new_wire;
@@ -135,10 +133,8 @@ void MeasureBatches(const std::vector<std::vector<Batch>>& supersteps,
         double t3 = Now();
         {
           BufferReader r(new_wire.bytes());
-          WireFrameHeader header;
-          FLASH_CHECK(ReadWireFrameHeader(r, &header).ok());
           decoded.clear();
-          FLASH_CHECK(ReadWireFrameIds(r, header, &decoded).ok());
+          FLASH_CHECK(ReadWireFrame(r, 0x1, num_vertices, &decoded).ok());
           checksum += decoded.size();
         }
         double t4 = Now();
@@ -210,12 +206,7 @@ void EmitAlgo(flash::bench::BenchReport& report,
 }  // namespace
 
 int main() {
-  // FLASH_BENCH_SCALE doubles as the CI smoke fraction (e.g. "0.05"), which
-  // parses to 0 here — anything below a plausible RMAT scale becomes the
-  // smoke scale so CI stays fast while local runs default to 16.
-  const char* scale_env = std::getenv("FLASH_BENCH_SCALE");
-  int scale = scale_env != nullptr ? std::atoi(scale_env) : 18;
-  if (scale < 8) scale = 12;
+  const int scale = flash::bench::RmatScaleFromEnv(18);
   const int workers = flash::bench::BenchWorkers();
   const int repeats = scale >= 16 ? 3 : 20;
 
@@ -252,7 +243,8 @@ int main() {
     }
   }
   FormatCost bfs_cost;
-  MeasureBatches(bfs_steps, /*payload_bytes=*/4, repeats, bfs_cost);
+  MeasureBatches(bfs_steps, /*payload_bytes=*/4, graph->NumVertices(),
+                 repeats, bfs_cost);
 
   // PageRank: every master commits each iteration; one iteration's batches
   // times the iteration count gives the whole run's mirror-sync traffic.
@@ -263,7 +255,8 @@ int main() {
   for (VertexId v = 0; v < graph->NumVertices(); ++v) all[v] = v;
   std::vector<std::vector<Batch>> pr_steps{CommitBatches(all, partition)};
   FormatCost pr_cost;
-  MeasureBatches(pr_steps, /*payload_bytes=*/4, repeats, pr_cost);
+  MeasureBatches(pr_steps, /*payload_bytes=*/4, graph->NumVertices(),
+                 repeats, pr_cost);
   pr_cost.updates *= pr_iters;
   pr_cost.old_bytes *= pr_iters;
   pr_cost.new_bytes *= pr_iters;

@@ -8,6 +8,25 @@ namespace flash {
 
 namespace {
 
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// True if the quote at src[pos] is a C++14 digit separator (`10'000`,
+/// `0x46'4B`): it sits inside a digit-led pp-number and a hex digit follows.
+bool IsDigitSeparator(std::string_view src, size_t pos) {
+  if (pos + 1 >= src.size() ||
+      !std::isxdigit(static_cast<unsigned char>(src[pos + 1]))) {
+    return false;
+  }
+  size_t start = pos;
+  while (start > 0 && (IsIdentChar(src[start - 1]) || src[start - 1] == '.' ||
+                       src[start - 1] == '\'')) {
+    --start;
+  }
+  return start < pos && std::isdigit(static_cast<unsigned char>(src[start]));
+}
+
 /// Replaces comments and string/char literal bodies with spaces so that the
 /// token scan below cannot be confused by ';' or keywords inside them.
 /// Newlines inside comments are preserved for physical-line accounting.
@@ -30,7 +49,7 @@ std::string StripCommentsAndLiterals(std::string_view src) {
         } else if (c == '"') {
           state = State::kString;
           out.push_back('"');
-        } else if (c == '\'') {
+        } else if (c == '\'' && !IsDigitSeparator(src, i)) {
           state = State::kChar;
           out.push_back('\'');
         } else {
@@ -72,10 +91,6 @@ std::string StripCommentsAndLiterals(std::string_view src) {
     }
   }
   return out;
-}
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
 /// True if src[pos..] starts the given keyword as a whole identifier.

@@ -108,6 +108,8 @@ class BufferReader {
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
+  /// The next unread byte (in-place views of framed sections).
+  const uint8_t* cursor() const { return data_ + pos_; }
 
   void ReadRaw(void* out, size_t n) {
     FLASH_CHECK_LE(pos_ + n, size_) << "BufferReader overrun";
@@ -184,31 +186,31 @@ class BufferReader {
 
 // --- WireBatch codec -------------------------------------------------------
 //
-// The batched on-wire layout carried by every channel of the simulated
-// cluster. One frame coalesces all vertex updates a sender ships to one
-// destination in one phase:
+// The one frame every byte of inter-worker traffic travels in — sparse
+// round-1 updates, mirror sync, async messages, walker shipments — and the
+// unit the checkpoint redo log is a sequence of. One frame coalesces all
+// records a sender ships to one destination in one phase:
 //
-//   varint   header          count << 1 | sorted_flag
-//   varint   mask            field mask every payload record was encoded with
-//   varint   ids[count]      columnar vertex ids; ids[0] absolute, then
-//                            plain deltas (id[i] - id[i-1] >= 0) when the
-//                            sequence is non-decreasing (sorted_flag = 1),
-//                            zigzag deltas otherwise
-//   bytes    payloads        count SerializeFields records, contiguous, in
-//                            id order
+//   varint   header          count << 1 | sorted_flag   (count >= 1)
+//   varint   mask            field mask every payload record was encoded
+//                            with, or a format tag (kWalkerFrameMask, the
+//                            async engine's kAsyncFrameMask)
+//   varint   ids[count]      id column: ids[0] absolute, then plain deltas
+//                            (id[i] - id[i-1] >= 0) when the sequence is
+//                            non-decreasing (sorted_flag = 1), zigzag
+//                            deltas otherwise
+//   bytes    payloads        count records, contiguous, in id order
 //
-// Compared to the per-update `varint(absolute id) + payload` stream this
-// replaces, the frame pays its header once per (channel, phase) and one
-// small delta varint per id. Senders that emit ids in ascending order
-// (commit order after the dirty-list sort) get the densest form; arbitrary
-// emission order (push-mode lanes) still round-trips via zigzag. A frame
-// with count == 0 is never emitted: empty channels carry zero bytes.
+// The frame pays its header once per (channel, phase) and one small delta
+// varint per id; senders emitting ascending ids (commit order) get the
+// densest form. A frame with count == 0 is never emitted: empty channels
+// carry zero bytes.
 //
-// Encoding never fails; decoding is fallible (frames cross the simulated
-// unreliable wire and live in checkpoint logs) and returns Status, never
-// crashes, on truncated or corrupt input. Payload records are decoded by
-// the caller (they need the VData type); the codec frames the header + ids
-// and leaves the reader positioned at the first payload byte.
+// Encoding never fails. ReadWireFrame is the one fallible reader: it checks
+// the header, the mask and every id against the vertex bound, returning a
+// Status — never crashing — on truncated or corrupt input, and leaves the
+// reader at the first payload byte. Payload records are decoded by the
+// caller (they need the VData, Message or walker type).
 
 /// Id type carried by wire frames; matches VertexId (graph/graph.h).
 using WireId = uint32_t;
@@ -223,13 +225,6 @@ struct WireFramePart {
   size_t payload_size = 0;
 };
 
-/// Decoded frame header.
-struct WireFrameHeader {
-  uint64_t count = 0;
-  uint32_t mask = 0;
-  bool sorted = false;
-};
-
 inline uint64_t ZigZagEncode64(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
@@ -238,44 +233,75 @@ inline int64_t ZigZagDecode64(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+/// The id-column coder shared by wire frames and FLSHBLK2 adjacency lists:
+/// appends ids[0 .. count) as deltas from `prev` (the id before ids[0]) —
+/// plain when the whole column is `sorted`, zigzag otherwise.
+inline void WriteIdColumn(BufferWriter& out, WireId prev, const WireId* ids,
+                          size_t count, bool sorted) {
+  int64_t last = prev;
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t delta = static_cast<int64_t>(ids[i]) - last;
+    out.WriteVarint(sorted ? static_cast<uint64_t>(delta)
+                           : ZigZagEncode64(delta));
+    last = ids[i];
+  }
+}
+
+/// Decodes the `count` ids that follow `prev` into out[0 .. count). Every
+/// id is checked against `num_vertices` before it is stored; truncation
+/// returns OutOfRange, range escapes InvalidArgument.
+inline Status ReadIdColumn(BufferReader& r, WireId prev, bool sorted,
+                           uint64_t num_vertices, WireId* out, size_t count) {
+  int64_t last = prev;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t raw = 0;
+    if (!r.TryReadVarint(&raw)) {
+      return Status::OutOfRange("id column: truncated");
+    }
+    // A legitimate delta between 32-bit ids fits 33 bits (34 zigzagged);
+    // reject anything larger before the add so corrupt input cannot
+    // overflow the running id.
+    if (raw > (static_cast<uint64_t>(UINT32_MAX) << 2)) {
+      return Status::InvalidArgument("id column: delta exceeds id range");
+    }
+    last += sorted ? static_cast<int64_t>(raw) : ZigZagDecode64(raw);
+    if (last < 0 || static_cast<uint64_t>(last) >= num_vertices) {
+      return Status::InvalidArgument("id column: vertex id out of range");
+    }
+    out[i] = static_cast<WireId>(last);
+  }
+  return Status::OK();
+}
+
 /// Appends one frame built from `parts` (concatenated in order) to `out`.
 /// Returns the number of records framed; writes nothing when that is zero.
 inline uint64_t EncodeWireFrame(BufferWriter& out, uint32_t mask,
                                 const WireFramePart* parts, size_t num_parts) {
   uint64_t count = 0;
-  for (size_t p = 0; p < num_parts; ++p) count += parts[p].count;
-  if (count == 0) return 0;
   bool sorted = true;
-  WireId prev = 0;
-  bool have_prev = false;
-  for (size_t p = 0; p < num_parts && sorted; ++p) {
-    for (size_t i = 0; i < parts[p].count; ++i) {
-      const WireId id = parts[p].ids[i];
-      if (have_prev && id < prev) {
-        sorted = false;
-        break;
-      }
-      prev = id;
-      have_prev = true;
-    }
+  const WireId* prev = nullptr;  // Last id of the previous non-empty part.
+  for (size_t p = 0; p < num_parts; ++p) {
+    const WireFramePart& part = parts[p];
+    if (part.count == 0) continue;
+    count += part.count;
+    sorted = sorted && (prev == nullptr || *prev <= part.ids[0]) &&
+             std::is_sorted(part.ids, part.ids + part.count);
+    prev = part.ids + part.count - 1;
   }
+  if (count == 0) return 0;
   out.WriteVarint(count << 1 | (sorted ? 1 : 0));
   out.WriteVarint(mask);
-  int64_t last = 0;
-  bool first = true;
+  prev = nullptr;
   for (size_t p = 0; p < num_parts; ++p) {
-    for (size_t i = 0; i < parts[p].count; ++i) {
-      const int64_t id = parts[p].ids[i];
-      if (first) {
-        out.WriteVarint(static_cast<uint64_t>(id));
-        first = false;
-      } else if (sorted) {
-        out.WriteVarint(static_cast<uint64_t>(id - last));
-      } else {
-        out.WriteVarint(ZigZagEncode64(id - last));
-      }
-      last = id;
+    const WireFramePart& part = parts[p];
+    if (part.count == 0) continue;
+    if (prev == nullptr) {
+      out.WriteVarint(part.ids[0]);
+      WriteIdColumn(out, part.ids[0], part.ids + 1, part.count - 1, sorted);
+    } else {
+      WriteIdColumn(out, *prev, part.ids, part.count, sorted);
     }
+    prev = part.ids + part.count - 1;
   }
   for (size_t p = 0; p < num_parts; ++p) {
     if (parts[p].payload_size != 0) {
@@ -285,168 +311,148 @@ inline uint64_t EncodeWireFrame(BufferWriter& out, uint32_t mask,
   return count;
 }
 
-/// Reads a frame header, leaving `r` positioned at the first id.
-inline Status ReadWireFrameHeader(BufferReader& r, WireFrameHeader* header) {
-  uint64_t h = 0;
+/// Reads one frame's header and id column, appending its ids to `*ids`
+/// and leaving `r` at the first payload byte. The frame must carry
+/// `expected_mask` and ids below `num_vertices`. A reader of a stream that
+/// mixes field masks (the redo log) passes `frame_mask`: the frame's mask
+/// must then be a subset of `expected_mask` (an empty critical set syncs
+/// under mask 0), and is stored there.
+/// On error `*ids` holds unspecified extra entries.
+inline Status ReadWireFrame(BufferReader& r, uint32_t expected_mask,
+                            uint64_t num_vertices, std::vector<WireId>* ids,
+                            uint32_t* frame_mask = nullptr) {
+  uint64_t header = 0;
   uint64_t mask = 0;
-  if (!r.TryReadVarint(&h) || !r.TryReadVarint(&mask)) {
+  if (!r.TryReadVarint(&header) || !r.TryReadVarint(&mask)) {
     return Status::OutOfRange("wire frame: truncated header");
   }
-  if (mask > UINT32_MAX) {
-    return Status::InvalidArgument("wire frame: mask exceeds 32 bits");
-  }
-  header->count = h >> 1;
-  header->sorted = (h & 1) != 0;
-  header->mask = static_cast<uint32_t>(mask);
+  const bool mask_ok =
+      frame_mask == nullptr
+          ? mask == expected_mask
+          : (mask & ~static_cast<uint64_t>(expected_mask)) == 0;
+  if (!mask_ok) return Status::InvalidArgument("wire frame: unexpected mask");
   // Every id costs at least one byte, so a count beyond the remaining bytes
   // is corruption; reject it before sizing any decode buffer from it.
-  if (header->count > r.remaining()) {
-    return Status::OutOfRange("wire frame: record count exceeds buffer");
+  const uint64_t count = header >> 1;
+  if (count == 0 || count > r.remaining()) {
+    return Status::OutOfRange("wire frame: bad record count");
   }
+  uint64_t first = 0;
+  if (!r.TryReadVarint(&first)) {
+    return Status::OutOfRange("wire frame: truncated id column");
+  }
+  if (first >= num_vertices) {
+    return Status::InvalidArgument("wire frame: vertex id out of range");
+  }
+  const size_t base = ids->size();
+  ids->reserve(base + count);  // Exact growth: pooled capacity stays tight.
+  ids->resize(base + count);
+  WireId* column = ids->data() + base;
+  column[0] = static_cast<WireId>(first);
+  FLASH_RETURN_NOT_OK(ReadIdColumn(r, column[0], (header & 1) != 0,
+                                   num_vertices, column + 1, count - 1));
+  if (frame_mask != nullptr) *frame_mask = static_cast<uint32_t>(mask);
   return Status::OK();
 }
 
-/// Decodes `header.count` delta-encoded ids, appending them to `*ids` and
-/// leaving `r` positioned at the first payload byte. Rejects truncation and
-/// ids outside the 32-bit VertexId range.
-inline Status ReadWireFrameIds(BufferReader& r, const WireFrameHeader& header,
-                               std::vector<WireId>* ids) {
-  ids->reserve(ids->size() + header.count);
-  int64_t last = 0;
-  for (uint64_t i = 0; i < header.count; ++i) {
-    uint64_t raw = 0;
-    if (!r.TryReadVarint(&raw)) {
-      return Status::OutOfRange("wire frame: truncated id section");
-    }
-    int64_t id;
-    if (i == 0) {
-      if (raw > UINT32_MAX) {
-        return Status::InvalidArgument("wire frame: id exceeds VertexId range");
-      }
-      id = static_cast<int64_t>(raw);
-    } else {
-      // A legitimate delta between 32-bit ids fits 33 bits (34 zigzagged);
-      // reject anything larger before the add so corrupt input cannot
-      // overflow the running id.
-      if (raw > (static_cast<uint64_t>(UINT32_MAX) << 2)) {
-        return Status::InvalidArgument("wire frame: delta exceeds id range");
-      }
-      const int64_t delta = header.sorted
-                                ? static_cast<int64_t>(raw)
-                                : ZigZagDecode64(raw);
-      id = last + delta;
-      if (id < 0 || id > static_cast<int64_t>(UINT32_MAX)) {
-        return Status::InvalidArgument("wire frame: id exceeds VertexId range");
-      }
-    }
-    ids->push_back(static_cast<WireId>(id));
-    last = id;
-  }
-  return Status::OK();
-}
-
-// --- Adjacency delta codec (FLSHBLK2 block payloads) -----------------------
+// --- Adjacency lists (FLSHBLK2 block payloads) -----------------------------
 //
 // The compressed neighbor-list encoding of the version-2 edge-block file
-// (graph/paged_storage.h). One list per vertex, in block vertex order; the
-// list length is NOT stored — the decoder derives it from the RAM-resident
-// CSR offsets, so the payload spends bytes only on ids:
+// (graph/paged_storage.h), built on the same id column as wire frames. One
+// list per vertex, in block vertex order; the list length is NOT stored —
+// the decoder derives it from the RAM-resident CSR offsets:
 //
 //   varint   ids[0] << 1 | sorted_flag   first neighbor, absolute
-//   varint   deltas[count - 1]           plain deltas (id[i] - id[i-1] >= 0)
-//                                        when the list is non-decreasing
-//                                        (sorted_flag = 1), zigzag otherwise
+//   varint   deltas[count - 1]           the id column after ids[0]
 //
 // GraphBuilder emits sorted adjacency, so real files take the plain-delta
-// form (~2-5x denser than raw u32 ids on power-law graphs); the zigzag
-// fallback keeps arbitrary list orders round-trippable. An empty list
-// writes nothing. Encoding never fails; decoding is fallible (block
-// payloads are untrusted on-disk bytes behind a checksum the fuzzer strips)
-// and returns Status — never crashes, never writes an out-of-range id — on
-// truncation, over-long varints, or deltas that escape [0, num_vertices).
+// form; the zigzag fallback keeps arbitrary list orders round-trippable.
+// An empty list writes nothing. Decoding is fallible (block payloads are
+// untrusted on-disk bytes) and never writes an id outside [0, num_vertices).
 
-/// Appends one vertex's neighbor list to `out` in the delta form above.
+/// Appends one vertex's neighbor list to `out` in the form above.
 inline void EncodeAdjacency(BufferWriter& out, const WireId* ids,
                             size_t count) {
   if (count == 0) return;
-  bool sorted = true;
-  for (size_t i = 1; i < count; ++i) {
-    if (ids[i] < ids[i - 1]) {
-      sorted = false;
-      break;
-    }
-  }
+  const bool sorted = std::is_sorted(ids, ids + count);
   out.WriteVarint(static_cast<uint64_t>(ids[0]) << 1 | (sorted ? 1 : 0));
-  for (size_t i = 1; i < count; ++i) {
-    const int64_t delta =
-        static_cast<int64_t>(ids[i]) - static_cast<int64_t>(ids[i - 1]);
-    out.WriteVarint(sorted ? static_cast<uint64_t>(delta)
-                           : ZigZagEncode64(delta));
-  }
+  WriteIdColumn(out, ids[0], ids + 1, count - 1, sorted);
 }
 
 /// Decodes exactly `count` ids (the vertex's CSR degree) into `out[0 ..
-/// count)`, advancing `r` past the list. Every id is validated against
-/// `num_vertices` before it is stored; corrupt input leaves the reader
-/// position unspecified but never touches `out` beyond `count`.
+/// count)`, advancing `r` past the list.
 inline Status DecodeAdjacency(BufferReader& r, size_t count,
                               uint64_t num_vertices, WireId* out) {
   if (count == 0) return Status::OK();
-  uint64_t first = 0;
-  if (!r.TryReadVarint(&first)) {
+  uint64_t head = 0;
+  if (!r.TryReadVarint(&head)) {
     return Status::OutOfRange("adjacency: truncated list head");
   }
-  const bool sorted = (first & 1) != 0;
-  const uint64_t id0 = first >> 1;
-  if (id0 >= num_vertices) {
+  if ((head >> 1) >= num_vertices) {
     return Status::InvalidArgument("adjacency: vertex id out of range");
   }
-  out[0] = static_cast<WireId>(id0);
-  int64_t last = static_cast<int64_t>(id0);
-  for (size_t i = 1; i < count; ++i) {
-    uint64_t raw = 0;
-    if (!r.TryReadVarint(&raw)) {
-      return Status::OutOfRange("adjacency: truncated delta section");
-    }
-    // A legitimate delta between 32-bit ids fits 33 bits (34 zigzagged);
-    // reject anything larger before the add so corrupt input cannot
-    // overflow the running id.
-    if (raw > (static_cast<uint64_t>(UINT32_MAX) << 2)) {
-      return Status::InvalidArgument("adjacency: delta exceeds id range");
-    }
-    const int64_t delta =
-        sorted ? static_cast<int64_t>(raw) : ZigZagDecode64(raw);
-    const int64_t id = last + delta;
-    if (id < 0 || id >= static_cast<int64_t>(num_vertices)) {
-      return Status::InvalidArgument("adjacency: vertex id out of range");
-    }
-    out[i] = static_cast<WireId>(id);
-    last = id;
-  }
-  return Status::OK();
+  out[0] = static_cast<WireId>(head >> 1);
+  return ReadIdColumn(r, out[0], (head & 1) != 0, num_vertices, out + 1,
+                      count - 1);
 }
 
-// --- Walker frame codec ----------------------------------------------------
+// --- Sealed envelope -------------------------------------------------------
 //
-// The on-wire unit of the random-walk engine (src/walks/): all walkers one
-// worker ships to one destination in one walk step, sorted by (current
-// vertex, walker id). Unlike the VData frames above — which the engine
-// always decodes exactly once per superstep — walker frames are also
-// re-parsed from fault-injected deliveries and fuzz corpora, so each frame
-// is length-prefixed (several frames may share one channel buffer: the
-// naive per-walker bench baseline ships one frame per walker) and carries
-// an FNV-1a digest over the prefix + body. Every truncation and every byte
-// flip is rejected with a Status; the decoder never reads past the frame.
+// Frames re-parsed from fault-injected deliveries and fuzz corpora (walker
+// frames) travel sealed: length-prefixed, so several frames share one
+// channel buffer, and digested, so any truncation or byte flip is caught
+// before a body byte is parsed.
 //
 //   varint   length          body bytes that follow the checksum
 //   u64le    checksum        Fnv1a64(varint-length bytes ++ body)
-//   body:
-//     varint count << 1 | 1  record count (always sorted; WireBatch header)
-//     varint mask            kWalkerFrameMask, the walk engine's tag
-//     varint ids[count]      current vertices, ascending plain deltas
-//     per record, in id order:
-//       varint walker_id
-//       varint prev + 1      previous vertex (node2vec state); 0 = none
+//   bytes    body
+
+/// Appends `body` to `out` as one sealed frame.
+inline void SealFrame(BufferWriter& out, const std::vector<uint8_t>& body) {
+  const size_t start = out.size();
+  out.WriteVarint(body.size());
+  const uint64_t digest =
+      Fnv1a64(body.data(), body.size(),
+              Fnv1a64(out.bytes().data() + start, out.size() - start));
+  out.WritePod(digest);
+  out.WriteRaw(body.data(), body.size());
+}
+
+/// Opens the next sealed frame of `r`: verifies length and digest in place,
+/// points `*body` at the frame's body and moves `r` past the frame. Never
+/// reads beyond the declared frame.
+inline Status OpenSealedFrame(BufferReader& r, BufferReader* body) {
+  const uint8_t* prefix = r.cursor();
+  uint64_t length = 0;
+  if (!r.TryReadVarint(&length)) {
+    return Status::OutOfRange("sealed frame: truncated length prefix");
+  }
+  const size_t prefix_size = static_cast<size_t>(r.cursor() - prefix);
+  if (r.remaining() < sizeof(uint64_t)) {
+    return Status::OutOfRange("sealed frame: truncated checksum");
+  }
+  const uint64_t stored = r.ReadPod<uint64_t>();
+  if (length > r.remaining()) {
+    return Status::OutOfRange("sealed frame: body exceeds buffer");
+  }
+  const uint8_t* data = r.cursor();
+  r.Skip(length);
+  if (Fnv1a64(data, length, Fnv1a64(prefix, prefix_size)) != stored) {
+    return Status::IOError("sealed frame: checksum mismatch");
+  }
+  *body = BufferReader(data, length);
+  return Status::OK();
+}
+
+// --- Walker frames ---------------------------------------------------------
+//
+// The on-wire unit of the random-walk engine (src/walks/): all walkers one
+// worker ships to one destination in one walk step, sorted by (current
+// vertex, walker id), as a sealed WireBatch frame:
+//
+//   mask     kWalkerFrameMask
+//   ids      current vertices
+//   payload  per record: varint walker_id, varint prev + 1 (0 = none)
 
 /// Frame tag distinguishing walker frames from VData field masks ("WK").
 inline constexpr uint32_t kWalkerFrameMask = 0x574Bu;
@@ -462,121 +468,66 @@ struct WalkerRecord {
   bool operator==(const WalkerRecord&) const = default;
 };
 
-/// Appends one checksummed walker frame to `out`. Records must already be
-/// sorted by (cur, id) — the shuffle order the engine ships in. `scratch`
-/// is the caller's pooled body buffer (contents clobbered). Empty record
-/// runs write nothing, like EncodeWireFrame.
+/// Pooled buffers EncodeWalkerFrame builds a frame in (contents clobbered).
+struct WalkerFrameScratch {
+  std::vector<WireId> ids;
+  BufferWriter body;
+};
+
+/// Appends one sealed walker frame to `out`. Records should be sorted by
+/// (cur, id) — the shuffle order the engine ships in, and the densest id
+/// column. Empty record runs write nothing, like EncodeWireFrame.
 inline uint64_t EncodeWalkerFrame(BufferWriter& out,
                                   const WalkerRecord* records, size_t count,
-                                  BufferWriter& scratch) {
+                                  WalkerFrameScratch& scratch) {
   if (count == 0) return 0;
-  scratch.Clear();
-  scratch.WriteVarint(static_cast<uint64_t>(count) << 1 | 1);
-  scratch.WriteVarint(kWalkerFrameMask);
-  WireId last = 0;
+  scratch.ids.clear();
+  for (size_t i = 0; i < count; ++i) scratch.ids.push_back(records[i].cur);
+  // Header and id column first, then the payload written in place behind
+  // them: the body is built once and copied once, into the envelope.
+  scratch.body.Clear();
+  const WireFramePart part{scratch.ids.data(), count, nullptr, 0};
+  EncodeWireFrame(scratch.body, kWalkerFrameMask, &part, 1);
   for (size_t i = 0; i < count; ++i) {
-    const WireId cur = records[i].cur;
-    scratch.WriteVarint(i == 0 ? cur : cur - last);
-    last = cur;
+    scratch.body.WriteVarint(records[i].id);
+    scratch.body.WriteVarint(
+        records[i].prev == WalkerRecord::kNoPrev
+            ? 0
+            : static_cast<uint64_t>(records[i].prev) + 1);
   }
-  for (size_t i = 0; i < count; ++i) {
-    scratch.WriteVarint(records[i].id);
-    scratch.WriteVarint(records[i].prev == WalkerRecord::kNoPrev
-                            ? 0
-                            : static_cast<uint64_t>(records[i].prev) + 1);
-  }
-  BufferWriter prefix;
-  prefix.WriteVarint(scratch.size());
-  uint64_t digest = Fnv1a64(prefix.bytes().data(), prefix.size());
-  digest = Fnv1a64(scratch.bytes().data(), scratch.size(), digest);
-  out.WriteRaw(prefix.bytes().data(), prefix.size());
-  out.WritePod(digest);
-  out.WriteRaw(scratch.bytes().data(), scratch.size());
+  SealFrame(out, scratch.body.bytes());
   return count;
 }
 
 /// Decodes the next walker frame from `r`, appending its records to
-/// `*records`. Validates the length prefix, the FNV-1a digest, the frame
-/// mask, id monotonicity/range, and that every record lies inside the
-/// declared body — any corruption (truncation at every prefix, any byte
-/// flip) returns a Status and leaves the reader unusable for further
-/// frames; nothing is ever read beyond the declared frame. `num_vertices`
-/// bounds cur/prev ids (the engine's graph size).
+/// `*records`. Any corruption — truncation at every prefix, any byte flip,
+/// a vertex at or past `num_vertices`, bytes left over in the body —
+/// returns a Status and leaves the reader unusable for further frames.
 inline Status DecodeWalkerFrame(BufferReader& r, uint64_t num_vertices,
                                 std::vector<WalkerRecord>* records) {
-  // Length prefix — keep its raw bytes for the digest chain.
-  uint64_t body_len = 0;
-  uint8_t prefix_bytes[10];
-  size_t prefix_len = 0;
-  {
-    uint64_t value = 0;
-    int shift = 0;
-    while (true) {
-      if (r.remaining() == 0 || shift > 63 || prefix_len >= sizeof(prefix_bytes)) {
-        return Status::OutOfRange("walker frame: truncated length prefix");
-      }
-      uint8_t byte;
-      r.ReadRaw(&byte, 1);
-      prefix_bytes[prefix_len++] = byte;
-      value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-    }
-    body_len = value;
-  }
-  if (r.remaining() < sizeof(uint64_t)) {
-    return Status::OutOfRange("walker frame: truncated checksum");
-  }
-  const uint64_t stored_digest = r.ReadPod<uint64_t>();
-  if (body_len > r.remaining()) {
-    return Status::OutOfRange("walker frame: body exceeds buffer");
-  }
-  // Verify the digest over prefix + body before parsing a single body byte.
-  std::vector<uint8_t> body(body_len);
-  r.ReadRaw(body.data(), body_len);
-  uint64_t digest = Fnv1a64(prefix_bytes, prefix_len);
-  digest = Fnv1a64(body.data(), body.size(), digest);
-  if (digest != stored_digest) {
-    return Status::IOError("walker frame: checksum mismatch");
-  }
-  BufferReader br(body.data(), body.size());
-  WireFrameHeader header;
-  Status st = ReadWireFrameHeader(br, &header);
-  if (!st.ok()) return st;
-  if (header.mask != kWalkerFrameMask) {
-    return Status::InvalidArgument("walker frame: wrong frame mask");
-  }
-  if (!header.sorted) {
-    return Status::InvalidArgument("walker frame: ids must be sorted");
-  }
-  std::vector<WireId> ids;
-  st = ReadWireFrameIds(br, header, &ids);
-  if (!st.ok()) return st;
+  BufferReader body(nullptr, 0);
+  FLASH_RETURN_NOT_OK(OpenSealedFrame(r, &body));
+  thread_local std::vector<WireId> ids;
+  ids.clear();
+  FLASH_RETURN_NOT_OK(ReadWireFrame(body, kWalkerFrameMask, num_vertices, &ids));
   // Reserve only for multi-record frames: an exact reserve per one-record
   // frame would defeat push_back's geometric growth (quadratic copying).
   if (ids.size() > 1) records->reserve(records->size() + ids.size());
   for (const WireId cur : ids) {
-    if (cur >= num_vertices) {
-      return Status::InvalidArgument("walker frame: vertex out of range");
-    }
     uint64_t id = 0;
     uint64_t prev_plus1 = 0;
-    if (!br.TryReadVarint(&id) || !br.TryReadVarint(&prev_plus1)) {
+    if (!body.TryReadVarint(&id) || !body.TryReadVarint(&prev_plus1)) {
       return Status::OutOfRange("walker frame: truncated record section");
     }
-    WalkerRecord rec;
-    rec.cur = cur;
-    rec.id = id;
-    if (prev_plus1 == 0) {
-      rec.prev = WalkerRecord::kNoPrev;
-    } else if (prev_plus1 - 1 >= num_vertices) {
+    if (prev_plus1 > num_vertices) {
       return Status::InvalidArgument("walker frame: prev vertex out of range");
-    } else {
-      rec.prev = static_cast<WireId>(prev_plus1 - 1);
     }
-    records->push_back(rec);
+    records->push_back(
+        {cur, id,
+         prev_plus1 == 0 ? WalkerRecord::kNoPrev
+                         : static_cast<WireId>(prev_plus1 - 1)});
   }
-  if (!br.AtEnd()) {
+  if (!body.AtEnd()) {
     return Status::InvalidArgument("walker frame: trailing body bytes");
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 #ifndef FLASH_COMMON_THREAD_POOL_H_
 #define FLASH_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -12,6 +13,14 @@
 #include "common/logging.h"
 
 namespace flash {
+
+/// Threads for a pool running `tasks` concurrent tasks: `cap` when positive
+/// (RuntimeOptions::host_threads), else the host's cores; never more than
+/// `tasks`, never fewer than one.
+inline int HostThreadCount(int tasks, int cap) {
+  if (cap <= 0) cap = static_cast<int>(std::thread::hardware_concurrency());
+  return std::max(1, std::min(tasks, cap));
+}
 
 /// A small fork-join pool with one work-stealing entry point,
 /// ParallelForWorkers. One pool drives the whole simulated cluster: every

@@ -431,14 +431,9 @@ class AsyncEngine {
       BufferReader reader(buffer);
       std::vector<WireId>& ids = ids_scratch_[w];
       while (!reader.AtEnd()) {
-        WireFrameHeader header;
-        Status st = ReadWireFrameHeader(reader, &header);
-        FLASH_CHECK(st.ok()) << "async frame " << src << "->" << w << ": "
-                             << st.ToString();
-        FLASH_CHECK(header.mask == internal::kAsyncFrameMask)
-            << "async frame mask mismatch: " << header.mask;
         ids.clear();
-        st = ReadWireFrameIds(reader, header, &ids);
+        const Status st = ReadWireFrame(reader, internal::kAsyncFrameMask,
+                                        num_vertices_, &ids);
         FLASH_CHECK(st.ok()) << "async frame " << src << "->" << w << ": "
                              << st.ToString();
         const size_t channel = Channel(src, w);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,7 +60,9 @@ class GraphApi {
         options_(options),
         partition_(MakePartitionOrDie(graph_, options)),
         bus_(options.num_workers),
-        pool_(HostThreads(options)),
+        // Every (worker, shard) task of a phase may run concurrently.
+        pool_(HostThreadCount(options.num_workers * options.threads_per_worker,
+                              options.host_threads)),
         critical_mask_(AllFieldsMask<VData>()) {
     FLASH_CHECK(graph_ != nullptr);
     FLASH_CHECK_GE(options_.threads_per_worker, 1)
@@ -752,19 +753,6 @@ class GraphApi {
     return std::move(result).value();
   }
 
-  /// Host threads driving the simulation: all worker partitions of a
-  /// superstep execute concurrently, bounded by the host's cores unless
-  /// host_threads overrides.
-  static int HostThreads(const RuntimeOptions& options) {
-    int want = options.num_workers * options.threads_per_worker;
-    int cap = options.host_threads;
-    if (cap <= 0) {
-      cap = static_cast<int>(std::thread::hardware_concurrency());
-      if (cap <= 0) cap = 1;
-    }
-    return std::max(1, std::min(want, cap));
-  }
-
   /// Runs task(w, s, lo, hi) for every (worker, logical shard) slice of a
   /// superstep's compute phase and blocks until all complete. The shard
   /// count and contiguous split come from threads_per_worker — never from
@@ -933,20 +921,13 @@ class GraphApi {
       const std::vector<uint8_t>& buffer = bus_.Incoming(w, src);
       if (buffer.empty()) continue;
       BufferReader reader(buffer);
-      WireFrameHeader header;
-      Status st = ReadWireFrameHeader(reader, &header);
-      FLASH_CHECK(st.ok()) << "sparse frame " << src << "->" << w << ": "
-                           << st.ToString();
-      FLASH_CHECK(header.mask == mask)
-          << "sparse frame mask mismatch: " << header.mask << " vs " << mask;
       const size_t first = scratch.ids.size();
-      st = ReadWireFrameIds(reader, header, &scratch.ids);
+      const Status st =
+          ReadWireFrame(reader, mask, graph_->NumVertices(), &scratch.ids);
       FLASH_CHECK(st.ok()) << "sparse frame " << src << "->" << w << ": "
                            << st.ToString();
-      scratch.frames.push_back({src, first,
-                                buffer.data() + (buffer.size() -
-                                                 reader.remaining()),
-                                reader.remaining()});
+      scratch.frames.push_back(
+          {src, first, reader.cursor(), reader.remaining()});
     }
     scratch.values.resize(scratch.ids.size());
   }
@@ -1005,14 +986,9 @@ class GraphApi {
                         const std::vector<uint8_t>& buffer) {
     if (buffer.empty()) return;
     BufferReader reader(buffer);
-    WireFrameHeader header;
-    Status st = ReadWireFrameHeader(reader, &header);
-    FLASH_CHECK(st.ok()) << "mirror frame: " << st.ToString();
-    FLASH_CHECK(header.mask == mask)
-        << "mirror frame mask mismatch: " << header.mask << " vs " << mask;
     thread_local std::vector<VertexId> ids;
     ids.clear();
-    st = ReadWireFrameIds(reader, header, &ids);
+    const Status st = ReadWireFrame(reader, mask, graph_->NumVertices(), &ids);
     FLASH_CHECK(st.ok()) << "mirror frame: " << st.ToString();
     VertexStore<VData>& store = stores_[w];
     for (VertexId v : ids) store.ApplyMirror(v, mask, reader);
@@ -1146,15 +1122,10 @@ class GraphApi {
         lane.Recycle();
       }
       if (log_recovery) {
-        if (!log_lane.empty()) {
-          // The redo-log record is the same wire frame the mirrors would
-          // see under an all-fields mask; replay parses it identically.
-          enc.Clear();
-          const WireFramePart part = log_lane.AsPart();
-          EncodeWireFrame(enc, all_fields, &part, 1);
-          ckpt_->log(w).Append(LogRecordType::kCommit, all_fields,
-                               enc.bytes().data(), enc.size());
-        }
+        // The redo-log entry is the wire frame the mirrors would see under
+        // an all-fields mask, encoded straight into the log.
+        const WireFramePart part = log_lane.AsPart();
+        EncodeWireFrame(ckpt_->log(w), all_fields, &part, 1);
         log_lane.Recycle();
       }
       enc.Recycle(encode_high_water_[w]);
@@ -1164,31 +1135,26 @@ class GraphApi {
     }
     bus_.Exchange();
     if (log_recovery) {
-      // Log appends must record each worker's frames in source order, so
-      // keep the serial per-worker walk when redo-logging.
-      RunPerWorker("barrier:apply", [&](int w) {
+      // Each received mirror frame joins the receiver's redo log verbatim,
+      // in source order, after the worker's own commit frame.
+      for (int w = 0; w < num_workers; ++w) {
         for (int src = 0; src < num_workers; ++src) {
-          if (src == w) continue;
-          const auto& buffer = bus_.Incoming(w, src);
-          if (buffer.empty()) continue;
-          ckpt_->log(w).Append(LogRecordType::kMirror, mask, buffer.data(),
-                               buffer.size());
-          ApplyMirrorFrame(w, mask, buffer);
+          const std::vector<uint8_t>& frame = bus_.Incoming(w, src);
+          if (src != w) ckpt_->log(w).WriteRaw(frame.data(), frame.size());
         }
-      });
-    } else {
-      // Mirror updates for a vertex come only from its unique master, so
-      // source channels decode + apply concurrently across shards.
-      RunWorkerShards(
-          "barrier:apply",
-          [&](int) { return static_cast<size_t>(num_workers); },
-          [&](int w, int /*shard*/, size_t lo, size_t hi) {
-            for (size_t src = lo; src < hi; ++src) {
-              if (static_cast<int>(src) == w) continue;
-              ApplyMirrorFrame(w, mask, bus_.Incoming(w, src));
-            }
-          });
+      }
     }
+    // Mirror updates for a vertex come only from its unique master, so
+    // source channels decode + apply concurrently across shards.
+    RunWorkerShards(
+        "barrier:apply",
+        [&](int) { return static_cast<size_t>(num_workers); },
+        [&](int w, int /*shard*/, size_t lo, size_t hi) {
+          for (size_t src = lo; src < hi; ++src) {
+            if (static_cast<int>(src) == w) continue;
+            ApplyMirrorFrame(w, mask, bus_.Incoming(w, src));
+          }
+        });
     sample.bytes_total += bus_.LastTotalBytes();
     sample.bytes_max += bus_.LastMaxWorkerBytes();
     sample.msgs_total += bus_.LastMessages();
@@ -1360,35 +1326,30 @@ class GraphApi {
     }
     FaultStats& stats = injector_->stats();
     const uint64_t records_before = stats.replayed_records;
-    const RecoveryLog& log = ckpt_->log(w);
+    const std::vector<uint8_t>& log = ckpt_->log(w).bytes();
     OBS_SPAN_VAR(replay_span, tracer_.get(), "recover:replay",
                  obs::SpanKind::kRecovery, w);
-    std::vector<VertexId> replay_ids;
-    log.ForEachRecord([&](LogRecordType type, uint32_t mask,
-                          BufferReader& payload) {
-      VertexStore<VData>& store = stores_[w];
-      // Each record payload is one wire frame (self-describing mask equal to
-      // the record's). Both record kinds promote authoritative bytes
-      // straight into the current image: commit records carry full master
-      // values, mirror records the synced critical fields.
-      (void)type;
-      WireFrameHeader header;
-      Status st = ReadWireFrameHeader(payload, &header);
+    // The log is a sequence of wire frames: commit frames carry full master
+    // values, mirror frames the synced critical fields. Both promote
+    // authoritative bytes straight into the current image.
+    VertexStore<VData>& store = stores_[w];
+    std::vector<VertexId> ids;
+    BufferReader reader(log);
+    while (!reader.AtEnd()) {
+      uint32_t mask = 0;
+      ids.clear();
+      const Status st = ReadWireFrame(reader, AllFieldsMask<VData>(),
+                                      graph_->NumVertices(), &ids, &mask);
       FLASH_CHECK(st.ok()) << "redo-log frame: " << st.ToString();
-      FLASH_CHECK(header.mask == mask)
-          << "redo-log frame mask mismatch: " << header.mask << " vs " << mask;
-      replay_ids.clear();
-      st = ReadWireFrameIds(payload, header, &replay_ids);
-      FLASH_CHECK(st.ok()) << "redo-log frame: " << st.ToString();
-      for (VertexId v : replay_ids) {
-        DeserializeFields(store.DirectCurrent(v), mask, payload);
-        ++stats.replayed_records;
+      for (VertexId v : ids) {
+        DeserializeFields(store.DirectCurrent(v), mask, reader);
       }
-    });
+      stats.replayed_records += ids.size();
+    }
     ++stats.restores;
     stats.restored_bytes += ckpt_->worker_blob(w).size();
-    stats.replayed_bytes += log.bytes();
-    replay_span.args(log.bytes(), stats.replayed_records - records_before);
+    stats.replayed_bytes += log.size();
+    replay_span.args(log.size(), stats.replayed_records - records_before);
   }
 
   GraphPtr graph_;

@@ -1,7 +1,6 @@
 #include "flashware/checkpoint.h"
 
-#include <cstring>
-
+#include "common/hash.h"
 #include "flashware/metrics.h"
 #include "obs/tracer.h"
 
@@ -12,15 +11,6 @@ namespace {
 // Trailer: 8-byte magic, then FNV-1a-64 of the payload, little-endian.
 constexpr uint64_t kFrameMagic = 0x464C534843'4B5054ull;  // "FLSHCKPT"-ish.
 constexpr size_t kTrailerBytes = 16;
-
-uint64_t Fnv1a64(const uint8_t* data, size_t n) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 void PutU64(std::vector<uint8_t>& bytes, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
@@ -124,7 +114,7 @@ void CheckpointManager::StoreSnapshot(
   }
   has_snapshot_ = true;
   snapshot_step_ = superstep;
-  for (RecoveryLog& log : logs_) log.Clear();
+  for (BufferWriter& log : logs_) log.Clear();
   ++stats.checkpoints;
   stats.checkpoint_bytes += bytes;
   seal_span.args(bytes, static_cast<uint64_t>(num_workers_));

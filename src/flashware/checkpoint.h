@@ -44,59 +44,6 @@ std::vector<uint8_t> EncodeFrontierLists(
 Status DecodeFrontierLists(const std::vector<uint8_t>& sealed, uint64_t* superstep,
                            std::vector<std::vector<VertexId>>* lists);
 
-/// Kinds of redo-log records a worker accumulates between checkpoints.
-enum class LogRecordType : uint8_t {
-  kCommit = 1,  // Own-master promotions at a barrier (all fields).
-  kMirror = 2,  // Applied mirror-sync payload (critical fields, `mask`).
-};
-
-/// Per-worker redo log: the byte-exact state mutations applied to one
-/// worker's store since the last checkpoint, in application order. Each
-/// record's payload is one WireBatch frame (serialize.h) — kCommit frames
-/// carry full master values under an all-fields mask, kMirror records are
-/// the received sync frames verbatim — so replaying the log over the
-/// checkpoint image reproduces the store bit-identically. Single writer
-/// (the owning worker's barrier task); cleared whenever a new checkpoint
-/// supersedes it.
-class RecoveryLog {
- public:
-  void Append(LogRecordType type, uint32_t mask, const uint8_t* data,
-              size_t n) {
-    buf_.WritePod(static_cast<uint8_t>(type));
-    buf_.WriteVarint(mask);
-    buf_.WriteVarint(n);
-    buf_.WriteRaw(data, n);
-    ++records_;
-  }
-
-  void Clear() {
-    buf_.Clear();
-    records_ = 0;
-  }
-
-  size_t bytes() const { return buf_.size(); }
-  size_t records() const { return records_; }
-
-  /// Calls fn(type, mask, payload_reader) per record, in append order.
-  template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    BufferReader reader(buf_.bytes());
-    while (!reader.AtEnd()) {
-      auto type = static_cast<LogRecordType>(reader.ReadPod<uint8_t>());
-      uint32_t mask = static_cast<uint32_t>(reader.ReadVarint());
-      size_t n = reader.ReadVarint();
-      FLASH_CHECK_LE(n, reader.remaining()) << "recovery log corrupt";
-      BufferReader payload(buf_.bytes().data() + (buf_.size() - reader.remaining()), n);
-      fn(type, mask, payload);
-      reader.Skip(n);
-    }
-  }
-
- private:
-  BufferWriter buf_;
-  size_t records_ = 0;
-};
-
 /// Owns the latest snapshot (one sealed blob per worker + the frontier) and
 /// the per-worker redo logs, with the interval policy and byte accounting.
 /// The engine encodes/decodes worker state (it knows VData); this class
@@ -128,8 +75,14 @@ class CheckpointManager {
     return frontier_;
   }
 
-  RecoveryLog& log(int w) { return logs_[w]; }
-  const RecoveryLog& log(int w) const { return logs_[w]; }
+  /// Worker `w`'s redo log: the byte-exact state mutations applied to its
+  /// store since the last snapshot, in application order, as a sequence of
+  /// WireBatch frames (serialize.h) — the worker's commit frames under an
+  /// all-fields mask and its received mirror-sync frames verbatim — so
+  /// replaying it over the snapshot image reproduces the store
+  /// bit-identically. Single writer per barrier; cleared by StoreSnapshot.
+  BufferWriter& log(int w) { return logs_[w]; }
+  const BufferWriter& log(int w) const { return logs_[w]; }
 
   /// Attaches the run's span tracer: StoreSnapshot then records a
   /// "ckpt:seal" span (args = sealed bytes, workers) on the host lane.
@@ -142,7 +95,7 @@ class CheckpointManager {
   uint64_t snapshot_step_ = 0;
   std::vector<std::vector<uint8_t>> worker_state_;
   std::vector<uint8_t> frontier_;
-  std::vector<RecoveryLog> logs_;
+  std::vector<BufferWriter> logs_;
   obs::Tracer* tracer_ = nullptr;
 };
 

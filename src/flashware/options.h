@@ -75,10 +75,6 @@ struct RuntimeOptions {
   /// see GraphApi::DeclareVirtualEdges().
   bool necessary_mirrors_only = true;
 
-  /// §IV-C "overlap communication with computation": affects the modelled
-  /// cluster time (max(comp, comm) per superstep instead of comp + comm).
-  bool overlap_comm_compute = true;
-
   /// Record per-superstep counter samples (Metrics::steps — frontier sizes,
   /// per-step work) for the figure benchmarks and the cost model. Cheap; on
   /// by default. Not the span tracer; see `trace` below.

@@ -339,8 +339,10 @@ Result<PagedStorage::DecodedBlock> PagedStorage::DecodeBlock(
 PagedStorage::DecodedBlock* PagedStorage::LoadBlock(Direction& d,
                                                     uint32_t block) {
   const BlockMeta& meta = d.metas[block];
+  // The IO thread never reads tracer_: engines attach and detach it from
+  // the driving thread while a trailing prefetch may still be loading.
   const uint64_t begin_ns =
-      (tracer_ != nullptr && !t_on_io_thread) ? tracer_->NowNs() : 0;
+      (!t_on_io_thread && tracer_ != nullptr) ? tracer_->NowNs() : 0;
   std::vector<uint8_t> bytes;
   Status read = ReadRange(meta.file_offset, meta.stored_bytes, bytes);
   FLASH_CHECK(read.ok()) << read.ToString();
@@ -362,7 +364,7 @@ PagedStorage::DecodedBlock* PagedStorage::LoadBlock(Direction& d,
     epoch_decode_bytes_ += heap->MemoryBytes();
     resident_bytes_ += heap->MemoryBytes();
   }
-  if (tracer_ != nullptr && !t_on_io_thread) {
+  if (!t_on_io_thread && tracer_ != nullptr) {
     tracer_->Record("storage:block_read", obs::SpanKind::kStorage, 0, 0,
                     begin_ns, tracer_->NowNs(), block, meta.stored_bytes);
   }

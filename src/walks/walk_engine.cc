@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "common/random.h"
@@ -47,16 +46,6 @@ struct WalkTally {
   uint64_t terminations = 0;  // Geometric deaths + dead-end exits.
   uint64_t rejections = 0;    // node2vec rejected proposals.
 };
-
-/// Host threads driving the walk: one task per worker (walker pools are
-/// per-worker single-writer), bounded like core/engine.h's HostThreads.
-int HostThreadCount(const RuntimeOptions& options) {
-  int cap = options.host_threads > 0
-                ? options.host_threads
-                : static_cast<int>(std::thread::hardware_concurrency());
-  if (cap < 1) cap = 1;
-  return std::max(1, std::min(options.num_workers, cap));
-}
 
 }  // namespace
 
@@ -106,7 +95,8 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
     storage->SetTracer(tracer);
   }
 
-  ThreadPool pool(HostThreadCount(options_));
+  // One task per worker: walker pools are per-worker single-writer.
+  ThreadPool pool(HostThreadCount(m, options_.host_threads));
 
   // Per-worker single-writer state. A walker lives in the pool of the
   // worker owning its current vertex; `staged` lanes (row-major src*m+dst)
@@ -115,7 +105,7 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   std::vector<std::vector<Walker>> next_pools(m);
   std::vector<std::vector<WalkerRecord>> staged(
       static_cast<size_t>(m) * m);
-  std::vector<BufferWriter> frame_scratch(m);
+  std::vector<WalkerFrameScratch> frame_scratch(m);
   std::vector<std::vector<WalkerRecord>> decode_scratch(m);
   std::vector<StepTally> task_tally(m);
   const std::vector<StepTally> worker_tally(m);  // No merge pass here.

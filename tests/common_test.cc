@@ -274,6 +274,16 @@ TEST(Lloc, ElseIfCountsOnce) {
   EXPECT_EQ(r.logical_lines, 6);
 }
 
+TEST(Lloc, DigitSeparatorsAreNotCharLiterals) {
+  auto r = CountLloc(
+      "int x = 1'000;\n"
+      "constexpr uint64_t kMagic = 0x464C5348'434B5054ull;\n"
+      "char c = 'a';\n"
+      "if (x) { y(); }\n");
+  // Four declarations/statements plus the if.
+  EXPECT_EQ(r.logical_lines, 5);
+}
+
 TEST(Lloc, MarkedRegionOnly) {
   auto r = CountLlocMarkedRegion(
       "int boilerplate = 0;\n// LLOC-BEGIN\nint core = 1;\n// LLOC-END\n"

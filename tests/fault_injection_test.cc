@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/algorithms.h"
+#include "core/api.h"
 #include "flashware/cost_model.h"
 #include "flashware/fault_injector.h"
 #include "graph/generators.h"
@@ -248,6 +249,31 @@ TEST(FaultInjectionTest, CrashRecoveryRestoresAndReplays) {
   EXPECT_GT(fault.restored_bytes, 0u);
   EXPECT_GT(fault.replayed_records, 0u);
   EXPECT_GT(fault.replayed_bytes, 0u);
+}
+
+struct LocalCount {
+  uint32_t hits = 0;
+  FLASH_FIELDS(hits)
+};
+
+TEST(FaultInjectionTest, CrashRecoveryReplaysAnEmptyCriticalSet) {
+  // With no critical field, mirror sync still ships frames, under mask 0;
+  // the redo log keeps them verbatim, so replay must accept that mask.
+  auto graph = GenerateErdosRenyi(150, 600, true, 11).value();
+  FaultPlan plan;
+  plan.seed = 21;
+  plan.checkpoint_interval = 100;
+  plan.worker_crash_schedule = {{3, 1}, {5, 2}};
+  GraphApi<LocalCount> fl(graph, FaultCase(plan));
+  fl.SetCriticalFields({});
+  constexpr uint32_t kSteps = 7;
+  for (uint32_t step = 0; step < kSteps; ++step) {
+    fl.VertexMap(fl.V(), CTrue, [](LocalCount& v) { ++v.hits; });
+  }
+  for (const LocalCount& v : fl.GatherMasters()) EXPECT_EQ(v.hits, kSteps);
+  const FaultStats& fault = fl.metrics().fault;
+  EXPECT_EQ(fault.restores, 2u);
+  EXPECT_GT(fault.replayed_records, 0u);
 }
 
 TEST(FaultInjectionTest, DropsAmplifyWireBytesAndModeledCost) {

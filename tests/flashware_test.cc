@@ -229,33 +229,43 @@ TEST(Checkpoint, FrontierListsRoundTripAndRejectCorruption) {
   EXPECT_TRUE(DecodeFrontierLists(sealed, &step, &decoded).IsIOError());
 }
 
+// A redo log is a plain sequence of wire frames: a commit frame encoded
+// straight into it and a received mirror frame appended verbatim replay in
+// order, each under its own mask; a new snapshot truncates the log.
 TEST(Checkpoint, RecoveryLogRoundTripsRecords) {
-  RecoveryLog log;
-  EXPECT_EQ(log.records(), 0u);
-  std::vector<uint8_t> first = {1, 2, 3, 4};
-  std::vector<uint8_t> second = {9, 8};
-  log.Append(LogRecordType::kCommit, 0x3, first.data(), first.size());
-  log.Append(LogRecordType::kMirror, 0x1, second.data(), second.size());
-  EXPECT_EQ(log.records(), 2u);
-  int seen = 0;
-  log.ForEachRecord([&](LogRecordType type, uint32_t mask,
-                        BufferReader& payload) {
-    if (seen == 0) {
-      EXPECT_EQ(type, LogRecordType::kCommit);
-      EXPECT_EQ(mask, 0x3u);
-      EXPECT_EQ(payload.remaining(), first.size());
-    } else {
-      EXPECT_EQ(type, LogRecordType::kMirror);
-      EXPECT_EQ(mask, 0x1u);
-      EXPECT_EQ(payload.remaining(), second.size());
-      EXPECT_EQ(payload.ReadPod<uint8_t>(), 9);
-    }
-    ++seen;
-  });
-  EXPECT_EQ(seen, 2);
-  log.Clear();
-  EXPECT_EQ(log.records(), 0u);
-  EXPECT_EQ(log.bytes(), 0u);
+  CheckpointManager manager(1, 1);
+  BufferWriter& log = manager.log(0);
+  EXPECT_EQ(log.size(), 0u);
+  const std::vector<WireId> commit_ids = {1, 4};
+  const std::vector<uint8_t> commit_payload = {10, 11, 40, 41};
+  const WireFramePart commit{commit_ids.data(), commit_ids.size(),
+                             commit_payload.data(), commit_payload.size()};
+  EncodeWireFrame(log, 0x3, &commit, 1);
+  const std::vector<WireId> mirror_ids = {7};
+  const std::vector<uint8_t> mirror_payload = {9};
+  const WireFramePart mirror{mirror_ids.data(), mirror_ids.size(),
+                             mirror_payload.data(), mirror_payload.size()};
+  BufferWriter received;
+  EncodeWireFrame(received, 0x1, &mirror, 1);
+  log.WriteRaw(received.bytes().data(), received.size());
+
+  BufferReader reader(log.bytes());
+  std::vector<WireId> ids;
+  uint32_t mask = 0;
+  ASSERT_TRUE(ReadWireFrame(reader, 0x3, 8, &ids, &mask).ok());
+  EXPECT_EQ(mask, 0x3u);
+  EXPECT_EQ(ids, commit_ids);
+  for (uint8_t byte : commit_payload) EXPECT_EQ(reader.ReadPod<uint8_t>(), byte);
+  ids.clear();
+  ASSERT_TRUE(ReadWireFrame(reader, 0x3, 8, &ids, &mask).ok());
+  EXPECT_EQ(mask, 0x1u);
+  EXPECT_EQ(ids, mirror_ids);
+  EXPECT_EQ(reader.ReadPod<uint8_t>(), 9);
+  EXPECT_TRUE(reader.AtEnd());
+
+  FaultStats stats;
+  manager.StoreSnapshot(0, {{1}}, EncodeFrontierLists(0, {{}}), stats);
+  EXPECT_EQ(manager.log(0).size(), 0u);
 }
 
 TEST(Checkpoint, ManagerIntervalPolicyAndByteAccounting) {

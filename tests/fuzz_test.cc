@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "common/serialize.h"
 #include "core/api.h"
+#include "core/async_engine.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/paged_storage.h"
@@ -614,54 +615,54 @@ TEST(AdjacencyCodecFuzz, RandomGarbageNeverCrashesOrEmitsBadIds) {
   }
 }
 
-// --- Walker wire-frame decoder fuzzing ------------------------------------
+// --- Walker frames ---------------------------------------------------------
 //
-// The random-walk engine ships cross-partition walkers as length-prefixed,
-// FNV-digested frames (common/serialize.h, "Walker frame codec"), and the
-// decoder also sees fault-injected deliveries. Mirroring the block-file
-// fuzzing above: every truncation prefix and every byte flip must surface
-// as a Status — never a wrong record, never UB.
+// The random-walk engine ships cross-partition walkers as sealed WireBatch
+// frames (common/serialize.h, "Walker frames"). Truncation and byte flips
+// are covered by the frame fuzzer table below; these cases pin round-trips
+// and the checks only a digest-valid hostile frame can reach.
 
-constexpr uint64_t kWalkerFuzzVertices = 48;
+// Vertex bound of every hand-built frame image below.
+constexpr uint64_t kFrameFuzzVertices = 48;
+
+bool WalkerOrder(const WalkerRecord& a, const WalkerRecord& b) {
+  return a.cur != b.cur ? a.cur < b.cur : a.id < b.id;
+}
 
 /// A deterministic two-frame wire image: one node2vec-style frame (prev
 /// state set) and one first-order frame (no prev), sharing a buffer the
-/// way two destinations' frames share a channel.
+/// way two destinations' frames share a channel. `poison` moves one
+/// walker of the first frame to vertex kFrameFuzzVertices.
 std::vector<uint8_t> MakeWalkerFrameImage(
-    std::vector<WalkerRecord>* out_records) {
+    std::vector<WalkerRecord>* out_records, bool poison = false) {
   std::vector<WalkerRecord> first;
   for (uint64_t i = 0; i < 12; ++i) {
     WalkerRecord rec;
-    rec.cur = static_cast<WireId>((i * 3) % kWalkerFuzzVertices);
+    rec.cur = static_cast<WireId>((i * 3) % kFrameFuzzVertices);
     rec.id = 1000 + i * 17;
-    rec.prev = static_cast<WireId>((i * 5 + 1) % kWalkerFuzzVertices);
+    rec.prev = static_cast<WireId>((i * 5 + 1) % kFrameFuzzVertices);
     first.push_back(rec);
   }
-  std::sort(first.begin(), first.end(),
-            [](const WalkerRecord& a, const WalkerRecord& b) {
-              return a.cur != b.cur ? a.cur < b.cur : a.id < b.id;
-            });
+  if (poison) first.back().cur = static_cast<WireId>(kFrameFuzzVertices);
+  std::sort(first.begin(), first.end(), WalkerOrder);
   std::vector<WalkerRecord> second;
   for (uint64_t i = 0; i < 5; ++i) {
     WalkerRecord rec;
-    rec.cur = static_cast<WireId>(i * 9 % kWalkerFuzzVertices);
+    rec.cur = static_cast<WireId>(i * 9 % kFrameFuzzVertices);
     rec.id = i;
     rec.prev = WalkerRecord::kNoPrev;
     second.push_back(rec);
   }
-  std::sort(second.begin(), second.end(),
-            [](const WalkerRecord& a, const WalkerRecord& b) {
-              return a.cur != b.cur ? a.cur < b.cur : a.id < b.id;
-            });
+  std::sort(second.begin(), second.end(), WalkerOrder);
   BufferWriter out;
-  BufferWriter scratch;
+  WalkerFrameScratch scratch;
   EncodeWalkerFrame(out, first.data(), first.size(), scratch);
   EncodeWalkerFrame(out, second.data(), second.size(), scratch);
   if (out_records != nullptr) {
     *out_records = std::move(first);
     out_records->insert(out_records->end(), second.begin(), second.end());
   }
-  return {out.bytes().begin(), out.bytes().end()};
+  return out.Release();
 }
 
 /// Decodes frames until the buffer is exhausted or a frame fails.
@@ -669,7 +670,7 @@ Status DecodeAllWalkerFrames(const std::vector<uint8_t>& bytes,
                              std::vector<WalkerRecord>* records) {
   BufferReader reader(bytes.data(), bytes.size());
   while (!reader.AtEnd()) {
-    Status st = DecodeWalkerFrame(reader, kWalkerFuzzVertices, records);
+    Status st = DecodeWalkerFrame(reader, kFrameFuzzVertices, records);
     if (!st.ok()) return st;
   }
   return Status::OK();
@@ -684,54 +685,21 @@ TEST(WalkerFrameFuzz, RoundTripAcrossASharedChannelBuffer) {
   EXPECT_EQ(decoded, expected);
 }
 
-TEST(WalkerFrameFuzz, TruncationAtEveryPrefixIsRejected) {
-  std::vector<uint8_t> bytes = MakeWalkerFrameImage(nullptr);
-  // Find where frame 1 ends: that prefix is a whole valid frame, every
-  // other proper prefix cuts a frame mid-flight and must be rejected.
-  size_t frame1_end = 0;
-  {
-    BufferReader reader(bytes.data(), bytes.size());
-    std::vector<WalkerRecord> sink;
-    ASSERT_TRUE(DecodeWalkerFrame(reader, kWalkerFuzzVertices, &sink).ok());
-    frame1_end = bytes.size() - reader.remaining();
-  }
-  // len 0 is a legitimately empty channel (zero frames), not a truncation.
-  for (size_t len = 1; len < bytes.size(); ++len) {
-    if (len == frame1_end) continue;  // A whole valid frame, not a truncation.
-    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
-    std::vector<WalkerRecord> decoded;
-    Status st = DecodeAllWalkerFrames(prefix, &decoded);
-    ASSERT_FALSE(st.ok()) << "prefix of " << len << " bytes decoded";
-  }
-}
-
-TEST(WalkerFrameFuzz, EveryByteFlipIsRejected) {
-  std::vector<uint8_t> bytes = MakeWalkerFrameImage(nullptr);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] ^= 0xA5;
-    std::vector<WalkerRecord> decoded;
-    Status st = DecodeAllWalkerFrames(bytes, &decoded);
-    ASSERT_FALSE(st.ok()) << "flip at byte " << i << " undetected";
-    bytes[i] ^= 0xA5;
-  }
-}
-
 TEST(WalkerFrameFuzz, ChecksummedOutOfRangeVerticesAreRejected) {
   // The encoder doesn't range-check, so a hostile frame can carry a valid
   // digest around an out-of-range vertex; the decoder's range validation
   // must still reject it — for the current vertex and for node2vec prev.
   for (const bool poison_prev : {false, true}) {
     WalkerRecord rec;
-    rec.cur = poison_prev ? 3 : static_cast<WireId>(kWalkerFuzzVertices);
+    rec.cur = poison_prev ? 3 : static_cast<WireId>(kFrameFuzzVertices);
     rec.id = 7;
     rec.prev =
-        poison_prev ? static_cast<WireId>(kWalkerFuzzVertices + 5) : 2;
+        poison_prev ? static_cast<WireId>(kFrameFuzzVertices + 5) : 2;
     BufferWriter out;
-    BufferWriter scratch;
+    WalkerFrameScratch scratch;
     EncodeWalkerFrame(out, &rec, 1, scratch);
-    std::vector<uint8_t> bytes(out.bytes().begin(), out.bytes().end());
     std::vector<WalkerRecord> decoded;
-    Status st = DecodeAllWalkerFrames(bytes, &decoded);
+    Status st = DecodeAllWalkerFrames(out.bytes(), &decoded);
     ASSERT_FALSE(st.ok()) << (poison_prev ? "prev" : "cur") << " accepted";
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   }
@@ -739,32 +707,238 @@ TEST(WalkerFrameFuzz, ChecksummedOutOfRangeVerticesAreRejected) {
 
 TEST(WalkerFrameFuzz, TrailingBodyBytesAreRejected) {
   // A frame whose declared body outlives its records must not decode: pad
-  // the body, re-digest so every integrity check passes, and expect the
+  // the body, seal it so every integrity check passes, and expect the
   // decoder's exhaustion check to name the trailing bytes.
-  WalkerRecord rec;
-  rec.cur = 1;
-  rec.id = 9;
-  rec.prev = WalkerRecord::kNoPrev;
   BufferWriter body;
   body.WriteVarint(uint64_t{1} << 1 | 1);
   body.WriteVarint(kWalkerFrameMask);
-  body.WriteVarint(rec.cur);
-  body.WriteVarint(rec.id);
+  body.WriteVarint(1);  // cur
+  body.WriteVarint(9);  // walker id
   body.WriteVarint(0);  // no prev
   body.WriteVarint(0);  // trailing garbage inside the declared body
-  BufferWriter prefix;
-  prefix.WriteVarint(body.size());
-  uint64_t digest = Fnv1a64(prefix.bytes().data(), prefix.size());
-  digest = Fnv1a64(body.bytes().data(), body.size(), digest);
   BufferWriter out;
-  out.WriteRaw(prefix.bytes().data(), prefix.size());
-  out.WritePod(digest);
-  out.WriteRaw(body.bytes().data(), body.size());
-  std::vector<uint8_t> bytes(out.bytes().begin(), out.bytes().end());
+  SealFrame(out, body.bytes());
   std::vector<WalkerRecord> decoded;
-  Status st = DecodeAllWalkerFrames(bytes, &decoded);
+  Status st = DecodeAllWalkerFrames(out.bytes(), &decoded);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+// --- One table-driven frame fuzzer -----------------------------------------
+//
+// Every frame kind on the wire or in the redo log is read by the one
+// fallible reader, ReadWireFrame — walker frames inside a sealed envelope.
+// Each row builds a valid image (or a poisoned one carrying a vertex id at
+// the bound) and decodes it the way its receiver does, payloads included.
+// For every row:
+//   - a truncation prefix that ends on a frame boundary decodes exactly
+//     the whole frames before it; every other non-empty prefix returns a
+//     Status; none aborts;
+//   - every byte flip returns a Status or decodes without aborting; sealed
+//     rows must reject every flip, unsealed rows carry no digest, so a flip
+//     may land on another well-formed frame — but never on an id at or
+//     past the vertex bound;
+//   - the poisoned image is rejected with InvalidArgument.
+
+struct DecodedFrames {
+  std::vector<WireId> ids;       // Every id, in frame order.
+  std::vector<uint64_t> values;  // Masks and payload fields, in order.
+  /// Per whole frame: the byte offset it ends at and the ids and values
+  /// decoded up to there.
+  struct FrameEnd {
+    size_t offset, ids, values;
+  };
+  std::vector<FrameEnd> frames;
+
+  void EndFrame(const std::vector<uint8_t>& bytes, const BufferReader& r) {
+    frames.push_back({bytes.size() - r.remaining(), ids.size(), values.size()});
+  }
+};
+
+/// Reads one u32 payload field without aborting on a short buffer.
+Status ReadField(BufferReader& r, DecodedFrames* out) {
+  if (r.remaining() < sizeof(uint32_t)) {
+    return Status::OutOfRange("payload: truncated record");
+  }
+  out->values.push_back(r.ReadPod<uint32_t>());
+  return Status::OK();
+}
+
+/// Ids 0, 3, ... with `poison` replacing the last by the vertex bound.
+std::vector<WireId> FuzzIds(size_t count, uint32_t stride, bool poison) {
+  std::vector<WireId> ids;
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(static_cast<WireId>((i * stride) % kFrameFuzzVertices));
+  }
+  if (poison) ids.back() = static_cast<WireId>(kFrameFuzzVertices);
+  return ids;
+}
+
+/// Appends a frame of `ids` whose payload is `fields` u32s per record.
+void AppendFrame(BufferWriter& out, uint32_t mask,
+                 const std::vector<WireId>& ids, int fields) {
+  BufferWriter payload;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (int f = 0; f < fields; ++f) {
+      payload.WritePod(static_cast<uint32_t>(ids[i] * 7 + f));
+    }
+  }
+  const WireFramePart part{ids.data(), ids.size(), payload.bytes().data(),
+                           payload.size()};
+  EncodeWireFrame(out, mask, &part, 1);
+}
+
+struct FrameFuzzCase {
+  const char* name;
+  bool sealed;
+  std::vector<uint8_t> (*build)(bool poison);
+  Status (*decode)(const std::vector<uint8_t>& bytes, DecodedFrames* out);
+};
+
+const FrameFuzzCase kFrameFuzzCases[] = {
+    // A mirror-sync frame: two u32 fields (mask 0x3), unsorted ids.
+    {"field-mask frame", false,
+     [](bool poison) {
+       std::vector<WireId> ids = FuzzIds(9, 7, poison);
+       std::reverse(ids.begin(), ids.end());
+       BufferWriter out;
+       AppendFrame(out, 0x3, ids, 2);
+       return out.Release();
+     },
+     [](const std::vector<uint8_t>& bytes, DecodedFrames* out) {
+       BufferReader r(bytes);
+       const size_t first = out->ids.size();
+       FLASH_RETURN_NOT_OK(ReadWireFrame(r, 0x3, kFrameFuzzVertices, &out->ids));
+       for (size_t i = first; i < out->ids.size(); ++i) {
+         FLASH_RETURN_NOT_OK(ReadField(r, out));
+         FLASH_RETURN_NOT_OK(ReadField(r, out));
+       }
+       out->EndFrame(bytes, r);
+       return r.AtEnd() ? Status::OK()
+                        : Status::InvalidArgument("trailing bytes");
+     }},
+    // Two async frames sharing a channel buffer: raw u32 messages.
+    {"async-tagged frames", false,
+     [](bool poison) {
+       BufferWriter out;
+       AppendFrame(out, internal::kAsyncFrameMask, FuzzIds(6, 5, false), 1);
+       AppendFrame(out, internal::kAsyncFrameMask, FuzzIds(4, 11, poison), 1);
+       return out.Release();
+     },
+     [](const std::vector<uint8_t>& bytes, DecodedFrames* out) {
+       BufferReader r(bytes);
+       while (!r.AtEnd()) {
+         const size_t first = out->ids.size();
+         FLASH_RETURN_NOT_OK(ReadWireFrame(r, internal::kAsyncFrameMask,
+                                           kFrameFuzzVertices, &out->ids));
+         for (size_t i = first; i < out->ids.size(); ++i) {
+           FLASH_RETURN_NOT_OK(ReadField(r, out));
+         }
+         out->EndFrame(bytes, r);
+       }
+       return Status::OK();
+     }},
+    // Two sealed walker frames sharing a channel buffer.
+    {"sealed walker frames", true,
+     [](bool poison) { return MakeWalkerFrameImage(nullptr, poison); },
+     [](const std::vector<uint8_t>& bytes, DecodedFrames* out) {
+       BufferReader r(bytes);
+       while (!r.AtEnd()) {
+         std::vector<WalkerRecord> records;
+         FLASH_RETURN_NOT_OK(
+             DecodeWalkerFrame(r, kFrameFuzzVertices, &records));
+         for (const WalkerRecord& rec : records) {
+           out->ids.push_back(rec.cur);
+           out->values.push_back(rec.id);
+           out->values.push_back(rec.prev);
+         }
+         out->EndFrame(bytes, r);
+       }
+       return Status::OK();
+     }},
+    // A redo log: a commit frame (all fields) then two mirror frames.
+    {"redo-log frame sequence", false,
+     [](bool poison) {
+       BufferWriter log;
+       AppendFrame(log, 0x3, FuzzIds(5, 3, false), 2);
+       AppendFrame(log, 0x1, FuzzIds(3, 13, false), 1);
+       AppendFrame(log, 0x2, FuzzIds(4, 9, poison), 1);
+       return log.Release();
+     },
+     [](const std::vector<uint8_t>& bytes, DecodedFrames* out) {
+       BufferReader r(bytes);
+       while (!r.AtEnd()) {
+         const size_t first = out->ids.size();
+         uint32_t mask = 0;
+         FLASH_RETURN_NOT_OK(
+             ReadWireFrame(r, 0x3, kFrameFuzzVertices, &out->ids, &mask));
+         out->values.push_back(mask);
+         for (size_t i = first; i < out->ids.size(); ++i) {
+           for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+             FLASH_RETURN_NOT_OK(ReadField(r, out));
+           }
+         }
+         out->EndFrame(bytes, r);
+       }
+       return Status::OK();
+     }},
+};
+
+TEST(FrameFuzz, TruncationsFlipsAndOutOfRangeIds) {
+  for (const FrameFuzzCase& c : kFrameFuzzCases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<uint8_t> image = c.build(false);
+    DecodedFrames expected;
+    ASSERT_TRUE(c.decode(image, &expected).ok());
+    ASSERT_FALSE(expected.ids.empty());
+    ASSERT_EQ(expected.frames.back().offset, image.size());
+
+    for (size_t len = 0; len < image.size(); ++len) {
+      const std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
+      DecodedFrames decoded;
+      const Status st = c.decode(prefix, &decoded);
+      if (len == 0) {
+        // An empty channel holds zero frames; it is not a truncation.
+        if (st.ok()) EXPECT_TRUE(decoded.ids.empty());
+        continue;
+      }
+      const auto end = std::find_if(
+          expected.frames.begin(), expected.frames.end(),
+          [&](const DecodedFrames::FrameEnd& f) { return f.offset == len; });
+      if (end == expected.frames.end()) {
+        EXPECT_FALSE(st.ok()) << "prefix of " << len << " bytes decoded";
+        continue;
+      }
+      ASSERT_TRUE(st.ok()) << "prefix " << len << ": " << st.ToString();
+      EXPECT_EQ(decoded.ids, std::vector<WireId>(expected.ids.begin(),
+                                                 expected.ids.begin() + end->ids))
+          << "prefix " << len;
+      EXPECT_EQ(decoded.values,
+                std::vector<uint64_t>(expected.values.begin(),
+                                      expected.values.begin() + end->values))
+          << "prefix " << len;
+    }
+
+    std::vector<uint8_t> flipped = image;
+    for (size_t i = 0; i < flipped.size(); ++i) {
+      for (const uint8_t pattern : {0x01, 0x80, 0xA5}) {
+        flipped[i] ^= pattern;
+        DecodedFrames decoded;
+        const Status st = c.decode(flipped, &decoded);
+        if (c.sealed) {
+          EXPECT_FALSE(st.ok()) << "flip " << int{pattern} << " at " << i;
+        }
+        if (st.ok()) {
+          for (WireId id : decoded.ids) ASSERT_LT(id, kFrameFuzzVertices);
+        }
+        flipped[i] ^= pattern;
+      }
+    }
+
+    DecodedFrames poisoned;
+    const Status st = c.decode(c.build(true), &poisoned);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  }
 }
 
 }  // namespace

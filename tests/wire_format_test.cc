@@ -39,6 +39,9 @@ std::vector<uint8_t> PayloadFor(const std::vector<WireId>& ids) {
   return payload;
 }
 
+// Vertex bound admitting every 32-bit id.
+constexpr uint64_t kFullIdRange = uint64_t{1} << 32;
+
 // Encodes ids (+ synthetic 4-byte payloads) as one frame, decodes it, and
 // asserts ids, mask, and payload bytes survive exactly.
 void RoundTrip(const std::vector<WireId>& ids, uint32_t mask,
@@ -53,15 +56,10 @@ void RoundTrip(const std::vector<WireId>& ids, uint32_t mask,
     return;
   }
 
+  EXPECT_EQ((out.bytes()[0] & 1) != 0, expect_sorted);
   BufferReader reader(out.bytes());
-  WireFrameHeader header;
-  ASSERT_TRUE(ReadWireFrameHeader(reader, &header).ok());
-  EXPECT_EQ(header.count, ids.size());
-  EXPECT_EQ(header.mask, mask);
-  EXPECT_EQ(header.sorted, expect_sorted);
-
   std::vector<WireId> decoded;
-  ASSERT_TRUE(ReadWireFrameIds(reader, header, &decoded).ok());
+  ASSERT_TRUE(ReadWireFrame(reader, mask, kFullIdRange, &decoded).ok());
   EXPECT_EQ(decoded, ids);
   ASSERT_EQ(reader.remaining(), payload.size());
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -132,58 +130,125 @@ TEST(WireFrame, TruncationAtEveryPrefixIsRejected) {
 
   for (size_t len = 0; len < ids_end; ++len) {
     BufferReader reader(out.bytes().data(), len);
-    WireFrameHeader header;
-    Status status = ReadWireFrameHeader(reader, &header);
-    if (status.ok()) {
-      std::vector<WireId> decoded;
-      status = ReadWireFrameIds(reader, header, &decoded);
-    }
-    EXPECT_FALSE(status.ok()) << "prefix " << len << " of " << ids_end;
+    std::vector<WireId> decoded;
+    EXPECT_FALSE(ReadWireFrame(reader, 0x3, kFullIdRange, &decoded).ok())
+        << "prefix " << len << " of " << ids_end;
   }
 }
 
+// Builds a raw frame image: header varints, then `columns` varints verbatim.
+std::vector<uint8_t> RawFrame(uint64_t header, uint64_t mask,
+                              const std::vector<uint64_t>& columns) {
+  BufferWriter w;
+  w.WriteVarint(header);
+  w.WriteVarint(mask);
+  for (uint64_t v : columns) w.WriteVarint(v);
+  return w.Release();
+}
+
+Status ReadRaw(const std::vector<uint8_t>& bytes, uint32_t expected_mask,
+               uint64_t num_vertices) {
+  BufferReader r(bytes);
+  std::vector<WireId> ids;
+  return ReadWireFrame(r, expected_mask, num_vertices, &ids);
+}
+
 TEST(WireFrame, CorruptHeadersAreRejected) {
-  {  // Record count far beyond the buffer.
-    BufferWriter w;
-    w.WriteVarint((uint64_t{1} << 40) << 1 | 1);
-    w.WriteVarint(1);
-    BufferReader r(w.bytes());
-    WireFrameHeader h;
-    EXPECT_FALSE(ReadWireFrameHeader(r, &h).ok());
-  }
-  {  // Field mask wider than 32 bits.
-    BufferWriter w;
-    w.WriteVarint(uint64_t{2} << 1 | 1);
-    w.WriteVarint(uint64_t{1} << 33);
-    w.WriteRaw(reinterpret_cast<const uint8_t*>("\x01\x01"), 2);
-    BufferReader r(w.bytes());
-    WireFrameHeader h;
-    EXPECT_FALSE(ReadWireFrameHeader(r, &h).ok());
-  }
-  {  // Delta that would overflow the running id.
-    BufferWriter w;
-    w.WriteVarint(uint64_t{2} << 1 | 1);  // count=2, sorted.
-    w.WriteVarint(1);
-    w.WriteVarint(0);
-    w.WriteVarint((uint64_t{0xFFFFFFFFu} << 2) + 1);
-    BufferReader r(w.bytes());
-    WireFrameHeader h;
-    ASSERT_TRUE(ReadWireFrameHeader(r, &h).ok());
+  // Record count far beyond the buffer.
+  EXPECT_FALSE(
+      ReadRaw(RawFrame((uint64_t{1} << 40) << 1 | 1, 1, {}), 1, kFullIdRange)
+          .ok());
+  // Empty frames are never emitted.
+  EXPECT_FALSE(ReadRaw(RawFrame(0 << 1 | 1, 1, {0}), 1, kFullIdRange).ok());
+  // Field mask wider than 32 bits, and a mask other than the expected one.
+  EXPECT_FALSE(ReadRaw(RawFrame(uint64_t{2} << 1 | 1, uint64_t{1} << 33,
+                                {1, 1}),
+                       1, kFullIdRange)
+                   .ok());
+  EXPECT_TRUE(ReadRaw(RawFrame(uint64_t{1} << 1 | 1, 0x2, {1}), 0x3,
+                      kFullIdRange)
+                  .IsInvalidArgument());
+  // Delta that would overflow the running id.
+  EXPECT_FALSE(ReadRaw(RawFrame(uint64_t{2} << 1 | 1, 1,
+                                {0, (uint64_t{0xFFFFFFFFu} << 2) + 1}),
+                       1, kFullIdRange)
+                   .ok());
+  // Ids walking past the VertexId range.
+  EXPECT_FALSE(ReadRaw(RawFrame(uint64_t{2} << 1 | 1, 1, {0xFFFFFFFFu, 1}),
+                       1, kFullIdRange)
+                   .ok());
+}
+
+// Every frame kind is bounded by the receiver's vertex count: a first id or
+// a delta reaching num_vertices is InvalidArgument, one below it decodes.
+TEST(WireFrame, IdsAtOrPastVertexBoundAreRejected) {
+  constexpr uint64_t kVertices = 10;
+  EXPECT_TRUE(ReadRaw(RawFrame(uint64_t{1} << 1 | 1, 1, {9}), 1, kVertices)
+                  .ok());
+  EXPECT_TRUE(ReadRaw(RawFrame(uint64_t{1} << 1 | 1, 1, {10}), 1, kVertices)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ReadRaw(RawFrame(uint64_t{2} << 1 | 1, 1, {4, 6}), 1, kVertices)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ReadRaw(RawFrame(uint64_t{2} << 1 | 0, 1,
+                               {4, ZigZagEncode64(-5)}),
+                      1, kVertices)
+                  .IsInvalidArgument());
+}
+
+// A multi-mask stream (the redo log) accepts any subset of the expected
+// mask — mask 0 included, the mirror frames of an empty critical set — and
+// reports the frame's own mask.
+TEST(WireFrame, FrameMaskOutAcceptsSubsetsOnly) {
+  for (uint32_t mask : {0x0u, 0x1u, 0x4u, 0x5u}) {
+    const std::vector<uint8_t> bytes = RawFrame(uint64_t{1} << 1 | 1, mask, {3});
+    BufferReader r(bytes);
     std::vector<WireId> ids;
-    EXPECT_FALSE(ReadWireFrameIds(r, h, &ids).ok());
+    uint32_t seen = 0;
+    ASSERT_TRUE(ReadWireFrame(r, 0x5, kFullIdRange, &ids, &seen).ok());
+    EXPECT_EQ(seen, mask);
   }
-  {  // Ids walking past the VertexId range.
-    BufferWriter w;
-    w.WriteVarint(uint64_t{2} << 1 | 1);  // count=2, sorted.
-    w.WriteVarint(1);
-    w.WriteVarint(0xFFFFFFFFu);
-    w.WriteVarint(1);
-    BufferReader r(w.bytes());
-    WireFrameHeader h;
-    ASSERT_TRUE(ReadWireFrameHeader(r, &h).ok());
+  for (uint32_t mask : {0x2u, 0x7u, 0x8u}) {
+    const std::vector<uint8_t> bytes = RawFrame(uint64_t{1} << 1 | 1, mask, {3});
+    BufferReader r(bytes);
     std::vector<WireId> ids;
-    EXPECT_FALSE(ReadWireFrameIds(r, h, &ids).ok());
+    uint32_t seen = 0;
+    EXPECT_FALSE(ReadWireFrame(r, 0x5, kFullIdRange, &ids, &seen).ok())
+        << "mask " << mask;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: walker frames and FLSHBLK2 adjacency lists are built on the
+// shared frame codec and id column, and must stay byte-identical to the
+// images these vectors were captured from (existing block files reopen, and
+// walks.frame_bytes is unchanged).
+
+TEST(WireFrame, WalkerFrameAndAdjacencyBytesMatchGoldenVectors) {
+  const std::vector<WalkerRecord> records = {
+      {3, 7, WalkerRecord::kNoPrev}, {3, 9, 2}, {40, 1000, 39}, {300, 5, 0}};
+  const WalkerRecord single{17, 123456, WalkerRecord::kNoPrev};
+  BufferWriter walker;
+  WalkerFrameScratch scratch;
+  EncodeWalkerFrame(walker, records.data(), records.size(), scratch);
+  EncodeWalkerFrame(walker, &single, 1, scratch);
+  const std::vector<uint8_t> walker_golden = {
+      0x12, 0x70, 0x8E, 0x36, 0x30, 0xFB, 0xC9, 0x9A, 0xFB, 0x09, 0xCB, 0xAE,
+      0x01, 0x03, 0x00, 0x25, 0x84, 0x02, 0x07, 0x00, 0x09, 0x03, 0xE8, 0x07,
+      0x28, 0x05, 0x01, 0x09, 0xD9, 0xCE, 0x9B, 0xAE, 0x5C, 0x4E, 0xDB, 0xDF,
+      0x03, 0xCB, 0xAE, 0x01, 0x11, 0xC0, 0xC4, 0x07, 0x00};
+  EXPECT_EQ(walker.bytes(), walker_golden);
+
+  const std::vector<WireId> sorted = {2, 2, 5, 130, 20000};
+  const std::vector<WireId> unsorted = {40, 3, 17, 17, 0, 46};
+  const std::vector<WireId> one = {9};
+  BufferWriter adjacency;
+  EncodeAdjacency(adjacency, sorted.data(), sorted.size());
+  EncodeAdjacency(adjacency, unsorted.data(), unsorted.size());
+  EncodeAdjacency(adjacency, one.data(), one.size());
+  const std::vector<uint8_t> adjacency_golden = {
+      0x05, 0x00, 0x03, 0x7D, 0x9E, 0x9B, 0x01, 0x50,
+      0x49, 0x1C, 0x00, 0x21, 0x5C, 0x13};
+  EXPECT_EQ(adjacency.bytes(), adjacency_golden);
 }
 
 // ---------------------------------------------------------------------------

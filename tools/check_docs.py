@@ -8,16 +8,19 @@ Two invariants, both cheap and both prone to silent rot:
    on file links are stripped before the existence check.
 
 2. Every public field of RuntimeOptions (src/flashware/options.h) is
-   mentioned by name in docs/API.md — the runtime-configuration reference
-   must not lag the struct (that drift is exactly what ISSUE 7 cleaned up).
+   mentioned by name in docs/API.md, and every field named in API.md's
+   RuntimeOptions table exists in the struct — the runtime-configuration
+   reference neither lags the struct nor keeps rows for deleted knobs.
 
-Exit status is the number of problems found (0 = healthy).
+Exit status is the number of problems found (0 = healthy). `--self-test`
+runs both checks of (2) against a healthy, a lagging and a stale fixture.
 """
 
 import argparse
 import os
 import re
 import sys
+import tempfile
 
 # [text](target) — target captured up to the matching ')'; images share the
 # syntax, so they are checked too. Code spans are stripped first.
@@ -91,6 +94,28 @@ def runtime_options_fields(options_h):
     return fields
 
 
+# A row of API.md's RuntimeOptions table: | `field` | default | meaning |
+TABLE_HEADER_RE = re.compile(r"^\|\s*Field\s*\|\s*Default\s*\|")
+TABLE_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|")
+
+
+def api_table_fields(text):
+    """Field names in the first column of API.md's RuntimeOptions table."""
+    fields = []
+    in_table = False
+    for line in text.splitlines():
+        if TABLE_HEADER_RE.match(line):
+            in_table = True
+            continue
+        if in_table:
+            if not line.startswith("|"):
+                break
+            m = TABLE_ROW_RE.match(line)
+            if m:
+                fields.append(m.group(1))
+    return fields
+
+
 def check_api_doc(root):
     options_h = os.path.join(root, "src", "flashware", "options.h")
     api_md = os.path.join(root, "docs", "API.md")
@@ -105,7 +130,46 @@ def check_api_doc(root):
         if not re.search(rf"\b{re.escape(field)}\b", text):
             problems.append(
                 f"docs/API.md: RuntimeOptions field `{field}` undocumented")
+    documented = api_table_fields(text)
+    if not documented:
+        problems.append("docs/API.md: RuntimeOptions table not found")
+    for field in documented:
+        if field not in fields:
+            problems.append(
+                f"docs/API.md: table row `{field}` is not a RuntimeOptions "
+                "field")
     return problems
+
+
+def self_test():
+    """Runs check_api_doc on fixtures; returns the number of failures."""
+    options_h = ("struct RuntimeOptions {\n  int alpha = 1;\n"
+                 "  bool beta = true;\n};\n")
+    header = "| Field | Default | Meaning |\n|---|---|---|\n"
+    fixtures = [
+        ("healthy", "| `alpha` | 1 | A. |\n| `beta` | `true` | B. |\n", 0),
+        ("lagging", "| `alpha` | 1 | A. |\n", 1),
+        ("stale", "| `alpha` | 1 | A. |\n| `beta` | `true` | B. |\n"
+                  "| `gamma` | 0 | Deleted knob. |\n", 1),
+    ]
+    failures = 0
+    for name, rows, want in fixtures:
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src", "flashware"))
+            os.makedirs(os.path.join(root, "docs"))
+            with open(os.path.join(root, "src", "flashware", "options.h"),
+                      "w", encoding="utf-8") as fh:
+                fh.write(options_h)
+            with open(os.path.join(root, "docs", "API.md"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(header + rows)
+            got = check_api_doc(root)
+        if len(got) != want:
+            failures += 1
+            print(f"self-test {name}: expected {want} problem(s), got {got}")
+    if not failures:
+        print("self-test passed: healthy, lagging and stale fixtures")
+    return failures
 
 
 def main():
@@ -114,7 +178,12 @@ def main():
         "--root", default=os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))),
         help="repository root (default: parent of this script's directory)")
+    parser.add_argument(
+        "--self-test", action="store_true",
+        help="check the RuntimeOptions checks against built-in fixtures")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
 
     problems = check_links(args.root) + check_api_doc(args.root)
     for p in problems:
