@@ -506,7 +506,8 @@ class AsyncEngine {
       std::vector<VertexId>& touched = touched_[w];
       std::sort(touched.begin(), touched.end());
       std::vector<WireLane>& lanes = lanes_[w];
-      BufferWriter& enc = api_.encode_scratch_[w];
+      auto& scratch = api_.worker_scratch_[w];
+      BufferWriter& enc = scratch.enc;
       for (const VertexId v : touched) {
         uint64_t targets = broadcast
                                ? (all_workers_mask & ~(uint64_t{1} << w))
@@ -522,7 +523,7 @@ class AsyncEngine {
           lane.payload.WriteRaw(enc.bytes().data(), enc.size());
         }
       }
-      enc.Recycle(api_.encode_high_water_[w]);
+      enc.Recycle(scratch.enc_high_water);
       for (int dst = 0; dst < num_workers_; ++dst) {
         WireLane& lane = lanes[dst];
         if (!lane.empty()) {

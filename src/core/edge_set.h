@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitset.h"
@@ -79,7 +81,50 @@ using EdgeSetPtr = std::shared_ptr<const EdgeSet<VData>>;
 
 namespace internal {
 
-/// E: the graph's out-edges (or reverse(E) when reversed).
+/// Walks v's adjacency in one CSR direction of `g` (out-edges when
+/// `out_edges`, else in-edges), calling fn(neighbor, weight) for each edge
+/// in CSR order. A bool-returning fn stops the walk when it returns false
+/// (the C short-circuit of pull mode). This is the one definition of how E
+/// and reverse(E) read the graph: CsrEdgeSet's virtual ForOut/ForIn and the
+/// engine's inline kernels both call it, so both make the same storage
+/// accesses. On the paged backend weights are fetched per edge, so each
+/// weighted edge read counts as one StorageStats::accesses; in memory the
+/// weight span is read once per vertex.
+template <typename Fn>
+void WalkCsrAdjacency(const Graph& g, VertexId v, bool out_edges, Fn&& fn) {
+  constexpr bool kStoppable =
+      std::is_same_v<std::invoke_result_t<Fn&, VertexId, float>, bool>;
+  auto visit = [&](VertexId nbr, float weight) {
+    if constexpr (kStoppable) {
+      return fn(nbr, weight);
+    } else {
+      fn(nbr, weight);
+      return true;
+    }
+  };
+  const std::span<const VertexId> nbrs =
+      out_edges ? g.OutNeighbors(v) : g.InNeighbors(v);
+  if (!g.is_weighted()) {
+    for (const VertexId nbr : nbrs) {
+      if (!visit(nbr, 1.0f)) return;
+    }
+  } else if (!g.is_paged()) {
+    const std::span<const float> weights =
+        out_edges ? g.OutWeights(v) : g.InWeights(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (!visit(nbrs[i], weights[i])) return;
+    }
+  } else {
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const float weight = out_edges ? g.OutWeights(v)[i] : g.InWeights(v)[i];
+      if (!visit(nbrs[i], weight)) return;
+    }
+  }
+}
+
+/// E: the graph's out-edges (or reverse(E) when reversed). The engine
+/// enumerates its own E and reverse(E) inline (WalkCsrAdjacency); these
+/// virtual entry points serve the joins that wrap them.
 template <typename VData>
 class CsrEdgeSet final : public EdgeSet<VData> {
  public:
@@ -88,36 +133,12 @@ class CsrEdgeSet final : public EdgeSet<VData> {
 
   void ForOut(VertexId src, const VertexStore<VData>&,
               const typename EdgeSet<VData>::OutFn& fn) const override {
-    const Graph& g = *graph_;
-    bool weighted = g.is_weighted();
-    if (!reversed_) {
-      auto nbrs = g.OutNeighbors(src);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        fn(nbrs[i], weighted ? g.OutWeights(src)[i] : 1.0f);
-      }
-    } else {
-      auto nbrs = g.InNeighbors(src);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        fn(nbrs[i], weighted ? g.InWeights(src)[i] : 1.0f);
-      }
-    }
+    WalkCsrAdjacency(*graph_, src, /*out_edges=*/!reversed_, fn);
   }
 
   void ForIn(VertexId dst, const VertexStore<VData>&,
              const typename EdgeSet<VData>::InFn& fn) const override {
-    const Graph& g = *graph_;
-    bool weighted = g.is_weighted();
-    if (!reversed_) {
-      auto nbrs = g.InNeighbors(dst);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        if (!fn(nbrs[i], weighted ? g.InWeights(dst)[i] : 1.0f)) return;
-      }
-    } else {
-      auto nbrs = g.OutNeighbors(dst);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        if (!fn(nbrs[i], weighted ? g.OutWeights(dst)[i] : 1.0f)) return;
-      }
-    }
+    WalkCsrAdjacency(*graph_, dst, /*out_edges=*/reversed_, fn);
   }
 
   uint64_t OutDegreeHint(VertexId src) const override {

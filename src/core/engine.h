@@ -71,24 +71,16 @@ class GraphApi {
     for (int w = 0; w < options_.num_workers; ++w) {
       stores_.emplace_back(graph_->NumVertices());
     }
-    const int shards = options_.threads_per_worker;
-    sparse_lanes_.resize(options_.num_workers);
-    local_pending_.resize(options_.num_workers);
-    local_pending_high_water_.resize(options_.num_workers);
-    for (int w = 0; w < options_.num_workers; ++w) {
-      sparse_lanes_[w].assign(shards,
-                              std::vector<WireLane>(options_.num_workers));
-      local_pending_[w].resize(shards);
-      local_pending_high_water_[w].assign(shards, 0);
+    task_scratch_ = std::vector<TaskScratch>(
+        static_cast<size_t>(options_.num_workers) *
+        options_.threads_per_worker);
+    for (TaskScratch& task : task_scratch_) {
+      task.lanes.resize(options_.num_workers);
     }
-    recv_.resize(options_.num_workers);
-    commit_lanes_.resize(options_.num_workers);
-    for (auto& lanes : commit_lanes_) lanes.resize(options_.num_workers);
-    log_lane_.resize(options_.num_workers);
-    encode_scratch_.resize(options_.num_workers);
-    encode_high_water_.assign(options_.num_workers, 0);
-    subset_scratch_.resize(options_.num_workers);
-    committed_scratch_.assign(options_.num_workers, 0);
+    worker_scratch_ = std::vector<WorkerScratch>(options_.num_workers);
+    for (WorkerScratch& scratch : worker_scratch_) {
+      scratch.commit_lanes.resize(options_.num_workers);
+    }
     forward_ = std::make_shared<internal::CsrEdgeSet<VData>>(graph_, false);
     reverse_ = std::make_shared<internal::CsrEdgeSet<VData>>(graph_, true);
     if (options_.fault_plan.Active()) {
@@ -316,10 +308,7 @@ class GraphApi {
         use_dense = true;
         break;
       case EdgeMapMode::kAdaptive: {
-        uint64_t frontier_work = U.TotalSize();
-        for (int w = 0; w < options_.num_workers; ++w) {
-          for (VertexId v : U.Owned(w)) frontier_work += H->OutDegreeHint(v);
-        }
+        const uint64_t frontier_work = U.TotalSize() + FrontierOutDegree(U, H);
         use_dense = static_cast<double>(frontier_work) >
                     static_cast<double>(graph_->NumEdges()) /
                         kDenseThreshold;
@@ -363,62 +352,67 @@ class GraphApi {
       }
     }
 
-    std::vector<std::vector<VertexId>> out(num_workers);
-    std::vector<std::vector<VertexId>> shard_out(num_workers * shards);
-    std::vector<std::vector<VertexId>> shard_dirty(num_workers * shards);
     std::vector<StepTally> task_tally(num_workers * shards);
     std::vector<StepTally> worker_tally(num_workers);
-    RunWorkerShards(
-        "dense:scan",
-        [&](int w) { return partition_.OwnedVertices(w).size(); },
-        [&](int w, int s, size_t lo, size_t hi) {
-          Timer task_timer;
-          VertexStore<VData>& store = stores_[w];
-          const auto& targets = partition_.OwnedVertices(w);
-          const int t = w * shards + s;
-          uint64_t edges = 0;
-          VData vnew;
-          for (size_t i = lo; i < hi; ++i) {
-            VertexId v = targets[i];
-            const VData& dcur = store.Current(v);
-            if (!internal::InvokeCond(c, dcur, v)) continue;
-            bool touched = false;
-            H->ForIn(v, store, [&](VertexId src, float weight) -> bool {
-              ++edges;
-              if (touched && !internal::InvokeCond(c, vnew, v)) return false;
-              if (!ubits.Test(src)) return true;
-              const VData& scur = store.Current(src);
-              const VData& dview = touched ? vnew : dcur;
-              if (internal::InvokeEdgeF(f, scur, dview, src, v, weight)) {
-                if (!touched) {
-                  vnew = dcur;
-                  touched = true;
+    // The pull kernel; for_in(v, store, fn) enumerates v's in-edges in H.
+    auto scan = [&](const auto& for_in) {
+      RunWorkerShards(
+          "dense:scan",
+          [&](int w) { return partition_.OwnedVertices(w).size(); },
+          [&](int w, int s, size_t lo, size_t hi) {
+            Timer task_timer;
+            VertexStore<VData>& store = stores_[w];
+            const auto& targets = partition_.OwnedVertices(w);
+            const int t = w * shards + s;
+            TaskScratch& task = task_scratch_[t];
+            uint64_t edges = 0;
+            VData vnew;
+            for (size_t i = lo; i < hi; ++i) {
+              VertexId v = targets[i];
+              const VData& dcur = store.Current(v);
+              if (!internal::InvokeCond(c, dcur, v)) continue;
+              bool touched = false;
+              for_in(v, store, [&](VertexId src, float weight) -> bool {
+                ++edges;
+                if (touched && !internal::InvokeCond(c, vnew, v)) return false;
+                if (!ubits.Test(src)) return true;
+                const VData& scur = store.Current(src);
+                const VData& dview = touched ? vnew : dcur;
+                if (internal::InvokeEdgeF(f, scur, dview, src, v, weight)) {
+                  if (!touched) {
+                    vnew = dcur;
+                    touched = true;
+                  }
+                  internal::InvokeEdgeM(m, scur, vnew, src, v, weight);
                 }
-                internal::InvokeEdgeM(m, scur, vnew, src, v, weight);
+                return true;
+              });
+              if (touched) {
+                VData& next = store.MutableNext(v, task.dirty);
+                next = std::move(vnew);
+                task.out.push_back(v);
               }
-              return true;
-            });
-            if (touched) {
-              VData& next = store.MutableNext(v, shard_dirty[t]);
-              next = std::move(vnew);
-              shard_out[t].push_back(v);
             }
-          }
-          task_tally[t].edges = edges;
-          task_tally[t].seconds = task_timer.Seconds();
-        });
+            task_tally[t].edges = edges;
+            task_tally[t].seconds = task_timer.Seconds();
+          });
+    };
+    if (IsEngineCsr(H)) {
+      // Pull along E reads in-edges; along reverse(E), out-edges.
+      scan(CsrWalker{graph_.get(), /*out_edges=*/H == reverse_});
+    } else {
+      scan([&H](VertexId v, const VertexStore<VData>& store, const auto& fn) {
+        H->ForIn(v, store, fn);
+      });
+    }
     RunPerWorker("dense:merge", [&](int w) {
       Timer merge_timer;
-      for (int s = 0; s < shards; ++s) {
-        const int t = w * shards + s;
-        AppendTo(out[w], shard_out[t]);
-        stores_[w].AppendDirty(std::move(shard_dirty[t]));
-      }
+      MergeTaskLists(w);
       worker_tally[w].verts = partition_.OwnedVertices(w).size();
       worker_tally[w].seconds = merge_timer.Seconds();
     });
     FoldTallies(task_tally, shards, worker_tally, sample);
-    return FinishStep(std::move(out), sample);
+    return FinishStep(sample);
   }
 
   /// EDGEMAPSPARSE (push, Algorithm 6): frontier masters push M-values to
@@ -453,7 +447,6 @@ class GraphApi {
       }
     }
 
-    std::vector<std::vector<VertexId>> out(num_workers);
     std::vector<StepTally> task_tally(num_workers * shards);
     std::vector<StepTally> worker_tally(num_workers);
 
@@ -461,44 +454,54 @@ class GraphApi {
     // one task. Updates to the executing worker's own masters never touch
     // the wire — they are deferred into per-shard pending lists (a real
     // worker updates local memory directly); cross-worker updates are
-    // serialised into per-shard per-destination lanes.
-    RunWorkerShards(
-        "sparse:push",
-        [&](int w) { return U.Owned(w).size(); },
-        [&](int w, int s, size_t lo, size_t hi) {
-          Timer task_timer;
-          VertexStore<VData>& store = stores_[w];
-          const auto& frontier = U.Owned(w);
-          std::vector<WireLane>& lanes = sparse_lanes_[w][s];
-          std::vector<LocalUpdate>& pending = local_pending_[w][s];
-          uint64_t edges = 0;
-          VData tmp;
-          for (size_t i = lo; i < hi; ++i) {
-            VertexId u = frontier[i];
-            const VData& scur = store.Current(u);
-            H->ForOut(u, store, [&](VertexId dst, float weight) {
-              ++edges;
-              const VData& dcur = store.Current(dst);
-              if (!internal::InvokeCond(c, dcur, dst)) return;
-              if (!internal::InvokeEdgeF(f, scur, dcur, u, dst, weight)) {
-                return;
-              }
-              tmp = dcur;
-              internal::InvokeEdgeM(m, scur, tmp, u, dst, weight);
-              int owner = partition_.Owner(dst);
-              if (owner == w) {
-                pending.push_back({dst, tmp});
-                return;
-              }
-              WireLane& lane = lanes[owner];
-              lane.ids.push_back(dst);
-              SerializeFields(tmp, mask, lane.payload);
-            });
-          }
-          StepTally& tally = task_tally[w * shards + s];
-          tally.edges = edges;
-          tally.seconds = task_timer.Seconds();
-        });
+    // serialised into per-shard per-destination lanes. for_out(u, store,
+    // fn) enumerates u's out-edges in H.
+    auto push = [&](const auto& for_out) {
+      RunWorkerShards(
+          "sparse:push",
+          [&](int w) { return U.Owned(w).size(); },
+          [&](int w, int s, size_t lo, size_t hi) {
+            Timer task_timer;
+            VertexStore<VData>& store = stores_[w];
+            const auto& frontier = U.Owned(w);
+            TaskScratch& task = task_scratch_[w * shards + s];
+            uint64_t edges = 0;
+            VData tmp;
+            for (size_t i = lo; i < hi; ++i) {
+              VertexId u = frontier[i];
+              const VData& scur = store.Current(u);
+              for_out(u, store, [&](VertexId dst, float weight) {
+                ++edges;
+                const VData& dcur = store.Current(dst);
+                if (!internal::InvokeCond(c, dcur, dst)) return;
+                if (!internal::InvokeEdgeF(f, scur, dcur, u, dst, weight)) {
+                  return;
+                }
+                tmp = dcur;
+                internal::InvokeEdgeM(m, scur, tmp, u, dst, weight);
+                int owner = partition_.Owner(dst);
+                if (owner == w) {
+                  task.pending.push_back({dst, tmp});
+                  return;
+                }
+                WireLane& lane = task.lanes[owner];
+                lane.ids.push_back(dst);
+                SerializeFields(tmp, mask, lane.payload);
+              });
+            }
+            StepTally& tally = task_tally[w * shards + s];
+            tally.edges = edges;
+            tally.seconds = task_timer.Seconds();
+          });
+    };
+    if (IsEngineCsr(H)) {
+      // Push along E reads out-edges; along reverse(E), in-edges.
+      push(CsrWalker{graph_.get(), /*out_edges=*/H == forward_});
+    } else {
+      push([&H](VertexId u, const VertexStore<VData>& store, const auto& fn) {
+        H->ForOut(u, store, fn);
+      });
+    }
 
     // Round 1 join: apply the deferred own-master updates in shard order
     // (shards split the frontier contiguously, so this is frontier order
@@ -510,19 +513,20 @@ class GraphApi {
     RunPerWorker("sparse:flush", [&](int w) {
       Timer merge_timer;
       VertexStore<VData>& store = stores_[w];
-      std::vector<VertexId> dirty;
+      WorkerScratch& scratch = worker_scratch_[w];
       uint64_t applied = 0;
       for (int s = 0; s < shards; ++s) {
-        for (LocalUpdate& update : local_pending_[w][s]) {
+        TaskScratch& task = task_scratch_[w * shards + s];
+        for (LocalUpdate& update : task.pending) {
           bool first = !store.IsDirty(update.dst);
-          VData& next = store.MutableNext(update.dst, dirty);
+          VData& next = store.MutableNext(update.dst, scratch.dirty);
           r(update.value, next);
-          if (first) out[w].push_back(update.dst);
+          if (first) scratch.out.push_back(update.dst);
           ++applied;
         }
-        RecyclePooled(local_pending_[w][s], local_pending_high_water_[w][s]);
+        RecyclePooled(task.pending, task.pending_high_water);
       }
-      store.AppendDirty(std::move(dirty));
+      store.AppendDirty(std::move(scratch.dirty));
       std::vector<WireFramePart> parts;
       parts.reserve(shards);
       for (int dst = 0; dst < num_workers; ++dst) {
@@ -530,7 +534,7 @@ class GraphApi {
         parts.clear();
         uint64_t count = 0;
         for (int s = 0; s < shards; ++s) {
-          WireLane& lane = sparse_lanes_[w][s][dst];
+          WireLane& lane = task_scratch_[w * shards + s].lanes[dst];
           if (lane.empty()) continue;
           parts.push_back(lane.AsPart());
           count += lane.ids.size();
@@ -541,8 +545,8 @@ class GraphApi {
         bus_.CountMessages(w, dst, count);
       }
       for (int s = 0; s < shards; ++s) {
-        for (int dst = 0; dst < num_workers; ++dst) {
-          sparse_lanes_[w][s][dst].Recycle();
+        for (WireLane& lane : task_scratch_[w * shards + s].lanes) {
+          lane.Recycle();
         }
       }
       worker_tally[w].verts += applied;
@@ -572,7 +576,8 @@ class GraphApi {
     RunWorkerShards(
         "sparse:decode",
         [&](int w) {
-          return fixed ? recv_[w].ids.size() : recv_[w].frames.size();
+          const RecvScratch& recv = worker_scratch_[w].recv;
+          return fixed ? recv.ids.size() : recv.frames.size();
         },
         [&](int w, int s, size_t lo, size_t hi) {
           Timer task_timer;
@@ -585,25 +590,25 @@ class GraphApi {
         });
     RunPerWorker("sparse:apply", [&](int w) {
       Timer apply_timer;
-      RecvScratch& scratch = recv_[w];
+      WorkerScratch& scratch = worker_scratch_[w];
+      RecvScratch& recv = scratch.recv;
       VertexStore<VData>& store = stores_[w];
-      std::vector<VertexId> dirty;
-      const size_t n = scratch.ids.size();
+      const size_t n = recv.ids.size();
       for (size_t i = 0; i < n; ++i) {
-        const VertexId v = scratch.ids[i];
+        const VertexId v = recv.ids[i];
         FLASH_DCHECK(partition_.Owner(v) == w);
         bool first = !store.IsDirty(v);
-        VData& next = store.MutableNext(v, dirty);
-        r(scratch.values[i], next);
-        if (first) out[w].push_back(v);
+        VData& next = store.MutableNext(v, scratch.dirty);
+        r(recv.values[i], next);
+        if (first) scratch.out.push_back(v);
       }
-      store.AppendDirty(std::move(dirty));
-      scratch.Recycle();
+      store.AppendDirty(std::move(scratch.dirty));
+      recv.Recycle();
       worker_tally[w].verts += n;
       worker_tally[w].seconds += apply_timer.Seconds();
     });
     FoldTallies(task_tally, shards, worker_tally, sample);
-    return FinishStep(std::move(out), sample);
+    return FinishStep(sample);
   }
 
   // --- global aggregation ----------------------------------------------------
@@ -617,17 +622,21 @@ class GraphApi {
   T Reduce(const VertexSubset& U, T init, Map&& map, Red&& reduce) {
     BeginSuperstep();
     T acc = init;
-    std::vector<std::vector<T>> mapped(options_.num_workers);
+    // One cache line per worker's list header: the map appends per vertex.
+    struct alignas(64) Mapped {
+      std::vector<T> values;
+    };
+    std::vector<Mapped> mapped(options_.num_workers);
     RunPerWorker("reduce:map", [&](int w) {
       const auto& owned = U.Owned(w);
-      std::vector<T>& values = mapped[w];
+      std::vector<T>& values = mapped[w].values;
       values.reserve(owned.size());
       for (VertexId v : owned) {
         values.push_back(map(stores_[w].Current(v), v));
       }
     });
     for (int w = 0; w < options_.num_workers; ++w) {
-      for (T& value : mapped[w]) acc = reduce(acc, value);
+      for (T& value : mapped[w].values) acc = reduce(acc, value);
     }
     AccountAggregate(sizeof(T), U.TotalSize());
     return acc;
@@ -686,7 +695,9 @@ class GraphApi {
   /// records, columnar so the flush can coalesce lanes into one
   /// delta-encoded wire frame per channel (WireBatch codec, serialize.h).
   /// Capacity is pooled across supersteps under the high-water-mark policy.
-  struct WireLane {
+  /// Lanes are appended to per update, so each one owns whole cache lines:
+  /// lane arrays of concurrently running tasks never share a line.
+  struct alignas(64) WireLane {
     std::vector<VertexId> ids;
     BufferWriter payload;
     size_t ids_high_water = 0;
@@ -744,6 +755,83 @@ class GraphApi {
     VertexId dst;
     VData value;
   };
+
+  /// Everything one (worker, shard) compute task writes while it runs. The
+  /// vector headers are updated per vertex or per edge, so each task's block
+  /// owns its cache lines: packed side by side, concurrent tasks would
+  /// bounce the shared lines between cores. Pooled across supersteps; the
+  /// id lists hold at most the task's slice of one worker's masters.
+  struct alignas(64) TaskScratch {
+    std::vector<VertexId> out;    // Dense/VERTEXMAP frontier slice.
+    std::vector<VertexId> dirty;  // Masters this task first wrote.
+    // EDGEMAPSPARSE round 1: deferred own-master updates and one lane per
+    // destination worker.
+    std::vector<LocalUpdate> pending;
+    size_t pending_high_water = 0;
+    std::vector<WireLane> lanes;
+  };
+
+  /// Everything one worker's merge, barrier and receive passes write, one
+  /// cache-line-owned block per worker for the same reason as TaskScratch.
+  struct alignas(64) WorkerScratch {
+    std::vector<VertexId> out;    // This superstep's frontier (FinishStep).
+    std::vector<VertexId> dirty;  // Masters first written by flush/apply.
+    RecvScratch recv;
+    std::vector<WireLane> commit_lanes;  // Mirror fan-out, per destination.
+    WireLane log_lane;                   // Redo-log commit records.
+    BufferWriter enc;  // Serialize-once encoding of one committed master.
+    size_t enc_high_water = 0;
+    BufferWriter sub;  // Its sync-mask subset, when the two differ.
+    uint64_t committed = 0;
+  };
+
+  /// Inline enumerator for the engine's own E / reverse(E): walks the CSR
+  /// spans with the kernel's edge callback inlined, where the virtual
+  /// EdgeSet path pays a std::function call per edge.
+  struct CsrWalker {
+    const Graph* graph = nullptr;
+    bool out_edges = false;
+
+    template <typename Fn>
+    void operator()(VertexId v, const VertexStore<VData>&, Fn&& fn) const {
+      internal::WalkCsrAdjacency(*graph, v, out_edges, fn);
+    }
+  };
+
+  /// True when H is this engine's own E or reverse(E), which the kernels
+  /// enumerate inline; joins and function-defined sets stay virtual.
+  bool IsEngineCsr(const EdgeSetRef& H) const {
+    return H == forward_ || H == reverse_;
+  }
+
+  /// Sum over U of each vertex's out-degree in H, for the density test:
+  /// CSR degrees for E / reverse(E), the virtual hint for any other set.
+  uint64_t FrontierOutDegree(const VertexSubset& U, const EdgeSetRef& H) const {
+    uint64_t total = 0;
+    const bool csr = IsEngineCsr(H);
+    const bool out_edges = H == forward_;
+    for (int w = 0; w < options_.num_workers; ++w) {
+      for (VertexId v : U.Owned(w)) {
+        total += !csr       ? H->OutDegreeHint(v)
+                 : out_edges ? graph_->OutDegree(v)
+                             : graph_->InDegree(v);
+      }
+    }
+    return total;
+  }
+
+  /// Joins worker w's shard outputs in shard order: frontier slices into the
+  /// worker's out list, dirty slices into its store.
+  void MergeTaskLists(int w) {
+    const int shards = options_.threads_per_worker;
+    WorkerScratch& scratch = worker_scratch_[w];
+    for (int s = 0; s < shards; ++s) {
+      TaskScratch& task = task_scratch_[w * shards + s];
+      scratch.out.insert(scratch.out.end(), task.out.begin(), task.out.end());
+      task.out.clear();
+      stores_[w].AppendDirty(std::move(task.dirty));
+    }
+  }
 
   static Partition MakePartitionOrDie(const GraphPtr& graph,
                                       const RuntimeOptions& options) {
@@ -836,11 +924,6 @@ class GraphApi {
     return "step";
   }
 
-  static void AppendTo(std::vector<VertexId>& sink,
-                       const std::vector<VertexId>& chunk) {
-    sink.insert(sink.end(), chunk.begin(), chunk.end());
-  }
-
   uint32_t SyncMask() const {
     return options_.sync_critical_only ? critical_mask_
                                        : AllFieldsMask<VData>();
@@ -910,10 +993,10 @@ class GraphApi {
   }
 
   /// Sparse receive phase 1: parses the header + id section of every frame
-  /// worker `w` received, concatenating ids into recv_[w] in source order
-  /// and recording where each frame's payload region begins.
+  /// worker `w` received, concatenating ids into its RecvScratch in source
+  /// order and recording where each frame's payload region begins.
   void ScanIncomingFrames(int w, uint32_t mask) {
-    RecvScratch& scratch = recv_[w];
+    RecvScratch& scratch = worker_scratch_[w].recv;
     scratch.frames.clear();
     scratch.ids.clear();
     for (int src = 0; src < options_.num_workers; ++src) {
@@ -938,7 +1021,7 @@ class GraphApi {
   /// payload offsets. Pure reads of `current`; writes only values[lo, hi).
   void DecodeRecordRange(int w, size_t lo, size_t hi, uint32_t mask,
                          size_t stride) {
-    RecvScratch& scratch = recv_[w];
+    RecvScratch& scratch = worker_scratch_[w].recv;
     VertexStore<VData>& store = stores_[w];
     const size_t num_frames = scratch.frames.size();
     size_t f = 0;
@@ -963,7 +1046,7 @@ class GraphApi {
   /// Sparse receive phase 2, variable-width VData: records must be decoded
   /// in sequence, so the split unit is whole frames [lo, hi) instead.
   void DecodeFrameRange(int w, size_t lo, size_t hi, uint32_t mask) {
-    RecvScratch& scratch = recv_[w];
+    RecvScratch& scratch = worker_scratch_[w].recv;
     VertexStore<VData>& store = stores_[w];
     for (size_t f = lo; f < hi; ++f) {
       const RecvFrame& frame = scratch.frames[f];
@@ -1005,9 +1088,6 @@ class GraphApi {
     const int num_workers = options_.num_workers;
     const int shards = options_.threads_per_worker;
 
-    std::vector<std::vector<VertexId>> out(num_workers);
-    std::vector<std::vector<VertexId>> shard_out(num_workers * shards);
-    std::vector<std::vector<VertexId>> shard_dirty(num_workers * shards);
     std::vector<StepTally> task_tally(num_workers * shards);
     std::vector<StepTally> worker_tally(num_workers);
     RunWorkerShards(
@@ -1018,13 +1098,14 @@ class GraphApi {
           VertexStore<VData>& store = stores_[w];
           const auto& owned = U.Owned(w);
           const int t = w * shards + s;
+          TaskScratch& task = task_scratch_[t];
           for (size_t i = lo; i < hi; ++i) {
             VertexId v = owned[i];
             const VData& cur = store.Current(v);
             if (!internal::InvokeVertexF(f, cur, v)) continue;
-            shard_out[t].push_back(v);
+            task.out.push_back(v);
             if constexpr (kHasMap) {
-              VData& next = store.MutableNext(v, shard_dirty[t]);
+              VData& next = store.MutableNext(v, task.dirty);
               internal::InvokeVertexM(m, next, v);
             }
           }
@@ -1032,16 +1113,12 @@ class GraphApi {
         });
     RunPerWorker("vmap:merge", [&](int w) {
       Timer merge_timer;
-      for (int s = 0; s < shards; ++s) {
-        const int t = w * shards + s;
-        AppendTo(out[w], shard_out[t]);
-        stores_[w].AppendDirty(std::move(shard_dirty[t]));
-      }
+      MergeTaskLists(w);
       worker_tally[w].verts = U.Owned(w).size();
       worker_tally[w].seconds = merge_timer.Seconds();
     });
     FoldTallies(task_tally, shards, worker_tally, sample);
-    return FinishStep(std::move(out), sample);
+    return FinishStep(sample);
   }
 
   /// The BSP barrier ending every primitive: commit dirty masters, ship
@@ -1051,9 +1128,9 @@ class GraphApi {
   /// w's replicas — with the Exchange() buffer flip as the barrier between.
   /// Under an active checkpoint plan, each worker also redo-logs its state
   /// mutations (committed masters, applied mirror payloads) so a crashed
-  /// worker can be rebuilt as checkpoint-image + log replay.
-  VertexSubset FinishStep(std::vector<std::vector<VertexId>> out,
-                          StepSample sample) {
+  /// worker can be rebuilt as checkpoint-image + log replay. The step's
+  /// output frontier is each worker's WorkerScratch::out list.
+  VertexSubset FinishStep(StepSample sample) {
     const uint32_t mask = SyncMask();
     const uint32_t all_fields = AllFieldsMask<VData>();
     const int num_workers = options_.num_workers;
@@ -1068,10 +1145,11 @@ class GraphApi {
       // committed masters are disjoint promotions and the out-frontier was
       // already fixed during the compute phase.
       stores_[w].SortDirtyForCommit();
-      std::vector<WireLane>& lanes = commit_lanes_[w];
-      WireLane& log_lane = log_lane_[w];
-      BufferWriter& enc = encode_scratch_[w];
-      BufferWriter& sub = subset_scratch_[w];
+      WorkerScratch& scratch = worker_scratch_[w];
+      std::vector<WireLane>& lanes = scratch.commit_lanes;
+      WireLane& log_lane = scratch.log_lane;
+      BufferWriter& enc = scratch.enc;
+      BufferWriter& sub = scratch.sub;
       uint32_t bounds[VData::kNumFields + 1];
       // Serialize-once: each committed value is encoded a single time.
       // When redo-logging, the encoding carries all fields (the log needs
@@ -1111,7 +1189,7 @@ class GraphApi {
           lane.payload.WriteRaw(wire, wire_size);
         }
       });
-      committed_scratch_[w] = committed;
+      scratch.committed = committed;
       for (int dst = 0; dst < num_workers; ++dst) {
         WireLane& lane = lanes[dst];
         if (!lane.empty()) {
@@ -1128,10 +1206,13 @@ class GraphApi {
         EncodeWireFrame(ckpt_->log(w), all_fields, &part, 1);
         log_lane.Recycle();
       }
-      enc.Recycle(encode_high_water_[w]);
+      enc.Recycle(scratch.enc_high_water);
     });
+    std::vector<std::vector<VertexId>> out(num_workers);
     for (int w = 0; w < num_workers; ++w) {
-      metrics_.masters_committed += committed_scratch_[w];
+      metrics_.masters_committed += worker_scratch_[w].committed;
+      out[w] = std::move(worker_scratch_[w].out);
+      worker_scratch_[w].out.clear();
     }
     bus_.Exchange();
     if (log_recovery) {
@@ -1212,22 +1293,18 @@ class GraphApi {
   /// barrier; O(workers * shards * workers) sums of cached capacities.
   void UpdateWirePoolPeak() {
     uint64_t capacity = bus_.PoolCapacityBytes();
-    const int shards = options_.threads_per_worker;
-    for (int w = 0; w < options_.num_workers; ++w) {
-      for (int s = 0; s < shards; ++s) {
-        capacity +=
-            local_pending_[w][s].capacity() * sizeof(LocalUpdate);
-        for (const WireLane& lane : sparse_lanes_[w][s]) {
-          capacity += lane.CapacityBytes();
-        }
-      }
-      for (const WireLane& lane : commit_lanes_[w]) {
+    for (const TaskScratch& task : task_scratch_) {
+      capacity += task.pending.capacity() * sizeof(LocalUpdate);
+      for (const WireLane& lane : task.lanes) capacity += lane.CapacityBytes();
+    }
+    for (const WorkerScratch& scratch : worker_scratch_) {
+      for (const WireLane& lane : scratch.commit_lanes) {
         capacity += lane.CapacityBytes();
       }
-      capacity += log_lane_[w].CapacityBytes();
-      capacity += encode_scratch_[w].capacity();
-      capacity += subset_scratch_[w].capacity();
-      capacity += recv_[w].CapacityBytes();
+      capacity += scratch.log_lane.CapacityBytes();
+      capacity += scratch.enc.capacity();
+      capacity += scratch.sub.capacity();
+      capacity += scratch.recv.CapacityBytes();
     }
     metrics_.wire_pool_peak_bytes =
         std::max(metrics_.wire_pool_peak_bytes, capacity);
@@ -1363,21 +1440,11 @@ class GraphApi {
   bool virtual_edges_ = false;
   EdgeSetRef forward_;
   EdgeSetRef reverse_;
-  // Engine-owned wire scratch, pooled across supersteps under the
-  // high-water-mark policy (RecyclePooled): EDGEMAPSPARSE lanes and
-  // deferred own-master updates indexed [worker][shard] so concurrent tasks
-  // write disjoint slots; per-worker receive scratch, commit fan-out lanes,
-  // redo-log lane, and the serialize-once encode scratch.
-  std::vector<std::vector<std::vector<WireLane>>> sparse_lanes_;
-  std::vector<std::vector<std::vector<LocalUpdate>>> local_pending_;
-  std::vector<std::vector<size_t>> local_pending_high_water_;
-  std::vector<RecvScratch> recv_;
-  std::vector<std::vector<WireLane>> commit_lanes_;
-  std::vector<WireLane> log_lane_;
-  std::vector<BufferWriter> encode_scratch_;
-  std::vector<size_t> encode_high_water_;
-  std::vector<BufferWriter> subset_scratch_;
-  std::vector<uint64_t> committed_scratch_;
+  // Engine-owned scratch, pooled across supersteps (wire buffers under the
+  // high-water-mark policy, RecyclePooled): one cache-line-owned block per
+  // (worker, shard) task, indexed worker-major, and one per worker.
+  std::vector<TaskScratch> task_scratch_;
+  std::vector<WorkerScratch> worker_scratch_;
   // Fault-injection state, armed only when options_.fault_plan.Active():
   // the injector owns the counter-based fault PRNG + counters, the
   // checkpoint manager the per-worker snapshots and redo logs, and

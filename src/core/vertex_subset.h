@@ -2,6 +2,7 @@
 #define FLASH_CORE_VERTEX_SUBSET_H_
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "common/bitset.h"
@@ -50,6 +51,8 @@ class VertexSubset {
 
   /// Builds a subset from per-worker id lists (engine use). Lists must hold
   /// only vertices owned by their worker; they are sorted and deduplicated.
+  /// Lists already strictly ascending — every dense and VERTEXMAP output —
+  /// are taken as they are, so the barrier pays a linear check, not a sort.
   static VertexSubset FromWorkerLists(const Partition* partition,
                                       std::vector<std::vector<VertexId>> lists) {
     VertexSubset s(partition);
@@ -57,8 +60,11 @@ class VertexSubset {
     s.per_worker_ = std::move(lists);
     s.size_ = 0;
     for (auto& list : s.per_worker_) {
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
+      if (std::adjacent_find(list.begin(), list.end(),
+                             std::greater_equal<VertexId>()) != list.end()) {
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+      }
       s.size_ += list.size();
     }
     return s;

@@ -54,13 +54,12 @@ class VertexStore {
 
   bool IsDirty(VertexId v) const { return dirty_[v] != 0; }
 
-  /// Registers shard-local dirty lists collected during the compute phase.
+  /// Registers a shard-local dirty list collected during the compute phase.
+  /// `list` is left empty with its capacity intact, so callers can pool it
+  /// across supersteps.
   void AppendDirty(std::vector<VertexId>&& list) {
-    if (dirty_list_.empty()) {
-      dirty_list_ = std::move(list);
-    } else {
-      dirty_list_.insert(dirty_list_.end(), list.begin(), list.end());
-    }
+    dirty_list_.insert(dirty_list_.end(), list.begin(), list.end());
+    list.clear();
   }
 
   const std::vector<VertexId>& dirty_list() const { return dirty_list_; }
@@ -70,8 +69,14 @@ class VertexStore {
   /// densest form of the delta-encoded wire format. Safe to call before
   /// Commit: dirty masters are disjoint per-vertex promotions, and the
   /// frontier lists were fixed during the compute phase, so commit order is
-  /// unobservable beyond the wire layout.
-  void SortDirtyForCommit() { std::sort(dirty_list_.begin(), dirty_list_.end()); }
+  /// unobservable beyond the wire layout. Dense and VERTEXMAP steps already
+  /// collect their dirty masters in ascending order; only an out-of-order
+  /// list (sparse pushes) pays for the sort.
+  void SortDirtyForCommit() {
+    if (!std::is_sorted(dirty_list_.begin(), dirty_list_.end())) {
+      std::sort(dirty_list_.begin(), dirty_list_.end());
+    }
+  }
 
   /// Barrier half 1: promotes next -> current for every dirty master and
   /// invokes fn(v, value) so the caller can serialise the update for

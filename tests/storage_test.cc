@@ -9,14 +9,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "core/api.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -587,6 +590,226 @@ TEST(StorageCodec, AsyncPlanAheadCutsDemandMissesNotAnswers) {
     EXPECT_GT(demand2.demand_misses, 0u) << "host_threads=" << threads;
     EXPECT_LT(planned2.demand_misses, demand2.demand_misses)
         << "host_threads=" << threads;
+  }
+}
+
+
+// --- Inline E / reverse(E) enumeration ------------------------------------
+
+/// E or reverse(E) enumerated through the virtual EdgeSet interface: the
+/// same CSR spans, subset-of-E flag and orientations as the engine's own
+/// sets, walked by its own loops. It is not fl.E()/fl.ReverseE(), so the
+/// engine runs it down the virtual path while its own sets run inline.
+/// Weights are read per edge, the engine's paged access pattern, so the
+/// storage access counters compare too.
+template <typename VData>
+class VirtualCsr final : public EdgeSet<VData> {
+ public:
+  VirtualCsr(GraphPtr graph, bool reversed)
+      : graph_(std::move(graph)), reversed_(reversed) {}
+
+  void ForOut(VertexId src, const VertexStore<VData>&,
+              const typename EdgeSet<VData>::OutFn& fn) const override {
+    const Graph& g = *graph_;
+    const auto nbrs = reversed_ ? g.InNeighbors(src) : g.OutNeighbors(src);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      fn(nbrs[i], Weight(src, i, /*out_edges=*/!reversed_));
+    }
+  }
+
+  void ForIn(VertexId dst, const VertexStore<VData>&,
+             const typename EdgeSet<VData>::InFn& fn) const override {
+    const Graph& g = *graph_;
+    const auto nbrs = reversed_ ? g.OutNeighbors(dst) : g.InNeighbors(dst);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (!fn(nbrs[i], Weight(dst, i, /*out_edges=*/reversed_))) return;
+    }
+  }
+
+  uint64_t OutDegreeHint(VertexId src) const override {
+    return reversed_ ? graph_->InDegree(src) : graph_->OutDegree(src);
+  }
+  bool is_subset_of_e() const override { return true; }
+  EdgeOrientation push_source() const override {
+    return reversed_ ? EdgeOrientation::kInEdges : EdgeOrientation::kOutEdges;
+  }
+  EdgeOrientation pull_source() const override {
+    return reversed_ ? EdgeOrientation::kOutEdges : EdgeOrientation::kInEdges;
+  }
+
+ private:
+  float Weight(VertexId v, size_t i, bool out_edges) const {
+    const Graph& g = *graph_;
+    if (!g.is_weighted()) return 1.0f;
+    return out_edges ? g.OutWeights(v)[i] : g.InWeights(v)[i];
+  }
+
+  GraphPtr graph_;
+  bool reversed_;
+};
+
+/// What one run of a program exposes: its answer, the frontier after every
+/// primitive, and the exact counters.
+struct ProgramRun {
+  std::vector<double> values;
+  std::vector<std::vector<VertexId>> frontiers;
+  Metrics metrics;
+};
+
+std::vector<VertexId> Members(const VertexSubset& U) {
+  std::vector<VertexId> ids;
+  U.ForEach([&](VertexId v) { ids.push_back(v); });
+  return ids;
+}
+
+struct ParentData {
+  VertexId parent = kInvalidVertex;
+  FLASH_FIELDS(parent)
+};
+
+/// BFS parents by EDGEMAP from vertex 0. C stops a target's in-edge scan
+/// once it has a parent, so a pull that ignored the early stop would both
+/// scan more edges and overwrite parents. `mode` picks pull or adaptive.
+ProgramRun RunParents(const GraphPtr& graph, RuntimeOptions options,
+                      EdgeMapMode mode, bool virtual_set) {
+  options.edgemap_mode = mode;
+  GraphApi<ParentData> fl(graph, options);
+  const EdgeSetPtr<ParentData> H =
+      virtual_set ? std::make_shared<VirtualCsr<ParentData>>(graph, false) : fl.E();
+  fl.VertexMap(fl.Single(0), CTrue, [](ParentData& d) { d.parent = 0; });
+  ProgramRun run;
+  VertexSubset frontier = fl.Single(0);
+  while (!frontier.Empty()) {
+    frontier = fl.EdgeMap(
+        frontier, H, CTrue,
+        [](const ParentData&, ParentData& d, VertexId sid, VertexId) {
+          d.parent = sid;
+        },
+        [](const ParentData& d) { return d.parent == kInvalidVertex; },
+        [](const ParentData& t, ParentData& d) {
+          d.parent = std::min(d.parent, t.parent);
+        });
+    run.frontiers.push_back(Members(frontier));
+  }
+  for (const ParentData& d : fl.GatherMasters()) run.values.push_back(d.parent);
+  run.metrics = fl.metrics();
+  return run;
+}
+
+struct DistData {
+  float dist = std::numeric_limits<float>::infinity();
+  FLASH_FIELDS(dist)
+};
+
+/// Weighted SSSP from vertex 0 by EDGEMAPSPARSE: dropped weights change
+/// every distance.
+ProgramRun RunDistances(const GraphPtr& graph, const RuntimeOptions& options,
+                        bool virtual_set) {
+  GraphApi<DistData> fl(graph, options);
+  const EdgeSetPtr<DistData> H =
+      virtual_set ? std::make_shared<VirtualCsr<DistData>>(graph, false) : fl.E();
+  fl.VertexMap(fl.Single(0), CTrue, [](DistData& d) { d.dist = 0; });
+  ProgramRun run;
+  VertexSubset frontier = fl.Single(0);
+  while (!frontier.Empty()) {
+    frontier = fl.EdgeMapSparse(
+        frontier, H,
+        [](const DistData& s, const DistData& d, VertexId, VertexId,
+           float w) { return s.dist + w < d.dist; },
+        [](const DistData& s, DistData& d, VertexId, VertexId, float w) {
+          d.dist = s.dist + w;
+        },
+        CTrue,
+        [](const DistData& t, DistData& d) { d.dist = std::min(d.dist, t.dist); });
+    run.frontiers.push_back(Members(frontier));
+  }
+  for (const DistData& d : fl.GatherMasters()) run.values.push_back(d.dist);
+  run.metrics = fl.metrics();
+  return run;
+}
+
+struct PullData {
+  double acc = 0;
+  FLASH_FIELDS(acc)
+};
+
+/// Three rounds of a weighted pull along reverse(E) over a sparse frontier:
+/// each target folds in its out-neighbors' ids, so a swapped direction or
+/// dropped weights change the sums.
+ProgramRun RunReversePull(const GraphPtr& graph, const RuntimeOptions& options,
+                          bool virtual_set) {
+  GraphApi<PullData> fl(graph, options);
+  const EdgeSetPtr<PullData> H =
+      virtual_set ? std::make_shared<VirtualCsr<PullData>>(graph, true) : fl.ReverseE();
+  ProgramRun run;
+  VertexSubset frontier = fl.VertexMap(
+      fl.V(), [](const PullData&, VertexId v) { return v % 3 == 0; });
+  for (int round = 0; round < 3; ++round) {
+    frontier = fl.EdgeMapDense(
+        frontier, H, CTrue,
+        [](const PullData& s, PullData& d, VertexId sid, VertexId, float w) {
+          d.acc += (s.acc + 1.0 + sid) * w;
+        },
+        CTrue);
+    run.frontiers.push_back(Members(frontier));
+  }
+  for (const PullData& d : fl.GatherMasters()) run.values.push_back(d.acc);
+  run.metrics = fl.metrics();
+  return run;
+}
+
+void ExpectSameRun(const ProgramRun& inline_run, const ProgramRun& virtual_run,
+                   const std::string& what) {
+  EXPECT_EQ(inline_run.values, virtual_run.values) << what;
+  EXPECT_EQ(inline_run.frontiers, virtual_run.frontiers) << what;
+  const Metrics& a = inline_run.metrics;
+  const Metrics& b = virtual_run.metrics;
+  EXPECT_EQ(a.supersteps, b.supersteps) << what;
+  EXPECT_EQ(a.dense_steps, b.dense_steps) << what;
+  EXPECT_EQ(a.sparse_steps, b.sparse_steps) << what;
+  EXPECT_EQ(a.edges_scanned, b.edges_scanned) << what;
+  EXPECT_EQ(a.bytes, b.bytes) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.storage.accesses, b.storage.accesses) << what;
+  EXPECT_EQ(a.storage.blocks_read, b.storage.blocks_read) << what;
+  EXPECT_EQ(a.storage.bytes_read, b.storage.bytes_read) << what;
+}
+
+TEST(InlineEdgeSets, MatchTheVirtualPathOnBothBackends) {
+  // Directed and weighted, so direction and weights both show in answers.
+  RmatOptions rmat;
+  rmat.scale = 9;
+  rmat.avg_degree = 8.0;
+  rmat.symmetrize = false;
+  rmat.weighted = true;
+  rmat.seed = 17;
+  GraphPtr mem = GenerateRmat(rmat).value();
+  TempBlockFile file(*mem, 4 << 10, "inline");
+  // Each run gets a fresh paged open, so every run starts from a cold cache.
+  auto graph_for = [&](bool paged) {
+    return paged ? OpenPagedGraph(file.path()).value() : mem;
+  };
+  for (const bool paged : {false, true}) {
+    for (const int threads : {1, 4}) {
+      RuntimeOptions options;
+      options.num_workers = 4;
+      options.threads_per_worker = 2;
+      options.host_threads = threads;
+      const std::string where = std::string(paged ? "paged" : "mem") +
+                                " host_threads=" + std::to_string(threads);
+      for (const EdgeMapMode mode : {EdgeMapMode::kPull, EdgeMapMode::kAdaptive}) {
+        const ProgramRun a = RunParents(graph_for(paged), options, mode, false);
+        const ProgramRun b = RunParents(graph_for(paged), options, mode, true);
+        ASSERT_GT(a.frontiers.size(), 2u);
+        ExpectSameRun(a, b, "parents " + where);
+      }
+      ExpectSameRun(RunDistances(graph_for(paged), options, false),
+                    RunDistances(graph_for(paged), options, true),
+                    "distances " + where);
+      ExpectSameRun(RunReversePull(graph_for(paged), options, false),
+                    RunReversePull(graph_for(paged), options, true),
+                    "reverse pull " + where);
+    }
   }
 }
 
