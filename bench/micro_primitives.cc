@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the FLASH primitives: VERTEXMAP,
 // EDGEMAPDENSE, EDGEMAPSPARSE, the adaptive dispatch, subset algebra, the
-// mirror-sync barrier, and the serialisation layer. Throughputs here feed
-// the cost-model calibration sanity checks.
+// mirror-sync barrier, the host pool's fork-join round trip, and the
+// serialisation layer. Throughputs here feed the cost-model calibration
+// sanity checks.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/harness/harness.h"
+#include "common/thread_pool.h"
 #include "core/api.h"
 #include "graph/generators.h"
 
@@ -123,6 +125,17 @@ void BM_Reduce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fl.NumVertices());
 }
 BENCHMARK(BM_Reduce);
+
+/// One empty fork-join round trip of the host pool: 16 no-op tasks at 4
+/// threads, the fixed cost every BSP phase pays before any work.
+void BM_PoolDispatch(benchmark::State& state) {
+  ThreadPool pool(4);
+  for (auto _ : state) {
+    pool.ParallelForWorkers(16, [](int i) { benchmark::DoNotOptimize(i); });
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolDispatch)->UseRealTime();
 
 struct WideData {
   uint32_t a = 1;

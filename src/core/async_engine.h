@@ -140,7 +140,7 @@ class AsyncEngine {
   /// Run()). The vertex state must already be initialised — typically by
   /// BSP VertexMap supersteps, whose commit barrier also synced mirrors.
   void Seed(VertexId v) {
-    const int w = api_.partition_.Owner(v);
+    const int w = api_.partition().Owner(v);
     Enqueue(w, v, prog_.Priority(api_.stores_[w].Current(v), v));
   }
 
@@ -356,7 +356,7 @@ class AsyncEngine {
     const Graph& graph = *api_.graph_;
     const bool weighted = graph.is_weighted();
     VertexStore<VData>& store = api_.stores_[w];
-    const Partition& partition = api_.partition_;
+    const Partition& partition = api_.partition();
     std::vector<WireLane>& lanes = lanes_[w];
     uint64_t edges = 0;
     Message msg;
@@ -440,7 +440,7 @@ class AsyncEngine {
         received_[channel] += ids.size();
         for (const WireId id : ids) {
           const VertexId v = static_cast<VertexId>(id);
-          FLASH_DCHECK(api_.partition_.Owner(v) == w);
+          FLASH_DCHECK(api_.partition().Owner(v) == w);
           const Message msg = reader.ReadPod<Message>();
           VData& d = store.DirectCurrent(v);
           if (prog_.Apply(msg, d, v)) {
@@ -511,7 +511,7 @@ class AsyncEngine {
       for (const VertexId v : touched) {
         uint64_t targets = broadcast
                                ? (all_workers_mask & ~(uint64_t{1} << w))
-                               : api_.partition_.MirrorMask(v);
+                               : api_.partition().MirrorMask(v);
         if (targets == 0) continue;
         enc.Clear();
         SerializeFields(api_.stores_[w].Current(v), mask, enc);

@@ -58,7 +58,7 @@ class GraphApi {
   explicit GraphApi(GraphPtr graph, RuntimeOptions options = RuntimeOptions{})
       : graph_(std::move(graph)),
         options_(options),
-        partition_(MakePartitionOrDie(graph_, options)),
+        partition_(SharedPartitionOrDie(graph_, options)),
         bus_(options.num_workers),
         // Every (worker, shard) task of a phase may run concurrently.
         pool_(HostThreadCount(options.num_workers * options.threads_per_worker,
@@ -130,7 +130,7 @@ class GraphApi {
 
   const Graph& graph() const { return *graph_; }
   GraphPtr graph_ptr() const { return graph_; }
-  const Partition& partition() const { return partition_; }
+  const Partition& partition() const { return *partition_; }
   const RuntimeOptions& options() const { return options_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
@@ -185,7 +185,7 @@ class GraphApi {
   std::vector<VData> GatherMasters() const {
     std::vector<VData> out(graph_->NumVertices());
     for (int w = 0; w < options_.num_workers; ++w) {
-      for (VertexId v : partition_.OwnedVertices(w)) {
+      for (VertexId v : partition_->OwnedVertices(w)) {
         out[v] = stores_[w].Current(v);
       }
     }
@@ -198,7 +198,7 @@ class GraphApi {
     std::vector<T> out(graph_->NumVertices());
     for (int w = 0; w < options_.num_workers; ++w) {
       internal::WorkerScope scope(w);
-      for (VertexId v : partition_.OwnedVertices(w)) {
+      for (VertexId v : partition_->OwnedVertices(w)) {
         out[v] = fn(stores_[w].Current(v), v);
       }
     }
@@ -208,11 +208,11 @@ class GraphApi {
   // --- vertexSubset constructors & auxiliary operators ----------------------
 
   VertexSubset V() const {
-    return VertexSubset::All(&partition_, graph_->NumVertices());
+    return VertexSubset::All(partition_.get(), graph_->NumVertices());
   }
-  VertexSubset None() const { return VertexSubset(&partition_); }
+  VertexSubset None() const { return VertexSubset(partition_.get()); }
   VertexSubset Single(VertexId v) const {
-    return VertexSubset::Single(&partition_, v);
+    return VertexSubset::Single(partition_.get(), v);
   }
 
   /// The SIZE primitive: |U|. Bills the all-reduce that a distributed SIZE
@@ -358,11 +358,11 @@ class GraphApi {
     auto scan = [&](const auto& for_in) {
       RunWorkerShards(
           "dense:scan",
-          [&](int w) { return partition_.OwnedVertices(w).size(); },
+          [&](int w) { return partition_->OwnedVertices(w).size(); },
           [&](int w, int s, size_t lo, size_t hi) {
             Timer task_timer;
             VertexStore<VData>& store = stores_[w];
-            const auto& targets = partition_.OwnedVertices(w);
+            const auto& targets = partition_->OwnedVertices(w);
             const int t = w * shards + s;
             TaskScratch& task = task_scratch_[t];
             uint64_t edges = 0;
@@ -408,7 +408,7 @@ class GraphApi {
     RunPerWorker("dense:merge", [&](int w) {
       Timer merge_timer;
       MergeTaskLists(w);
-      worker_tally[w].verts = partition_.OwnedVertices(w).size();
+      worker_tally[w].verts = partition_->OwnedVertices(w).size();
       worker_tally[w].seconds = merge_timer.Seconds();
     });
     FoldTallies(task_tally, shards, worker_tally, sample);
@@ -465,6 +465,7 @@ class GraphApi {
             VertexStore<VData>& store = stores_[w];
             const auto& frontier = U.Owned(w);
             TaskScratch& task = task_scratch_[w * shards + s];
+            const Partition& part = *partition_;
             uint64_t edges = 0;
             VData tmp;
             for (size_t i = lo; i < hi; ++i) {
@@ -479,7 +480,7 @@ class GraphApi {
                 }
                 tmp = dcur;
                 internal::InvokeEdgeM(m, scur, tmp, u, dst, weight);
-                int owner = partition_.Owner(dst);
+                int owner = part.Owner(dst);
                 if (owner == w) {
                   task.pending.push_back({dst, tmp});
                   return;
@@ -596,7 +597,7 @@ class GraphApi {
       const size_t n = recv.ids.size();
       for (size_t i = 0; i < n; ++i) {
         const VertexId v = recv.ids[i];
-        FLASH_DCHECK(partition_.Owner(v) == w);
+        FLASH_DCHECK(partition_->Owner(v) == w);
         bool first = !store.IsDirty(v);
         VData& next = store.MutableNext(v, scratch.dirty);
         r(recv.values[i], next);
@@ -833,10 +834,10 @@ class GraphApi {
     }
   }
 
-  static Partition MakePartitionOrDie(const GraphPtr& graph,
-                                      const RuntimeOptions& options) {
+  static std::shared_ptr<const Partition> SharedPartitionOrDie(
+      const GraphPtr& graph, const RuntimeOptions& options) {
     auto result =
-        Partition::Create(graph, options.num_workers, options.partition);
+        Partition::ForGraph(graph, options.num_workers, options.partition);
     FLASH_CHECK(result.ok()) << result.status().ToString();
     return std::move(result).value();
   }
@@ -1163,7 +1164,7 @@ class GraphApi {
         ++committed;
         uint64_t targets = broadcast
                                ? (all_workers_mask & ~(uint64_t{1} << w))
-                               : partition_.MirrorMask(v);
+                               : partition_->MirrorMask(v);
         if (!log_recovery && targets == 0) return;
         enc.Clear();
         SerializeFieldsSegmented(value, encode_mask, enc, bounds);
@@ -1261,7 +1262,7 @@ class GraphApi {
 
     if (ckpt_ != nullptr) last_frontier_ = out;  // For the next snapshot.
     VertexSubset result =
-        VertexSubset::FromWorkerLists(&partition_, std::move(out));
+        VertexSubset::FromWorkerLists(partition_.get(), std::move(out));
     sample.frontier_out = static_cast<uint32_t>(result.TotalSize());
     metrics_.AddStep(sample, options_.record_steps);
     if (storage_paged_) {
@@ -1431,7 +1432,8 @@ class GraphApi {
 
   GraphPtr graph_;
   RuntimeOptions options_;
-  Partition partition_;
+  // Shared with every other engine over this graph (Partition::ForGraph).
+  std::shared_ptr<const Partition> partition_;
   MessageBus bus_;
   ThreadPool pool_;
   std::vector<VertexStore<VData>> stores_;

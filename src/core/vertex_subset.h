@@ -20,8 +20,10 @@ namespace flash {
 /// that exchange when it triggers materialisation.
 ///
 /// Per-worker id lists are kept sorted and unique; set algebra is linear
-/// merges. Subsets reference the Partition that created them and must not
-/// outlive their GraphApi.
+/// merges. The "all" subset (GraphApi::V()) is a flag: its lists are the
+/// partition's owned-vertex lists, read in place, never copied. Subsets
+/// reference the Partition that created them, which lives as long as the
+/// Graph (Partition::ForGraph), so they must not outlive their Graph.
 class VertexSubset {
  public:
   VertexSubset() = default;
@@ -31,12 +33,11 @@ class VertexSubset {
       : partition_(partition),
         per_worker_(partition->num_workers()) {}
 
-  /// Subset containing every vertex.
+  /// Subset containing every vertex: a flag over the partition's owned
+  /// lists, O(workers) to build.
   static VertexSubset All(const Partition* partition, VertexId num_vertices) {
     VertexSubset s(partition);
-    for (int w = 0; w < partition->num_workers(); ++w) {
-      s.per_worker_[w] = partition->OwnedVertices(w);
-    }
+    s.all_ = true;
     s.size_ = num_vertices;
     return s;
   }
@@ -80,19 +81,20 @@ class VertexSubset {
   /// Ids of set members owned by worker w, ascending.
   const std::vector<VertexId>& Owned(int w) const {
     FLASH_DCHECK(partition_ != nullptr);
-    return per_worker_[w];
+    return all_ ? partition_->OwnedVertices(w) : per_worker_[w];
   }
 
   /// Membership test (binary search on the owner's list).
   bool Contains(VertexId v) const {
     if (partition_ == nullptr) return false;
-    const auto& list = per_worker_[partition_->Owner(v)];
+    const auto& list = Owned(partition_->Owner(v));
     return std::binary_search(list.begin(), list.end(), v);
   }
 
   /// Inserts v (no-op if present). Invalidates the dense cache.
   void Add(VertexId v) {
     FLASH_DCHECK(partition_ != nullptr);
+    if (all_) return;  // Already a member.
     auto& list = per_worker_[partition_->Owner(v)];
     auto it = std::lower_bound(list.begin(), list.end(), v);
     if (it != list.end() && *it == v) return;
@@ -104,8 +106,8 @@ class VertexSubset {
   /// Calls fn(v) for every member, worker by worker, ascending within each.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& list : per_worker_) {
-      for (VertexId v : list) fn(v);
+    for (size_t w = 0; w < per_worker_.size(); ++w) {
+      for (VertexId v : Owned(static_cast<int>(w))) fn(v);
     }
   }
 
@@ -117,9 +119,7 @@ class VertexSubset {
   const Bitset& EnsureDense(VertexId num_vertices) const {
     if (!dense_valid_ || dense_.size() != num_vertices) {
       dense_ = Bitset(num_vertices);
-      for (const auto& list : per_worker_) {
-        for (VertexId v : list) dense_.Set(v);
-      }
+      ForEach([this](VertexId v) { dense_.Set(v); });
       dense_valid_ = true;
     }
     return dense_;
@@ -164,14 +164,17 @@ class VertexSubset {
     VertexSubset out(a.partition_);
     out.size_ = 0;
     for (size_t w = 0; w < a.per_worker_.size(); ++w) {
-      merge(a.per_worker_[w], b.per_worker_[w], out.per_worker_[w]);
+      const int wi = static_cast<int>(w);
+      merge(a.Owned(wi), b.Owned(wi), out.per_worker_[w]);
       out.size_ += out.per_worker_[w].size();
     }
     return out;
   }
 
   const Partition* partition_ = nullptr;
+  // Empty lists when all_: Owned(w) then reads the partition's list.
   std::vector<std::vector<VertexId>> per_worker_;
+  bool all_ = false;
   size_t size_ = 0;
   mutable Bitset dense_;
   mutable bool dense_valid_ = false;

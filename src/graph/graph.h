@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -33,6 +34,8 @@ inline bool operator==(const Edge& a, const Edge& b) {
 
 class Graph;
 using GraphPtr = std::shared_ptr<const Graph>;
+class Partition;
+enum class PartitionScheme;
 
 /// Immutable directed property graph in CSR form, with both out- and
 /// in-adjacency so that pull-mode (EDGEMAPDENSE) and `reverse(E)` edge sets
@@ -49,6 +52,10 @@ using GraphPtr = std::shared_ptr<const Graph>;
 ///
 /// Undirected graphs are represented symmetrically (each undirected edge is
 /// stored in both directions) and flag is_symmetric().
+///
+/// The graph also owns the partitions built over it (Partition::ForGraph):
+/// one per (worker count, scheme), built on first use and freed with the
+/// graph, so every engine pass over one graph shares a single partition.
 class Graph {
  public:
   Graph();
@@ -157,6 +164,8 @@ class Graph {
   }
 
  private:
+  friend class Partition;  // Partition::ForGraph fills partitions_.
+
   /// Refreshes the raw-pointer fast path from storage_.
   void CacheStoragePointers();
 
@@ -176,6 +185,16 @@ class Graph {
   const VertexId* in_src_ = nullptr;
   const float* out_w_ = nullptr;
   const float* in_w_ = nullptr;
+
+  // Memoised partitions, one per (workers, scheme). Logically const: they
+  // are derived from the immutable adjacency.
+  struct PartitionSlot {
+    int workers;
+    PartitionScheme scheme;
+    std::shared_ptr<const Partition> partition;
+  };
+  mutable std::mutex partitions_mu_;
+  mutable std::vector<PartitionSlot> partitions_;
 };
 
 /// Options controlling GraphBuilder::Build.

@@ -40,6 +40,25 @@ Result<Partition> Partition::Create(const GraphPtr& graph, int num_workers,
   return part;
 }
 
+Result<std::shared_ptr<const Partition>> Partition::ForGraph(
+    const GraphPtr& graph, int num_workers, PartitionScheme scheme) {
+  if (graph == nullptr) {
+    return Status::InvalidArgument("null graph");
+  }
+  std::lock_guard<std::mutex> lock(graph->partitions_mu_);
+  for (const Graph::PartitionSlot& slot : graph->partitions_) {
+    if (slot.workers == num_workers && slot.scheme == scheme) {
+      return slot.partition;
+    }
+  }
+  auto created = Create(graph, num_workers, scheme);
+  if (!created.ok()) return created.status();
+  auto shared =
+      std::make_shared<const Partition>(std::move(created).value());
+  graph->partitions_.push_back({num_workers, scheme, shared});
+  return shared;
+}
+
 uint64_t Partition::TotalMirrors() const {
   uint64_t total = 0;
   for (uint64_t mask : mirror_masks_) {

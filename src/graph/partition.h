@@ -2,6 +2,7 @@
 #define FLASH_GRAPH_PARTITION_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -35,6 +36,13 @@ class Partition {
   /// workers.
   static Result<Partition> Create(const GraphPtr& graph, int num_workers,
                                   PartitionScheme scheme = PartitionScheme::kHash);
+
+  /// The partition of `graph` for (num_workers, scheme), shared by every
+  /// caller: built by Create on first use, then memoised in the graph and
+  /// freed with it. Thread-safe.
+  static Result<std::shared_ptr<const Partition>> ForGraph(
+      const GraphPtr& graph, int num_workers,
+      PartitionScheme scheme = PartitionScheme::kHash);
 
   int num_workers() const { return num_workers_; }
   PartitionScheme scheme() const { return scheme_; }

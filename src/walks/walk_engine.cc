@@ -70,9 +70,9 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   if (num_walkers == 0) return result;
   if (ppr) FLASH_CHECK(spec.ppr_source < n) << "walk source out of range";
 
-  auto part_result = Partition::Create(graph_, m, options_.partition);
+  auto part_result = Partition::ForGraph(graph_, m, options_.partition);
   FLASH_CHECK(part_result.ok()) << part_result.status().ToString();
-  const Partition part = std::move(part_result).value();
+  const Partition& part = *part_result.value();
 
   // Observability: the caller's tracer, or a private one the result owns.
   if (options_.trace) {
@@ -123,6 +123,7 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
     if (spec.record_traces) result.traces[i].push_back(start);
   }
   result.metrics.walks.walkers = num_walkers;
+  for (int w = 0; w < m; ++w) next_pools[w].reserve(pools[w].size());
 
   const double inv_p = 1.0 / options_.node2vec_p;
   const double inv_q = 1.0 / options_.node2vec_q;
@@ -356,7 +357,9 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
       ws.rejections += wt.rejections;
       wt = WalkTally{};
       task_tally[w] = StepTally{};
-      pools[w] = std::move(next_pools[w]);
+      // Swap rather than move: both pools keep their capacity, so no step
+      // regrows a walker vector on whichever pool thread runs it.
+      pools[w].swap(next_pools[w]);
       next_pools[w].clear();
     }
     ws.frame_bytes += sample.bytes_total;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -227,6 +229,75 @@ TEST(ThreadPool, SingleThreadRunsInlineInIndexOrder) {
     order.push_back(i);
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+// The pool's barrier spins for tens of microseconds and then parks on a
+// condition variable; these tests drive both sides of that protocol.
+
+TEST(ThreadPool, ParkedThreadsWakeForTheNextCall) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  for (int round = 0; round < 4; ++round) {
+    pool.ParallelForWorkers(64, [&](int i) { hits[i]++; });
+    // Far past the spin budget: every idle thread has parked by the time
+    // the next call publishes its task.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  for (auto& h : hits) EXPECT_EQ(h.load(), 4);
+}
+
+TEST(ThreadPool, CallerParksUntilASlowTaskFinishes) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> finished{0};
+    pool.ParallelForWorkers(3, [&](int i) {
+      // Longer than the spin budget, so the caller's join parks.
+      if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished++;
+    });
+    EXPECT_EQ(finished.load(), 3) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, BackToBackCallsReturnOnlyAfterEveryIndex) {
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 100000;
+  const int counts[] = {1, 2, kThreads, 3 * kThreads};
+  ThreadPool pool(kThreads);
+  std::vector<std::atomic<int>> hits(3 * kThreads);
+  for (int call = 0; call < kCalls; ++call) {
+    const int count = counts[call % 4];
+    std::atomic<int> finished{0};
+    pool.ParallelForWorkers(count, [&](int i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(finished.load(), count) << "call " << call;
+  }
+  for (int i = 0; i < 3 * kThreads; ++i) {
+    int expected = 0;
+    for (int count : counts) expected += count > i ? kCalls / 4 : 0;
+    EXPECT_EQ(hits[i].load(), expected) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, DestructionJoinsPromptlyWhetherThreadsParkOrSpin) {
+  using Clock = std::chrono::steady_clock;
+  for (const bool parked : {true, false}) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<int> ran{0};
+    pool->ParallelForWorkers(8, [&](int) { ran++; });
+    if (parked) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto start = Clock::now();
+    pool.reset();
+    EXPECT_LT(Clock::now() - start, std::chrono::seconds(1))
+        << (parked ? "parked" : "spinning");
+    EXPECT_EQ(ran.load(), 8);
+  }
+  // Never used: the threads are still in their first spin.
+  const auto start = Clock::now();
+  { ThreadPool idle(4); }
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
 }
 
 // --- Rng ---------------------------------------------------------------------

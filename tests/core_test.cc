@@ -78,6 +78,77 @@ TEST(VertexSubset, DenseBitmapMatchesMembers) {
   EXPECT_FALSE(bits.Test(14));
 }
 
+TEST(VertexSubset, FlagOnlyAllMatchesTheCopiedLists) {
+  // V() is a flag over the partition's owned lists; `copied` is the same
+  // set built from copies of those lists, the old representation.
+  auto graph = GenerateErdosRenyi(200, 800, true, 5).value();
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kHash, PartitionScheme::kChunk}) {
+    RuntimeOptions options = Workers(3);
+    options.partition = scheme;
+    GraphApi<Data> fl(graph, options);
+    const VertexSubset all = fl.V();
+    std::vector<std::vector<VertexId>> lists;
+    for (int w = 0; w < 3; ++w) {
+      lists.push_back(fl.partition().OwnedVertices(w));
+      EXPECT_EQ(&all.Owned(w), &fl.partition().OwnedVertices(w))
+          << "V() must read the partition's list in place";
+    }
+    const VertexSubset copied =
+        VertexSubset::FromWorkerLists(&fl.partition(), lists);
+    auto same = [](const VertexSubset& a, const VertexSubset& b) {
+      if (a.TotalSize() != b.TotalSize()) return false;
+      for (int w = 0; w < 3; ++w) {
+        if (a.Owned(w) != b.Owned(w)) return false;
+      }
+      return true;
+    };
+    EXPECT_TRUE(same(all, copied));
+    VertexSubset odd = fl.None();
+    for (VertexId v = 1; v < 200; v += 7) odd.Add(v);
+    const VertexSubset* others[] = {&odd, &copied};
+    for (const VertexSubset* other : others) {
+      EXPECT_TRUE(same(fl.Union(all, *other), fl.Union(copied, *other)));
+      EXPECT_TRUE(same(fl.Union(*other, all), fl.Union(*other, copied)));
+      EXPECT_TRUE(same(fl.Minus(all, *other), fl.Minus(copied, *other)));
+      EXPECT_TRUE(same(fl.Minus(*other, all), fl.Minus(*other, copied)));
+      EXPECT_TRUE(
+          same(fl.Intersect(all, *other), fl.Intersect(copied, *other)));
+    }
+    for (VertexId v = 0; v < 200; ++v) {
+      EXPECT_EQ(all.Contains(v), copied.Contains(v)) << v;
+    }
+    const Bitset& dense = all.EnsureDense(200);
+    EXPECT_EQ(dense.Count(), 200u);
+    for (VertexId v = 0; v < 200; ++v) {
+      EXPECT_EQ(dense.Test(v), copied.EnsureDense(200).Test(v)) << v;
+    }
+    // Add on "all" is a no-op: every vertex is already a member.
+    VertexSubset grown = fl.V();
+    grown.Add(17);
+    EXPECT_TRUE(same(grown, copied));
+    std::vector<VertexId> visited;
+    all.ForEach([&](VertexId v) { visited.push_back(v); });
+    std::vector<VertexId> expected;
+    copied.ForEach([&](VertexId v) { expected.push_back(v); });
+    EXPECT_EQ(visited, expected);
+  }
+}
+
+TEST(VertexSubset, SubsetsOutliveTheirEngineButNotTheGraph) {
+  // The partition belongs to the graph, so a subset stays valid after the
+  // GraphApi that made it is gone.
+  auto graph = MakePath(12).value();
+  VertexSubset all;
+  {
+    GraphApi<Data> fl(graph, Workers(4));
+    all = fl.V();
+  }
+  EXPECT_EQ(all.TotalSize(), 12u);
+  EXPECT_TRUE(all.Contains(11));
+  EXPECT_EQ(all.Owned(3).size(), 3u);
+}
+
 // --- VERTEXMAP ---------------------------------------------------------------
 
 TEST(VertexMap, FilterSemantics) {

@@ -25,7 +25,9 @@
 #include "graph/io.h"
 #include "graph/paged_storage.h"
 #include "graph/storage.h"
+#include "serving/server.h"
 #include "tests/test_util.h"
+#include "walks/walk_engine.h"
 
 namespace flash {
 namespace {
@@ -809,6 +811,145 @@ TEST(InlineEdgeSets, MatchTheVirtualPathOnBothBackends) {
       ExpectSameRun(RunReversePull(graph_for(paged), options, false),
                     RunReversePull(graph_for(paged), options, true),
                     "reverse pull " + where);
+    }
+  }
+}
+
+// --- One partition per (graph, workers, scheme) ----------------------------
+
+TEST(SharedPartition, OnePerGraphWorkerCountAndScheme) {
+  GraphPtr graph = MakePath(40).value();
+  RuntimeOptions options;
+  options.num_workers = 4;
+  GraphApi<PullData> a(graph, options);
+  GraphApi<PullData> b(graph, options);
+  EXPECT_EQ(&a.partition(), &b.partition());
+  EXPECT_EQ(Partition::ForGraph(graph, 4).value().get(), &a.partition());
+
+  options.num_workers = 3;
+  GraphApi<PullData> fewer(graph, options);
+  EXPECT_NE(&fewer.partition(), &a.partition());
+  EXPECT_EQ(fewer.partition().num_workers(), 3);
+
+  options.num_workers = 4;
+  options.partition = PartitionScheme::kChunk;
+  GraphApi<PullData> chunk(graph, options);
+  EXPECT_NE(&chunk.partition(), &a.partition());
+  EXPECT_EQ(chunk.partition().scheme(), PartitionScheme::kChunk);
+  EXPECT_EQ(&GraphApi<PullData>(graph, options).partition(), &chunk.partition());
+
+  // Memoised per graph object, not per adjacency: a second graph with the
+  // same edges builds its own.
+  GraphPtr twin = MakePath(40).value();
+  EXPECT_NE(Partition::ForGraph(twin, 4).value().get(), &a.partition());
+
+  EXPECT_FALSE(Partition::ForGraph(graph, 0).ok());
+  EXPECT_FALSE(Partition::ForGraph(graph, 65).ok());
+  EXPECT_FALSE(Partition::ForGraph(nullptr, 2).ok());
+}
+
+/// Everything a walk run and a serving burst report, for exact comparison.
+struct SurfaceRun {
+  std::vector<uint64_t> visits;
+  WalkStats walks;
+  uint64_t walk_bytes = 0;
+  uint64_t walk_messages = 0;
+  std::vector<std::pair<uint64_t, double>> answers;
+  uint64_t passes = 0;
+  Metrics serve;
+  StorageStats storage;          // Backend totals after both surfaces.
+  uint64_t surface_accesses = 0; // Accesses made by the surfaces alone.
+};
+
+SurfaceRun RunSurfaces(const GraphPtr& graph, int host_threads) {
+  RuntimeOptions options;
+  options.num_workers = 4;
+  options.host_threads = host_threads;
+  options.num_walkers = 1500;
+  options.walk_length = 6;
+  SurfaceRun run;
+  const uint64_t before = graph->storage()->stats().accesses;
+
+  walks::WalkSpec spec;
+  spec.seed = 5;
+  walks::WalkResult walk = walks::WalkEngine(graph, options).Run(spec);
+  run.visits = walk.visits;
+  run.walks = walk.metrics.walks;
+  run.walk_bytes = walk.metrics.bytes;
+  run.walk_messages = walk.metrics.messages;
+
+  // Narrow batches, so one burst runs several engine passes.
+  serving::ServerOptions server_options;
+  server_options.scheduler.batch_window = 4;
+  serving::Server server(graph, options, server_options);
+  const VertexId n = graph->NumVertices();
+  for (uint32_t i = 0; i < 24; ++i) {
+    serving::Query q;
+    q.kind = i % 3 == 0 ? serving::QueryKind::kKHop
+                        : serving::QueryKind::kBfsDistance;
+    q.source = (i * 37) % n;
+    q.target = (i * 53 + 11) % n;
+    q.k = 2;
+    EXPECT_TRUE(server.Submit(q, 0.0).ok());
+  }
+  server.Drain();
+  for (const serving::Answer& a : server.answers()) {
+    run.answers.push_back({a.query_id, a.value});
+  }
+  run.passes = server.stats().engine_passes;
+  run.serve = server.stats().engine_metrics;
+  run.storage = graph->storage()->stats();
+  run.surface_accesses = run.storage.accesses - before;
+  return run;
+}
+
+TEST(SharedPartition, WalksAndServingPassesReuseItWithUnchangedCounters) {
+  auto make_mem = [] {
+    RmatOptions rmat;
+    rmat.scale = 9;
+    rmat.avg_degree = 8.0;
+    rmat.symmetrize = true;
+    rmat.seed = 23;
+    return GenerateRmat(rmat).value();
+  };
+  TempBlockFile file(*make_mem(), 4 << 10, "shared_partition");
+  // A new graph object: no partition memoised yet, cold cache when paged.
+  auto fresh = [&](bool paged) {
+    return paged ? OpenPagedGraph(file.path()).value() : make_mem();
+  };
+  for (const bool paged : {false, true}) {
+    // What one partition build costs the backend: a scan of every out-list.
+    GraphPtr probe = fresh(paged);
+    ASSERT_TRUE(Partition::Create(probe, 4).ok());
+    const uint64_t scan = probe->storage()->stats().accesses;
+    EXPECT_EQ(scan > 0, paged);
+    for (const int threads : {1, 4}) {
+      const std::string where = std::string(paged ? "paged" : "mem") +
+                                " host_threads=" + std::to_string(threads);
+      // Fresh: the walk builds the partition, every later pass reuses it.
+      const SurfaceRun cold = RunSurfaces(fresh(paged), threads);
+      // Shared: the partition exists before either surface runs.
+      GraphPtr graph = fresh(paged);
+      const Partition* shared = Partition::ForGraph(graph, 4).value().get();
+      const SurfaceRun warm = RunSurfaces(graph, threads);
+      EXPECT_EQ(Partition::ForGraph(graph, 4).value().get(), shared) << where;
+
+      ASSERT_GE(warm.passes, 4u) << where;
+      EXPECT_EQ(warm.visits, cold.visits) << where;
+      EXPECT_EQ(warm.walks, cold.walks) << where;
+      EXPECT_EQ(warm.walk_bytes, cold.walk_bytes) << where;
+      EXPECT_EQ(warm.walk_messages, cold.walk_messages) << where;
+      EXPECT_EQ(warm.answers, cold.answers) << where;
+      EXPECT_EQ(warm.passes, cold.passes) << where;
+      EXPECT_EQ(warm.serve.supersteps, cold.serve.supersteps) << where;
+      EXPECT_EQ(warm.serve.edges_scanned, cold.serve.edges_scanned) << where;
+      EXPECT_EQ(warm.serve.bytes, cold.serve.bytes) << where;
+      EXPECT_EQ(warm.serve.messages, cold.serve.messages) << where;
+      // The same operations in the same order reach the backend, and the
+      // one build happened before the surfaces (warm) or inside the walk
+      // (cold): no pass of either run scanned the graph again.
+      EXPECT_EQ(warm.storage, cold.storage) << where;
+      EXPECT_EQ(warm.surface_accesses + scan, cold.surface_accesses) << where;
     }
   }
 }
