@@ -1,24 +1,28 @@
 // Random-walk engine throughput: FlashMob-style batched-by-vertex walkers
 // against the naive per-walker baseline (arrival-order advance, one wire
 // frame per shipped walker), on both storage backends. The batched mode
-// sorts each worker's walker pool by current vertex each step — sequential
+// keeps each worker's walker pool sorted by current vertex — sequential
 // adjacency reads, one span fetch per distinct vertex, one checksummed
 // frame per channel — which is where walk engines get their throughput
 // (FlashMob, SOSP'21); the naive baseline pays a span fetch, a frame
-// header, an FNV digest, and the allocator per walker.
+// header, an FNV digest, and the allocator per walker. Both modes produce
+// bit-identical traces and visit counters (the walks_test sweep asserts
+// it).
 //
-// Gate (exit 1 on failure): batched modelled walkers/sec must be at least
-// FLASH_BENCH_WALK_GATE (default 5.0) times the naive baseline on the
-// in-memory backend. The gate prices each mode's deterministic step
-// counters through the cost model on the paper cluster (counter-only, like
-// storage_tier.cc: measured comp_* stripped so the number is bit-stable),
-// because the win batching buys — one frame dispatch per channel instead
-// of one per migrating walker, and 3x fewer wire bytes — lives in the
-// network, which a single-host run cannot exhibit: here both modes walk
-// the same cache-resident adjacency and wall-clock lands near 1x. Both
-// modes produce bit-identical traces and visit counters (the walks_test
-// sweep asserts it), so modelled cost is the only difference. Wall-clock
-// is still measured and reported for reference.
+// Two gates (exit 1 if either fails):
+//  - modelled, in-memory backend: batched modelled walkers/sec at least
+//    FLASH_BENCH_WALK_GATE (default 5.0) times the naive baseline. Each
+//    mode's deterministic step counters are priced through the cost model
+//    on the paper cluster (counter-only, like storage_tier.cc: measured
+//    comp_* stripped so the number is bit-stable). Most of this win — one
+//    frame dispatch per channel instead of one per migrating walker, and
+//    3x fewer wire bytes — lives in the network, which one host cannot
+//    exhibit.
+//  - measured, both backends: batched wall-clock (min of kWallRuns runs)
+//    no slower than naive. On one host the batched mode wins because it
+//    reorders walkers with a counting scatter, per-group radix sorts and a
+//    merge of sorted runs, never a comparison sort of a whole pool, and
+//    reads each adjacency list once per vertex rather than once per walker.
 //
 // Emits out/BENCH_random_walk.json. Knobs (env):
 //   FLASH_BENCH_SCALE       graph scale (default 0.25); the vertex floor
@@ -39,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "bench/harness/harness.h"
 #include "common/logging.h"
@@ -67,8 +72,11 @@ double EnvDouble(const char* name, double fallback) {
   return value != nullptr ? std::atof(value) : fallback;
 }
 
+// Wall-clock runs per mode; the gate compares the minimum of each.
+constexpr int kWallRuns = 3;
+
 struct WalkPoint {
-  double seconds = 0;           // Measured wall-clock (reference only).
+  double seconds = 0;           // Measured wall-clock, min of kWallRuns.
   double walkers_per_sec = 0;
   double modeled_seconds = 0;   // Counter-only paper-cluster price (gated).
   double modeled_walkers_per_sec = 0;
@@ -90,29 +98,39 @@ double CounterOnlyModeled(flash::Metrics metrics, int workers) {
   return flash::ModelTime(metrics, config).total;
 }
 
-WalkPoint TimeWalk(const GraphPtr& graph, const RuntimeOptions& options,
-                   bool batch_by_vertex) {
+/// One timed run of `point`'s mode; the first run's result is the point's.
+void TimeWalk(const GraphPtr& graph, const RuntimeOptions& options,
+              bool batch_by_vertex, WalkPoint& point) {
   WalkEngine engine(graph, options);
   WalkSpec spec;
   spec.kind = flash::walks::WalkKind::kUniform;
   spec.seed = 42;
   spec.batch_by_vertex = batch_by_vertex;
   spec.record_traces = false;  // Throughput of the engine, not the corpus.
-  WalkPoint point;
   flash::Timer timer;
-  point.result = engine.Run(spec);
-  point.seconds = timer.Seconds();
+  WalkResult result = engine.Run(spec);
+  const double seconds = timer.Seconds();
+  if (point.seconds > 0) {
+    FLASH_CHECK(result.visits == point.result.visits)
+        << "a repeated walk diverged";
+    point.seconds = std::min(point.seconds, seconds);
+  } else {
+    point.result = std::move(result);
+    point.seconds = seconds;
+  }
+}
+
+/// Throughputs of a point once its runs are in.
+void Rate(WalkPoint& point, int workers) {
   const auto& walks = point.result.metrics.walks;
   const uint64_t advances = walks.walker_steps + walks.terminations;
   point.walkers_per_sec =
       point.seconds > 0 ? static_cast<double>(advances) / point.seconds : 0;
-  point.modeled_seconds =
-      CounterOnlyModeled(point.result.metrics, options.num_workers);
+  point.modeled_seconds = CounterOnlyModeled(point.result.metrics, workers);
   point.modeled_walkers_per_sec =
       point.modeled_seconds > 0
           ? static_cast<double>(advances) / point.modeled_seconds
           : 0;
-  return point;
 }
 
 }  // namespace
@@ -153,18 +171,29 @@ int main() {
   flash::bench::BenchReport report("random_walk");
   bool gate_ok = true;
   double gate_ratio = 0;
+  bool wall_gate_ok = true;
 
   for (const bool use_paged : {false, true}) {
     const GraphPtr& graph = use_paged ? paged : mem;
     const char* backend = use_paged ? "paged" : "mem";
-    const WalkPoint batched = TimeWalk(graph, options, /*batch=*/true);
-    const WalkPoint naive = TimeWalk(graph, options, /*batch=*/false);
+    // Alternate the modes, so both see the same host noise and, on the
+    // paged backend, the same cache state from the second run on. The
+    // modelled numbers come from each mode's first run.
+    WalkPoint batched;
+    WalkPoint naive;
+    for (int run = 0; run < kWallRuns; ++run) {
+      TimeWalk(graph, options, /*batch=*/true, batched);
+      TimeWalk(graph, options, /*batch=*/false, naive);
+    }
+    Rate(batched, workers);
+    Rate(naive, workers);
 
     // The two modes must agree on the exact counters before their speeds
     // are comparable at all.
     FLASH_CHECK(batched.result.visits == naive.result.visits)
         << "batched and naive walks diverged on " << backend;
 
+    const bool wall_ok = batched.seconds <= naive.seconds;
     const double wall_speedup =
         naive.walkers_per_sec > 0
             ? batched.walkers_per_sec / naive.walkers_per_sec
@@ -203,12 +232,15 @@ int main() {
                {{"batched_over_naive", modeled_speedup},
                 {"wall_batched_over_naive", wall_speedup},
                 {"gate_threshold", gate},
-                {"gate_pass", modeled_speedup >= gate ? 1.0 : 0.0}});
+                {"gate_pass", modeled_speedup >= gate ? 1.0 : 0.0},
+                {"wall_gate_pass", wall_ok ? 1.0 : 0.0}});
     std::printf("%-5s batched %.3fs (model %.3fs)  naive %.3fs "
-                "(model %.3fs)  modelled speedup %.2fx  wall %.2fx\n",
+                "(model %.3fs)  modelled speedup %.2fx  wall %.2fx "
+                "(min of %d)\n",
                 backend, batched.seconds, batched.modeled_seconds,
                 naive.seconds, naive.modeled_seconds, modeled_speedup,
-                wall_speedup);
+                wall_speedup, kWallRuns);
+    if (!wall_ok) wall_gate_ok = false;
 
     if (!use_paged) {
       gate_ratio = modeled_speedup;
@@ -223,7 +255,10 @@ int main() {
     std::fprintf(stderr,
                  "random_walk: batched/naive gate failed (%.2fx < %.2fx)\n",
                  gate_ratio, gate);
-    return 1;
   }
-  return 0;
+  if (!wall_gate_ok) {
+    std::fprintf(stderr,
+                 "random_walk: batched mode slower than naive in wall-clock\n");
+  }
+  return gate_ok && wall_gate_ok ? 0 : 1;
 }

@@ -45,10 +45,14 @@ struct WalkSpec {
   VertexId ppr_source = 0;
 
   /// FlashMob-style by-vertex shuffle + one frame per channel (the fast
-  /// path). Off is the naive per-walker baseline the bench gates against:
-  /// walkers advance in arrival order and every cross-partition walker
-  /// ships as its own frame. Traces and visit counters are bit-identical
-  /// either way; only the shuffle/byte/message accounting and speed differ.
+  /// path): pools stay sorted by (current vertex, walker id), each step runs
+  /// threads_per_worker shard tasks per worker and reorders walkers with a
+  /// counting scatter into vertex groups, a radix sort per group and a
+  /// merge of sorted runs. Off is the naive per-walker baseline the bench
+  /// gates against: one task per worker, walkers advance in arrival order
+  /// and every cross-partition walker ships as its own frame. Traces and
+  /// visit counters are bit-identical either way; only the
+  /// shuffle/byte/message accounting and speed differ.
   bool batch_by_vertex = true;
 
   /// Record every walker's full vertex sequence (the DeepWalk corpus).
@@ -80,20 +84,24 @@ struct WalkResult {
 ///
 /// Execution is synchronous, one barrier per walk step, mirroring the BSP
 /// superstep protocol: walker state lives in per-worker pools (a walker is
-/// pooled at the worker owning its current vertex); each step optionally
-/// sorts the pool by current vertex so adjacency reads are sequential and
-/// block-friendly (FlashMob), advances every live walker with a
-/// counter-based PRNG draw keyed (seed, walker_id, step), and ships
+/// pooled at the worker owning its current vertex). In batched mode each
+/// pool stays sorted by current vertex, so adjacency reads are sequential
+/// and block-friendly (FlashMob), and is cut on vertex boundaries into
+/// RuntimeOptions::threads_per_worker shard tasks. Each step advances every
+/// live walker with a counter-based PRNG draw keyed (seed, walker_id,
+/// step), scatters the survivors into per-channel vertex groups, and ships
 /// cross-partition walkers as checksummed walker frames through the
 /// MessageBus — exact byte/message accounting, composing with message-fault
-/// plans. On the paged backend the engine drives the storage epoch protocol
+/// plans; each destination merges its sorted arrivals into its next pool.
+/// On the paged backend the engine drives the storage epoch protocol
 /// (BeginEpoch/PlanBlocks/EndEpoch) once per step, so block I/O is planned
 /// from the step's walker positions and billed per step like wire traffic.
 ///
 /// Determinism contract: traces, visit counters, WalkStats, and wire
-/// bytes/messages are bit-identical at any host_threads and on both
-/// storage backends. The naive shuffle mode agrees on traces and visit
-/// counters too; its shuffle/byte/message accounting differs by design.
+/// bytes/messages are bit-identical at any host_threads and
+/// threads_per_worker and on both storage backends. The naive shuffle mode
+/// agrees on traces and visit counters too; its shuffle/byte/message
+/// accounting differs by design.
 class WalkEngine {
  public:
   WalkEngine(GraphPtr graph, const RuntimeOptions& options);
