@@ -9,6 +9,10 @@
 // alongside. The claim under reproduction is the *pattern*: FLASH programs
 // are the shortest, Gemini's the longest where expressible at all, and
 // many algorithms are inexpressible outside FLASH.
+//
+//   table1_lloc                  the table, plus src/ LLoC per layer
+//   table1_lloc --files PATH...  LLoC of each file (CountLlocFile), for
+//                                per-file before/after tables
 
 #include <cstdio>
 #include <filesystem>
@@ -273,7 +277,31 @@ int Main() {
   return 0;
 }
 
+/// Prints the LLoC of each path, one "lloc  path" line, then the total.
+int PrintFiles(int count, char** paths) {
+  int total = 0;
+  int status = 0;
+  for (int i = 0; i < count; ++i) {
+    auto lloc = CountLlocFile(paths[i]);
+    if (!lloc.ok()) {
+      std::fprintf(stderr, "cannot count %s: %s\n", paths[i],
+                   lloc.status().ToString().c_str());
+      status = 1;
+      continue;
+    }
+    std::printf("%6d  %s\n", lloc->logical_lines, paths[i]);
+    total += lloc->logical_lines;
+  }
+  std::printf("%6d  total\n", total);
+  return status;
+}
+
 }  // namespace
 }  // namespace flash::bench
 
-int main() { return flash::bench::Main(); }
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--files") {
+    return flash::bench::PrintFiles(argc - 2, argv + 2);
+  }
+  return flash::bench::Main();
+}

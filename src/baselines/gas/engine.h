@@ -155,9 +155,7 @@ class Engine {
         sample.comp_max = std::max(sample.comp_max, seconds);
       }
       bus_.Exchange();
-      sample.bytes_total += bus_.LastTotalBytes();
-      sample.bytes_max += bus_.LastMaxWorkerBytes();
-      sample.msgs_total += bus_.LastMessages();
+      bus_.AddLastExchange(sample);
       sample.frontier_out = static_cast<uint32_t>(changed);
       // Publish this iteration's writes into the snapshot (O(changed)).
       for (VertexId v : changed_list) prev_values_[v] = values_[v];

@@ -205,9 +205,7 @@ class Engine {
 
   void FinishExchange(StepSample* sample) {
     bus_.Exchange();
-    sample->bytes_total += bus_.LastTotalBytes();
-    sample->bytes_max += bus_.LastMaxWorkerBytes();
-    sample->msgs_total += bus_.LastMessages();
+    bus_.AddLastExchange(*sample);
     metrics_.AddStep(*sample, true);
   }
 

@@ -216,9 +216,7 @@ class Engine {
         }
       }
     }
-    sample->bytes_total += bus_.LastTotalBytes();
-    sample->bytes_max += bus_.LastMaxWorkerBytes();
-    sample->msgs_total += bus_.LastMessages();
+    bus_.AddLastExchange(*sample);
     pending_messages_ = false;
     for (const auto& box : inbox_) {
       if (!box.empty()) {

@@ -105,12 +105,13 @@ class AsyncEngine {
 
   AsyncEngine(GraphApi<VData>& api, Program& program)
       : api_(api),
+        runtime_(api.runtime_),
         prog_(program),
         num_workers_(api.options_.num_workers),
         num_vertices_(api.graph_->NumVertices()) {
-    FLASH_CHECK(api_.ckpt_ == nullptr)
-        << "async execution does not support crash/checkpoint schedules; "
-           "use ExecutionMode::kBsp for crash-recovery plans";
+    RuntimeOptions async_options = api.options_;
+    async_options.execution_mode = ExecutionMode::kAsync;
+    FLASH_CHECK_OK(CheckRuntimeOptions(async_options, RuntimeSurface::kGraph));
     queued_prio_.assign(num_vertices_, internal::kAsyncNotQueued);
     touched_flag_.assign(num_vertices_, 0);
     buckets_.resize(num_workers_);
@@ -140,6 +141,7 @@ class AsyncEngine {
   /// Run()). The vertex state must already be initialised — typically by
   /// BSP VertexMap supersteps, whose commit barrier also synced mirrors.
   void Seed(VertexId v) {
+    FLASH_CHECK_LT(v, num_vertices_);
     const int w = api_.partition().Owner(v);
     Enqueue(w, v, prog_.Priority(api_.stores_[w].Current(v), v));
   }
@@ -153,7 +155,7 @@ class AsyncEngine {
       for (int dst = 0; dst < num_workers_; ++dst) {
         if (src == dst) continue;
         sent_base_[Channel(src, dst)] =
-            api_.bus_.ChannelMessagesTotal(src, dst);
+            runtime_.bus().ChannelMessagesTotal(src, dst);
       }
     }
     AsyncStats& stats = api_.metrics_.async;
@@ -179,7 +181,7 @@ class AsyncEngine {
     for (int src = 0; src < num_workers_; ++src) {
       for (int dst = 0; dst < num_workers_; ++dst) {
         if (src == dst) continue;
-        stats.msgs_sent += api_.bus_.ChannelMessagesTotal(src, dst) -
+        stats.msgs_sent += runtime_.bus().ChannelMessagesTotal(src, dst) -
                            sent_base_[Channel(src, dst)];
         stats.msgs_received += received_[Channel(src, dst)];
         stats.msgs_applied += applied_[Channel(src, dst)];
@@ -242,7 +244,7 @@ class AsyncEngine {
   /// rendezvous is the simulated exchange — the cost model prices it as a
   /// point-to-point drain, not a barrier.
   void RunRound() {
-    obs::Tracer* const tracer = api_.tracer_.get();
+    obs::Tracer* const tracer = runtime_.tracer();
     const uint64_t round_begin_ns = tracer != nullptr ? tracer->NowNs() : 0;
     StepSample sample;
     sample.kind = StepKind::kAsyncRound;
@@ -259,9 +261,9 @@ class AsyncEngine {
     // engine reverts to pure demand paging, billing its reads to the next
     // BSP barrier — the pre-plan baseline the storage bench compares
     // against. Pure bookkeeping either way: results never change.
-    const bool planned = api_.storage_paged_ && api_.options_.async_plan_blocks;
+    const bool planned = runtime_.paged() && api_.options_.async_plan_blocks;
     if (planned) {
-      api_.storage_->BeginEpoch();
+      runtime_.OpenEpoch();
       plan_scratch_.clear();
       for (int w = 0; w < num_workers_; ++w) {
         if (total_queued_[w] == 0) continue;
@@ -272,21 +274,19 @@ class AsyncEngine {
           if (queued_prio_[v] == b) plan_scratch_.push_back(v);
         }
       }
-      api_.storage_->PlanBlocks(plan_scratch_, /*out_dir=*/true);
+      runtime_.storage()->PlanBlocks(plan_scratch_, /*out_dir=*/true);
     }
     api_.RunPerWorker("async:drain", [&](int w) {
       Timer timer;
       task_tally[w].edges = DrainLowestBucket(w);
       task_tally[w].verts = drains_[w] - prev_drains_[w];
-      FlushLanes(w);
+      api_.FlushLanes(w, lanes_[w], internal::kAsyncFrameMask);
       const double seconds = timer.Seconds();
       task_tally[w].seconds = seconds;
       worker_seconds_[w] += seconds;
     });
-    api_.bus_.Exchange();
-    sample.bytes_total += api_.bus_.LastTotalBytes();
-    sample.bytes_max += api_.bus_.LastMaxWorkerBytes();
-    sample.msgs_total += api_.bus_.LastMessages();
+    runtime_.bus().Exchange();
+    runtime_.bus().AddLastExchange(sample);
     api_.RunPerWorker("async:apply", [&](int w) {
       Timer timer;
       worker_tally[w].verts = ApplyInbound(w);
@@ -294,13 +294,7 @@ class AsyncEngine {
       worker_tally[w].seconds = seconds;
       worker_seconds_[w] += seconds;
     });
-    if (planned) {
-      const EpochIo io = api_.storage_->EndEpoch();
-      sample.storage_bytes = io.bytes;
-      sample.storage_blocks = io.blocks;
-      sample.storage_decode_bytes = io.decode_bytes;
-      api_.metrics_.storage = api_.storage_->stats();
-    }
+    if (planned) runtime_.CloseEpoch(sample, api_.metrics_);
     FoldTallies(task_tally, shards, worker_tally, sample);
     uint64_t drained = 0;
     uint64_t enqueued = 0;
@@ -314,7 +308,7 @@ class AsyncEngine {
         std::min<uint64_t>(enqueued, std::numeric_limits<uint32_t>::max()));
     AddRound(sample);
     api_.UpdateWirePoolPeak();
-    api_.SyncFaultStats();
+    runtime_.SyncFaultStats(api_.metrics_);
     if (tracer != nullptr) {
       tracer->SetSuperstep(api_.metrics_.supersteps);
       tracer->BeginPhase();
@@ -403,21 +397,6 @@ class AsyncEngine {
     return edges;
   }
 
-  /// Coalesces worker `w`'s per-destination lanes into one WireBatch frame
-  /// per channel. Single-writer: only `w` touches Channel(w, *).
-  void FlushLanes(int w) {
-    for (int dst = 0; dst < num_workers_; ++dst) {
-      if (dst == w) continue;
-      WireLane& lane = lanes_[w][dst];
-      if (lane.empty()) continue;
-      const WireFramePart part = lane.AsPart();
-      EncodeWireFrame(api_.bus_.Channel(w, dst), internal::kAsyncFrameMask,
-                      &part, 1);
-      api_.bus_.CountMessages(w, dst, lane.ids.size());
-      lane.Recycle();
-    }
-  }
-
   /// Folds worker `w`'s inbound frames in (source channel, record) order —
   /// the deterministic application order — counting every decoded message
   /// into the conservation ledger. Returns messages applied.
@@ -426,7 +405,7 @@ class AsyncEngine {
     uint64_t applied = 0;
     for (int src = 0; src < num_workers_; ++src) {
       if (src == w) continue;
-      const std::vector<uint8_t>& buffer = api_.bus_.Incoming(w, src);
+      const std::vector<uint8_t>& buffer = runtime_.bus().Incoming(w, src);
       if (buffer.empty()) continue;
       BufferReader reader(buffer);
       std::vector<WireId>& ids = ids_scratch_[w];
@@ -465,7 +444,7 @@ class AsyncEngine {
       for (int dst = 0; dst < num_workers_; ++dst) {
         if (src == dst) continue;
         const size_t channel = Channel(src, dst);
-        const uint64_t sent = api_.bus_.ChannelMessagesTotal(src, dst) -
+        const uint64_t sent = runtime_.bus().ChannelMessagesTotal(src, dst) -
                               sent_base_[channel];
         FLASH_CHECK(sent == received_[channel] &&
                     received_[channel] == applied_[channel])
@@ -478,7 +457,7 @@ class AsyncEngine {
   }
 
   void ObsTokenSweep() {
-    obs::Tracer* const tracer = api_.tracer_.get();
+    obs::Tracer* const tracer = runtime_.tracer();
     if (tracer == nullptr) return;
     tracer->BeginPhase();
     tracer->Instant("async:token_sweep", obs::SpanKind::kTokenSweep,
@@ -496,64 +475,42 @@ class AsyncEngine {
     StepSample sample;
     sample.kind = StepKind::kAggregate;
     const uint32_t mask = api_.SyncMask();
-    const bool broadcast =
-        api_.virtual_edges_ || !api_.options_.necessary_mirrors_only;
-    const uint64_t all_workers_mask =
-        num_workers_ >= 64 ? ~uint64_t{0}
-                           : ((uint64_t{1} << num_workers_) - 1);
+    const bool broadcast = api_.BroadcastsMirrors();
     uint64_t committed = 0;
     api_.RunPerWorker("async:sync", [&](int w) {
       std::vector<VertexId>& touched = touched_[w];
       std::sort(touched.begin(), touched.end());
-      std::vector<WireLane>& lanes = lanes_[w];
       auto& scratch = api_.worker_scratch_[w];
       BufferWriter& enc = scratch.enc;
       for (const VertexId v : touched) {
-        uint64_t targets = broadcast
-                               ? (all_workers_mask & ~(uint64_t{1} << w))
-                               : api_.partition().MirrorMask(v);
+        const uint64_t targets = api_.MirrorTargets(w, v, broadcast);
         if (targets == 0) continue;
         enc.Clear();
         SerializeFields(api_.stores_[w].Current(v), mask, enc);
-        while (targets != 0) {
-          const int dst = __builtin_ctzll(targets);
-          targets &= targets - 1;
-          WireLane& lane = lanes[dst];
-          lane.ids.push_back(v);
-          lane.payload.WriteRaw(enc.bytes().data(), enc.size());
-        }
+        Api::FanOut(lanes_[w], v, targets, enc.bytes().data(), enc.size());
       }
       enc.Recycle(scratch.enc_high_water);
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        WireLane& lane = lanes[dst];
-        if (!lane.empty()) {
-          const WireFramePart part = lane.AsPart();
-          EncodeWireFrame(api_.bus_.Channel(w, dst), mask, &part, 1);
-          api_.bus_.CountMessages(w, dst, lane.ids.size());
-        }
-        lane.Recycle();
-      }
+      api_.FlushLanes(w, lanes_[w], mask);
     });
     for (int w = 0; w < num_workers_; ++w) committed += touched_[w].size();
-    api_.bus_.Exchange();
+    runtime_.bus().Exchange();
     api_.RunPerWorker("async:sync_apply", [&](int w) {
       for (int src = 0; src < num_workers_; ++src) {
         if (src == w) continue;
-        api_.ApplyMirrorFrame(w, mask, api_.bus_.Incoming(w, src));
+        api_.ApplyMirrorFrame(w, mask, runtime_.bus().Incoming(w, src));
       }
     });
-    sample.bytes_total += api_.bus_.LastTotalBytes();
-    sample.bytes_max += api_.bus_.LastMaxWorkerBytes();
-    sample.msgs_total += api_.bus_.LastMessages();
+    runtime_.bus().AddLastExchange(sample);
     sample.verts_total = committed;
     api_.metrics_.masters_committed += committed;
     api_.UpdateWirePoolPeak();
     api_.metrics_.AddStep(sample, api_.options_.record_steps);
     api_.ObsEndSuperstep(sample);
-    api_.SyncFaultStats();
+    runtime_.SyncFaultStats(api_.metrics_);
   }
 
   Api& api_;
+  Runtime& runtime_;  // api_'s simulated cluster.
   Program& prog_;
   const int num_workers_;
   const VertexId num_vertices_;

@@ -10,16 +10,13 @@
 
 #include "common/fields.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/detail.h"
 #include "core/edge_set.h"
 #include "core/vertex_subset.h"
-#include "flashware/checkpoint.h"
-#include "flashware/fault_injector.h"
-#include "flashware/message_bus.h"
 #include "flashware/metrics.h"
 #include "flashware/options.h"
+#include "flashware/runtime.h"
 #include "flashware/vertex_store.h"
 #include "graph/partition.h"
 #include "obs/tracer.h"
@@ -57,70 +54,27 @@ class GraphApi {
 
   explicit GraphApi(GraphPtr graph, RuntimeOptions options = RuntimeOptions{})
       : graph_(std::move(graph)),
-        options_(options),
-        partition_(SharedPartitionOrDie(graph_, options)),
-        bus_(options.num_workers),
-        // Every (worker, shard) task of a phase may run concurrently.
-        pool_(HostThreadCount(options.num_workers * options.threads_per_worker,
-                              options.host_threads)),
-        critical_mask_(AllFieldsMask<VData>()) {
-    FLASH_CHECK(graph_ != nullptr);
-    FLASH_CHECK_GE(options_.threads_per_worker, 1)
-        << "threads_per_worker fixes the logical shard count";
+        options_(std::move(options)),
+        runtime_(graph_, options_, RuntimeSurface::kGraph),
+        critical_mask_(AllFieldsMask<VData>()),
+        task_scratch_(static_cast<size_t>(options_.num_workers) *
+                      options_.threads_per_worker),
+        worker_scratch_(options_.num_workers) {
     stores_.reserve(options_.num_workers);
     for (int w = 0; w < options_.num_workers; ++w) {
       stores_.emplace_back(graph_->NumVertices());
     }
-    task_scratch_ = std::vector<TaskScratch>(
-        static_cast<size_t>(options_.num_workers) *
-        options_.threads_per_worker);
     for (TaskScratch& task : task_scratch_) {
       task.lanes.resize(options_.num_workers);
     }
-    worker_scratch_ = std::vector<WorkerScratch>(options_.num_workers);
     for (WorkerScratch& scratch : worker_scratch_) {
       scratch.commit_lanes.resize(options_.num_workers);
     }
     forward_ = std::make_shared<internal::CsrEdgeSet<VData>>(graph_, false);
     reverse_ = std::make_shared<internal::CsrEdgeSet<VData>>(graph_, true);
-    if (options_.fault_plan.Active()) {
-      for (const CrashEvent& e : options_.fault_plan.worker_crash_schedule) {
-        FLASH_CHECK(e.worker >= 0 && e.worker < options_.num_workers)
-            << "crash schedule names worker " << e.worker << " but the "
-            << "cluster has " << options_.num_workers;
-      }
-      injector_ = std::make_unique<FaultInjector>(options_.fault_plan);
-      bus_.SetFaultInjector(injector_.get());
-      const int interval = options_.fault_plan.EffectiveCheckpointInterval();
-      if (interval > 0) {
-        ckpt_ = std::make_unique<CheckpointManager>(options_.num_workers,
-                                                    interval);
-        last_frontier_.resize(options_.num_workers);
-      }
+    if (runtime_.checkpoints() != nullptr) {
+      last_frontier_.resize(options_.num_workers);
     }
-    if (options_.trace) {
-      tracer_ = options_.tracer != nullptr ? options_.tracer
-                                           : std::make_shared<obs::Tracer>();
-      bus_.SetTracer(tracer_.get());
-      if (injector_ != nullptr) injector_->SetTracer(tracer_.get());
-      if (ckpt_ != nullptr) ckpt_->SetTracer(tracer_.get());
-    }
-    // Storage tier: the backend drives the epoch protocol only for paged
-    // graphs; the in-memory backend's hooks are no-op virtuals never taken
-    // on the hot paths (storage_paged_ gates every call site).
-    storage_ = graph_->storage();
-    storage_paged_ = storage_->paged();
-    if (storage_paged_) {
-      storage_->ApplyRuntimeLimits(options_.edge_cache_bytes,
-                                   options_.storage_prefetch_depth);
-      storage_->SetTracer(tracer_.get());
-    }
-  }
-
-  /// Detaches the tracer from the graph's storage: the graph may outlive
-  /// this engine and its (possibly engine-owned) tracer.
-  ~GraphApi() {
-    if (storage_paged_) storage_->SetTracer(nullptr);
   }
 
   GraphApi(const GraphApi&) = delete;
@@ -130,14 +84,14 @@ class GraphApi {
 
   const Graph& graph() const { return *graph_; }
   GraphPtr graph_ptr() const { return graph_; }
-  const Partition& partition() const { return *partition_; }
+  const Partition& partition() const { return runtime_.partition(); }
   const RuntimeOptions& options() const { return options_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
-  const MessageBus& bus() const { return bus_; }
+  const MessageBus& bus() const { return runtime_.bus(); }
   /// The armed span tracer; null unless RuntimeOptions::trace. All spans up
   /// to the last finished superstep are folded and readable at any time.
-  obs::Tracer* tracer() const { return tracer_.get(); }
+  obs::Tracer* tracer() const { return runtime_.tracer(); }
   VertexId NumVertices() const { return graph_->NumVertices(); }
   EdgeId NumEdges() const { return graph_->NumEdges(); }
   uint32_t OutDeg(VertexId v) const { return graph_->OutDegree(v); }
@@ -185,7 +139,7 @@ class GraphApi {
   std::vector<VData> GatherMasters() const {
     std::vector<VData> out(graph_->NumVertices());
     for (int w = 0; w < options_.num_workers; ++w) {
-      for (VertexId v : partition_->OwnedVertices(w)) {
+      for (VertexId v : runtime_.partition().OwnedVertices(w)) {
         out[v] = stores_[w].Current(v);
       }
     }
@@ -198,7 +152,7 @@ class GraphApi {
     std::vector<T> out(graph_->NumVertices());
     for (int w = 0; w < options_.num_workers; ++w) {
       internal::WorkerScope scope(w);
-      for (VertexId v : partition_->OwnedVertices(w)) {
+      for (VertexId v : runtime_.partition().OwnedVertices(w)) {
         out[v] = fn(stores_[w].Current(v), v);
       }
     }
@@ -208,11 +162,11 @@ class GraphApi {
   // --- vertexSubset constructors & auxiliary operators ----------------------
 
   VertexSubset V() const {
-    return VertexSubset::All(partition_.get(), graph_->NumVertices());
+    return VertexSubset::All(&runtime_.partition(), graph_->NumVertices());
   }
-  VertexSubset None() const { return VertexSubset(partition_.get()); }
+  VertexSubset None() const { return VertexSubset(&runtime_.partition()); }
   VertexSubset Single(VertexId v) const {
-    return VertexSubset::Single(partition_.get(), v);
+    return VertexSubset::Single(&runtime_.partition(), v);
   }
 
   /// The SIZE primitive: |U|. Bills the all-reduce that a distributed SIZE
@@ -341,14 +295,14 @@ class GraphApi {
     const Bitset& ubits = DenseBitmap(U, &sample);
     const int num_workers = options_.num_workers;
     const int shards = options_.threads_per_worker;
-    if (storage_paged_) {
+    if (runtime_.paged()) {
       // Pull mode scans every master's in-adjacency (or out for reversed
       // sets): declare a sweep so the backend can pick the M-Flash dense
       // schedule when the frontier is large enough and the blocks fit.
       const EdgeOrientation pull = H->pull_source();
       if (pull != EdgeOrientation::kUnknown) {
-        storage_->PlanSweep(pull == EdgeOrientation::kOutEdges,
-                            U.TotalSize());
+        runtime_.storage()->PlanSweep(pull == EdgeOrientation::kOutEdges,
+                                      U.TotalSize());
       }
     }
 
@@ -358,11 +312,11 @@ class GraphApi {
     auto scan = [&](const auto& for_in) {
       RunWorkerShards(
           "dense:scan",
-          [&](int w) { return partition_->OwnedVertices(w).size(); },
+          [&](int w) { return runtime_.partition().OwnedVertices(w).size(); },
           [&](int w, int s, size_t lo, size_t hi) {
             Timer task_timer;
             VertexStore<VData>& store = stores_[w];
-            const auto& targets = partition_->OwnedVertices(w);
+            const auto& targets = runtime_.partition().OwnedVertices(w);
             const int t = w * shards + s;
             TaskScratch& task = task_scratch_[t];
             uint64_t edges = 0;
@@ -408,7 +362,7 @@ class GraphApi {
     RunPerWorker("dense:merge", [&](int w) {
       Timer merge_timer;
       MergeTaskLists(w);
-      worker_tally[w].verts = partition_->OwnedVertices(w).size();
+      worker_tally[w].verts = runtime_.partition().OwnedVertices(w).size();
       worker_tally[w].seconds = merge_timer.Seconds();
     });
     FoldTallies(task_tally, shards, worker_tally, sample);
@@ -430,7 +384,7 @@ class GraphApi {
     const uint32_t mask = SyncMask();
     const int num_workers = options_.num_workers;
     const int shards = options_.threads_per_worker;
-    if (storage_paged_) {
+    if (runtime_.paged()) {
       // Push mode reads exactly the frontier's adjacency: declare it so the
       // backend loads those blocks (sweep or prefetch) before the compute
       // tasks demand them.
@@ -442,8 +396,8 @@ class GraphApi {
           frontier_scratch_.insert(frontier_scratch_.end(), owned.begin(),
                                    owned.end());
         }
-        storage_->PlanBlocks(frontier_scratch_,
-                             push == EdgeOrientation::kOutEdges);
+        runtime_.storage()->PlanBlocks(frontier_scratch_,
+                                       push == EdgeOrientation::kOutEdges);
       }
     }
 
@@ -465,7 +419,7 @@ class GraphApi {
             VertexStore<VData>& store = stores_[w];
             const auto& frontier = U.Owned(w);
             TaskScratch& task = task_scratch_[w * shards + s];
-            const Partition& part = *partition_;
+            const Partition& part = runtime_.partition();
             uint64_t edges = 0;
             VData tmp;
             for (size_t i = lo; i < hi; ++i) {
@@ -541,9 +495,9 @@ class GraphApi {
           count += lane.ids.size();
         }
         if (count == 0) continue;
-        EncodeWireFrame(bus_.Channel(w, dst), mask, parts.data(),
+        EncodeWireFrame(runtime_.bus().Channel(w, dst), mask, parts.data(),
                         parts.size());
-        bus_.CountMessages(w, dst, count);
+        runtime_.bus().CountMessages(w, dst, count);
       }
       for (int s = 0; s < shards; ++s) {
         for (WireLane& lane : task_scratch_[w * shards + s].lanes) {
@@ -555,10 +509,8 @@ class GraphApi {
     });
 
     // Round 1 exchange + owner-side reduce.
-    bus_.Exchange();
-    sample.bytes_total += bus_.LastTotalBytes();
-    sample.bytes_max += bus_.LastMaxWorkerBytes();
-    sample.msgs_total += bus_.LastMessages();
+    runtime_.bus().Exchange();
+    runtime_.bus().AddLastExchange(sample);
     // Owner-side fold, three phases. Scan: parse every incoming frame's
     // header + delta ids (cheap, serial per worker) and index where its
     // payload records start. Decode: rebuild the update values across all
@@ -597,7 +549,7 @@ class GraphApi {
       const size_t n = recv.ids.size();
       for (size_t i = 0; i < n; ++i) {
         const VertexId v = recv.ids[i];
-        FLASH_DCHECK(partition_->Owner(v) == w);
+        FLASH_DCHECK(runtime_.partition().Owner(v) == w);
         bool first = !store.IsDirty(v);
         VData& next = store.MutableNext(v, scratch.dirty);
         r(recv.values[i], next);
@@ -687,7 +639,7 @@ class GraphApi {
  private:
   /// The asynchronous execution backend (core/async_engine.h) is a sibling
   /// of the BSP loop, not a layer above the public API: it drives the same
-  /// stores, partition, bus, pool, and metrics directly.
+  /// stores, runtime, and metrics directly.
   template <typename V, typename Program>
   friend class AsyncEngine;
 
@@ -834,14 +786,6 @@ class GraphApi {
     }
   }
 
-  static std::shared_ptr<const Partition> SharedPartitionOrDie(
-      const GraphPtr& graph, const RuntimeOptions& options) {
-    auto result =
-        Partition::ForGraph(graph, options.num_workers, options.partition);
-    FLASH_CHECK(result.ok()) << result.status().ToString();
-    return std::move(result).value();
-  }
-
   /// Runs task(w, s, lo, hi) for every (worker, logical shard) slice of a
   /// superstep's compute phase and blocks until all complete. The shard
   /// count and contiguous split come from threads_per_worker — never from
@@ -853,10 +797,10 @@ class GraphApi {
   void RunWorkerShards(const char* label, SizeFn&& size_of, TaskFn&& task) {
     const int shards = options_.threads_per_worker;
     const int num_workers = options_.num_workers;
-    obs::Tracer* const tracer = tracer_.get();
+    obs::Tracer* const tracer = runtime_.tracer();
     if (tracer != nullptr) tracer->BeginPhase();
     OBS_SPAN(tracer, label, obs::SpanKind::kPhase);
-    pool_.ParallelForWorkers(num_workers * shards, [&](int t) {
+    runtime_.pool().ParallelForWorkers(num_workers * shards, [&](int t) {
       const int w = t / shards;
       const int s = t % shards;
       internal::WorkerScope scope(w);
@@ -874,10 +818,10 @@ class GraphApi {
   /// `label` names the phase/task spans as in RunWorkerShards.
   template <typename Fn>
   void RunPerWorker(const char* label, Fn&& fn) {
-    obs::Tracer* const tracer = tracer_.get();
+    obs::Tracer* const tracer = runtime_.tracer();
     if (tracer != nullptr) tracer->BeginPhase();
     OBS_SPAN(tracer, label, obs::SpanKind::kPhase);
-    pool_.ParallelForWorkers(options_.num_workers, [&](int w) {
+    runtime_.pool().ParallelForWorkers(options_.num_workers, [&](int w) {
       internal::WorkerScope scope(w);
       OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, -1);
       fn(w);
@@ -892,25 +836,27 @@ class GraphApi {
   /// Aggregate steps billed without a BeginSuperstep (SIZE, join bitmaps)
   /// degrade to an instant-length span at the end stamp.
   void ObsBeginSuperstep() {
-    if (tracer_ == nullptr) return;
-    tracer_->SetSuperstep(metrics_.supersteps);
-    tracer_->BeginPhase();  // Boundary work (ckpt/recovery) gets its own epoch.
-    obs_step_begin_ns_ = tracer_->NowNs();
+    obs::Tracer* const tracer = runtime_.tracer();
+    if (tracer == nullptr) return;
+    tracer->SetSuperstep(metrics_.supersteps);
+    tracer->BeginPhase();  // Boundary work (ckpt/recovery) gets its own epoch.
+    obs_step_begin_ns_ = tracer->NowNs();
     obs_step_open_ = true;
   }
 
   void ObsEndSuperstep(const StepSample& sample) {
-    if (tracer_ == nullptr) return;
-    const uint64_t end_ns = tracer_->NowNs();
+    obs::Tracer* const tracer = runtime_.tracer();
+    if (tracer == nullptr) return;
+    const uint64_t end_ns = tracer->NowNs();
     const uint64_t begin_ns = obs_step_open_ ? obs_step_begin_ns_ : end_ns;
     obs_step_open_ = false;
     // AddStep already ran: this superstep's index is supersteps - 1.
-    tracer_->SetSuperstep(metrics_.supersteps - 1);
-    tracer_->BeginPhase();
-    tracer_->Record(StepSpanName(sample.kind), obs::SpanKind::kSuperstep,
-                    obs::kHostLane, -1, begin_ns, end_ns, sample.frontier_in,
-                    sample.frontier_out);
-    tracer_->Fold();
+    tracer->SetSuperstep(metrics_.supersteps - 1);
+    tracer->BeginPhase();
+    tracer->Record(StepSpanName(sample.kind), obs::SpanKind::kSuperstep,
+                   obs::kHostLane, -1, begin_ns, end_ns, sample.frontier_in,
+                   sample.frontier_out);
+    tracer->Fold();
   }
 
   static const char* StepSpanName(StepKind kind) {
@@ -990,7 +936,7 @@ class GraphApi {
     }
     metrics_.AddStep(sample, options_.record_steps);
     ObsEndSuperstep(sample);
-    SyncFaultStats();
+    runtime_.SyncFaultStats(metrics_);
   }
 
   /// Sparse receive phase 1: parses the header + id section of every frame
@@ -1002,7 +948,7 @@ class GraphApi {
     scratch.ids.clear();
     for (int src = 0; src < options_.num_workers; ++src) {
       if (src == w) continue;
-      const std::vector<uint8_t>& buffer = bus_.Incoming(w, src);
+      const std::vector<uint8_t>& buffer = runtime_.bus().Incoming(w, src);
       if (buffer.empty()) continue;
       BufferReader reader(buffer);
       const size_t first = scratch.ids.size();
@@ -1135,10 +1081,9 @@ class GraphApi {
     const uint32_t mask = SyncMask();
     const uint32_t all_fields = AllFieldsMask<VData>();
     const int num_workers = options_.num_workers;
-    const bool broadcast = virtual_edges_ || !options_.necessary_mirrors_only;
-    const bool log_recovery = ckpt_ != nullptr;
-    const uint64_t all_workers_mask =
-        num_workers >= 64 ? ~uint64_t{0} : ((uint64_t{1} << num_workers) - 1);
+    const bool broadcast = BroadcastsMirrors();
+    CheckpointManager* const ckpt = runtime_.checkpoints();
+    const bool log_recovery = ckpt != nullptr;
 
     RunPerWorker("barrier:commit", [&](int w) {
       // Ascending commit order makes every destination's id batch sorted —
@@ -1147,7 +1092,6 @@ class GraphApi {
       // already fixed during the compute phase.
       stores_[w].SortDirtyForCommit();
       WorkerScratch& scratch = worker_scratch_[w];
-      std::vector<WireLane>& lanes = scratch.commit_lanes;
       WireLane& log_lane = scratch.log_lane;
       BufferWriter& enc = scratch.enc;
       BufferWriter& sub = scratch.sub;
@@ -1162,9 +1106,7 @@ class GraphApi {
       uint64_t committed = 0;
       stores_[w].Commit([&](VertexId v, const VData& value) {
         ++committed;
-        uint64_t targets = broadcast
-                               ? (all_workers_mask & ~(uint64_t{1} << w))
-                               : partition_->MirrorMask(v);
+        const uint64_t targets = MirrorTargets(w, v, broadcast);
         if (!log_recovery && targets == 0) return;
         enc.Clear();
         SerializeFieldsSegmented(value, encode_mask, enc, bounds);
@@ -1182,29 +1124,15 @@ class GraphApi {
           wire = sub.bytes().data();
           wire_size = sub.size();
         }
-        while (targets != 0) {
-          int dst = __builtin_ctzll(targets);
-          targets &= targets - 1;
-          WireLane& lane = lanes[dst];
-          lane.ids.push_back(v);
-          lane.payload.WriteRaw(wire, wire_size);
-        }
+        FanOut(scratch.commit_lanes, v, targets, wire, wire_size);
       });
       scratch.committed = committed;
-      for (int dst = 0; dst < num_workers; ++dst) {
-        WireLane& lane = lanes[dst];
-        if (!lane.empty()) {
-          const WireFramePart part = lane.AsPart();
-          EncodeWireFrame(bus_.Channel(w, dst), mask, &part, 1);
-          bus_.CountMessages(w, dst, lane.ids.size());
-        }
-        lane.Recycle();
-      }
+      FlushLanes(w, scratch.commit_lanes, mask);
       if (log_recovery) {
         // The redo-log entry is the wire frame the mirrors would see under
         // an all-fields mask, encoded straight into the log.
         const WireFramePart part = log_lane.AsPart();
-        EncodeWireFrame(ckpt_->log(w), all_fields, &part, 1);
+        EncodeWireFrame(ckpt->log(w), all_fields, &part, 1);
         log_lane.Recycle();
       }
       enc.Recycle(scratch.enc_high_water);
@@ -1215,14 +1143,14 @@ class GraphApi {
       out[w] = std::move(worker_scratch_[w].out);
       worker_scratch_[w].out.clear();
     }
-    bus_.Exchange();
+    runtime_.bus().Exchange();
     if (log_recovery) {
       // Each received mirror frame joins the receiver's redo log verbatim,
       // in source order, after the worker's own commit frame.
       for (int w = 0; w < num_workers; ++w) {
         for (int src = 0; src < num_workers; ++src) {
-          const std::vector<uint8_t>& frame = bus_.Incoming(w, src);
-          if (src != w) ckpt_->log(w).WriteRaw(frame.data(), frame.size());
+          const std::vector<uint8_t>& frame = runtime_.bus().Incoming(w, src);
+          if (src != w) ckpt->log(w).WriteRaw(frame.data(), frame.size());
         }
       }
     }
@@ -1234,22 +1162,17 @@ class GraphApi {
         [&](int w, int /*shard*/, size_t lo, size_t hi) {
           for (size_t src = lo; src < hi; ++src) {
             if (static_cast<int>(src) == w) continue;
-            ApplyMirrorFrame(w, mask, bus_.Incoming(w, src));
+            ApplyMirrorFrame(w, mask, runtime_.bus().Incoming(w, src));
           }
         });
-    sample.bytes_total += bus_.LastTotalBytes();
-    sample.bytes_max += bus_.LastMaxWorkerBytes();
-    sample.msgs_total += bus_.LastMessages();
+    runtime_.bus().AddLastExchange(sample);
     UpdateWirePoolPeak();
 
-    if (storage_paged_) {
-      // Barrier: drain the storage epoch. EndEpoch completes every planned
-      // load, evicts to budget, and returns exactly the file bytes/blocks
-      // this superstep's epoch read — the I/O twin of the wire counters.
-      const EpochIo io = storage_->EndEpoch();
-      sample.storage_bytes = io.bytes;
-      sample.storage_blocks = io.blocks;
-      sample.storage_decode_bytes = io.decode_bytes;
+    // Barrier: drain the storage epoch. The backend's lifetime counters are
+    // snapshotted here, BEFORE the trailing prefetch is issued, so
+    // Metrics::storage never depends on how far an in-flight prefetch got.
+    runtime_.CloseEpoch(sample, metrics_);
+    if (runtime_.paged()) {
       // Next superstep's frontier, flattened before `out` is consumed:
       // handed to the prefetch pipeline below so block loads overlap the
       // gap between supersteps.
@@ -1260,32 +1183,64 @@ class GraphApi {
       }
     }
 
-    if (ckpt_ != nullptr) last_frontier_ = out;  // For the next snapshot.
+    if (log_recovery) last_frontier_ = out;  // For the next snapshot.
     VertexSubset result =
-        VertexSubset::FromWorkerLists(partition_.get(), std::move(out));
+        VertexSubset::FromWorkerLists(&runtime_.partition(), std::move(out));
     sample.frontier_out = static_cast<uint32_t>(result.TotalSize());
     metrics_.AddStep(sample, options_.record_steps);
-    if (storage_paged_) {
-      // Snapshot the backend's lifetime counters at this quiesced point,
-      // BEFORE issuing the trailing prefetch — so Metrics::storage never
-      // depends on how far an in-flight prefetch got.
-      metrics_.storage = storage_->stats();
-    }
     ObsEndSuperstep(sample);
-    SyncFaultStats();
-    if (storage_paged_ && !frontier_scratch_.empty()) {
+    runtime_.SyncFaultStats(metrics_);
+    if (runtime_.paged() && !frontier_scratch_.empty()) {
       // Asynchronous hint: the next superstep most often pushes along the
       // new frontier's out-edges. Wrong guesses only cost an early load
       // (billed to the epoch that drains it — still deterministic).
-      storage_->Prefetch(frontier_scratch_, /*out_dir=*/true);
+      runtime_.storage()->Prefetch(frontier_scratch_, /*out_dir=*/true);
     }
     return result;
   }
 
-  /// Mirrors the injector's live counters into the run's Metrics so every
-  /// Metrics snapshot an algorithm returns carries the fault story so far.
-  void SyncFaultStats() {
-    if (injector_ != nullptr) metrics_.fault = injector_->stats();
+  /// Whether masters sync to every other worker (virtual edges, or the
+  /// necessary-mirrors optimisation off) rather than to their mirror masks.
+  bool BroadcastsMirrors() const {
+    return virtual_edges_ || !options_.necessary_mirrors_only;
+  }
+
+  /// Workers that receive master v of worker w at a mirror sync.
+  uint64_t MirrorTargets(int w, VertexId v, bool broadcast) const {
+    if (!broadcast) return runtime_.partition().MirrorMask(v);
+    const int m = options_.num_workers;
+    const uint64_t all = m >= 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
+    return all & ~(uint64_t{1} << w);
+  }
+
+  /// Mirror fan-out: queues master v's encoded value on the lane of every
+  /// worker in `targets`, so it is serialised once however many mirrors
+  /// it has.
+  static void FanOut(std::vector<WireLane>& lanes, VertexId v,
+                     uint64_t targets, const uint8_t* bytes, size_t size) {
+    while (targets != 0) {
+      WireLane& lane = lanes[__builtin_ctzll(targets)];
+      targets &= targets - 1;
+      lane.ids.push_back(v);
+      lane.payload.WriteRaw(bytes, size);
+    }
+  }
+
+  /// Flushes worker w's per-destination lanes: one wire frame (stamped
+  /// `mask`) per non-empty lane on channel (w, dst), its records counted as
+  /// messages; every lane is then recycled. Single-writer: only w touches
+  /// Channel(w, *).
+  void FlushLanes(int w, std::vector<WireLane>& lanes, uint32_t mask) {
+    MessageBus& bus = runtime_.bus();
+    for (int dst = 0; dst < options_.num_workers; ++dst) {
+      WireLane& lane = lanes[dst];
+      if (!lane.empty()) {
+        const WireFramePart part = lane.AsPart();
+        EncodeWireFrame(bus.Channel(w, dst), mask, &part, 1);
+        bus.CountMessages(w, dst, lane.ids.size());
+      }
+      lane.Recycle();
+    }
   }
 
   /// Samples the capacity retained by every pooled wire buffer — bus
@@ -1293,7 +1248,7 @@ class GraphApi {
   /// into the run's peak gauge. Runs single-threaded at the end of each
   /// barrier; O(workers * shards * workers) sums of cached capacities.
   void UpdateWirePoolPeak() {
-    uint64_t capacity = bus_.PoolCapacityBytes();
+    uint64_t capacity = runtime_.bus().PoolCapacityBytes();
     for (const TaskScratch& task : task_scratch_) {
       capacity += task.pending.capacity() * sizeof(LocalUpdate);
       for (const WireLane& lane : task.lanes) capacity += lane.CapacityBytes();
@@ -1317,28 +1272,31 @@ class GraphApi {
   /// their redo logs. Runs between primitives, where no uncommitted state is
   /// pending, so recovery is exact. No-op without an active fault plan.
   void BeginSuperstep() {
-    if (storage_paged_) storage_->BeginEpoch();
+    runtime_.OpenEpoch();
     ObsBeginSuperstep();
-    if (injector_ == nullptr) return;
+    FaultInjector* const injector = runtime_.injector();
+    if (injector == nullptr) return;
     const uint64_t step = metrics_.supersteps;
-    if (ckpt_ != nullptr && ckpt_->Due(step)) TakeCheckpoint(step);
-    for (int w : injector_->TakeCrashes(step)) RecoverWorker(w);
-    SyncFaultStats();
+    CheckpointManager* const ckpt = runtime_.checkpoints();
+    if (ckpt != nullptr && ckpt->Due(step)) TakeCheckpoint(step);
+    for (int w : injector->TakeCrashes(step)) RecoverWorker(w);
+    runtime_.SyncFaultStats(metrics_);
   }
 
   /// Snapshots every worker's full vertex store plus the last frontier into
   /// sealed (checksummed) blobs and truncates the redo logs.
   void TakeCheckpoint(uint64_t step) {
-    const uint64_t bytes_before = injector_->stats().checkpoint_bytes;
-    OBS_SPAN_VAR(snap_span, tracer_.get(), "ckpt:snapshot",
+    FaultStats& stats = runtime_.injector()->stats();
+    const uint64_t bytes_before = stats.checkpoint_bytes;
+    OBS_SPAN_VAR(snap_span, runtime_.tracer(), "ckpt:snapshot",
                  obs::SpanKind::kCheckpoint);
     std::vector<std::vector<uint8_t>> states(options_.num_workers);
     RunPerWorker("ckpt:encode",
                  [&](int w) { states[w] = EncodeWorkerState(w, step); });
-    ckpt_->StoreSnapshot(step, std::move(states),
-                         EncodeFrontierLists(step, last_frontier_),
-                         injector_->stats());
-    snap_span.args(injector_->stats().checkpoint_bytes - bytes_before,
+    runtime_.checkpoints()->StoreSnapshot(
+        step, std::move(states), EncodeFrontierLists(step, last_frontier_),
+        stats);
+    snap_span.args(stats.checkpoint_bytes - bytes_before,
                    static_cast<uint64_t>(options_.num_workers));
   }
 
@@ -1391,21 +1349,22 @@ class GraphApi {
   /// payloads) to roll forward to the current superstep. Deterministic —
   /// log bytes are exactly the mutations the lost supersteps performed.
   void RecoverWorker(int w) {
-    FLASH_CHECK(ckpt_ != nullptr && ckpt_->has_snapshot())
+    CheckpointManager* const ckpt = runtime_.checkpoints();
+    FLASH_CHECK(ckpt != nullptr && ckpt->has_snapshot())
         << "worker " << w << " crashed before any checkpoint existed";
     internal::WorkerScope scope(w);
     {
-      OBS_SPAN_VAR(restore_span, tracer_.get(), "recover:restore",
+      OBS_SPAN_VAR(restore_span, runtime_.tracer(), "recover:restore",
                    obs::SpanKind::kRecovery, w);
       stores_[w] = VertexStore<VData>(graph_->NumVertices());
-      Status restored = DecodeWorkerState(w, ckpt_->worker_blob(w));
+      Status restored = DecodeWorkerState(w, ckpt->worker_blob(w));
       FLASH_CHECK(restored.ok()) << restored.ToString();
-      restore_span.args(ckpt_->worker_blob(w).size(), 0);
+      restore_span.args(ckpt->worker_blob(w).size(), 0);
     }
-    FaultStats& stats = injector_->stats();
+    FaultStats& stats = runtime_.injector()->stats();
     const uint64_t records_before = stats.replayed_records;
-    const std::vector<uint8_t>& log = ckpt_->log(w).bytes();
-    OBS_SPAN_VAR(replay_span, tracer_.get(), "recover:replay",
+    const std::vector<uint8_t>& log = ckpt->log(w).bytes();
+    OBS_SPAN_VAR(replay_span, runtime_.tracer(), "recover:replay",
                  obs::SpanKind::kRecovery, w);
     // The log is a sequence of wire frames: commit frames carry full master
     // values, mirror frames the synced critical fields. Both promote
@@ -1425,17 +1384,16 @@ class GraphApi {
       stats.replayed_records += ids.size();
     }
     ++stats.restores;
-    stats.restored_bytes += ckpt_->worker_blob(w).size();
+    stats.restored_bytes += ckpt->worker_blob(w).size();
     stats.replayed_bytes += log.size();
     replay_span.args(log.size(), stats.replayed_records - records_before);
   }
 
   GraphPtr graph_;
   RuntimeOptions options_;
-  // Shared with every other engine over this graph (Partition::ForGraph).
-  std::shared_ptr<const Partition> partition_;
-  MessageBus bus_;
-  ThreadPool pool_;
+  // The simulated cluster: partition, bus, fault injector, checkpoints,
+  // tracer, storage limits and host pool.
+  Runtime runtime_;
   std::vector<VertexStore<VData>> stores_;
   Metrics metrics_;
   uint32_t critical_mask_;
@@ -1447,25 +1405,14 @@ class GraphApi {
   // (worker, shard) task, indexed worker-major, and one per worker.
   std::vector<TaskScratch> task_scratch_;
   std::vector<WorkerScratch> worker_scratch_;
-  // Fault-injection state, armed only when options_.fault_plan.Active():
-  // the injector owns the counter-based fault PRNG + counters, the
-  // checkpoint manager the per-worker snapshots and redo logs, and
-  // last_frontier_ stashes the latest frontier for the next snapshot.
-  std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<CheckpointManager> ckpt_;
+  // The latest frontier, stashed for the next checkpoint snapshot (only
+  // when the runtime keeps checkpoints).
   std::vector<std::vector<VertexId>> last_frontier_;
-  // Span tracer, armed only by RuntimeOptions::trace (shared so it can be
-  // handed out via RuntimeOptions::tracer and outlive this engine), plus
-  // the open-superstep bracket state ObsBegin/EndSuperstep maintain.
-  std::shared_ptr<obs::Tracer> tracer_;
+  // The open-superstep bracket state ObsBegin/EndSuperstep maintain.
   uint64_t obs_step_begin_ns_ = 0;
   bool obs_step_open_ = false;
-  // Storage tier: the graph's backend (owned by the graph, never null) and
-  // the cached paged() flag gating every epoch-protocol call site. The
-  // scratch list carries plan/prefetch frontier ids between barriers —
+  // Plan/prefetch frontier ids carried between barriers of a paged graph —
   // driving thread only.
-  GraphStorage* storage_ = nullptr;
-  bool storage_paged_ = false;
   std::vector<VertexId> frontier_scratch_;
 };
 

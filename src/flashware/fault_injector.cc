@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -47,14 +48,27 @@ std::string FaultPlan::ToString() const {
   return out.str();
 }
 
+Status FaultPlan::Check() const {
+  for (const auto& [name, rate] : {std::pair{"msg_drop_rate", msg_drop_rate},
+                                   std::pair{"msg_dup_rate", msg_dup_rate},
+                                   std::pair{"msg_reorder_rate",
+                                             msg_reorder_rate}}) {
+    if (!(rate >= 0 && rate < 1.0)) {
+      std::ostringstream out;
+      out << "fault_plan." << name << " must be in [0, 1), got " << rate;
+      return Status::InvalidArgument(out.str());
+    }
+  }
+  if (max_retries < 0) {
+    return Status::InvalidArgument(
+        "fault_plan.max_retries must be at least 0, got " +
+        std::to_string(max_retries));
+  }
+  return Status::OK();
+}
+
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
-  FLASH_CHECK(plan_.msg_drop_rate >= 0 && plan_.msg_drop_rate < 1.0)
-      << "msg_drop_rate must be in [0, 1)";
-  FLASH_CHECK(plan_.msg_dup_rate >= 0 && plan_.msg_dup_rate < 1.0)
-      << "msg_dup_rate must be in [0, 1)";
-  FLASH_CHECK(plan_.msg_reorder_rate >= 0 && plan_.msg_reorder_rate < 1.0)
-      << "msg_reorder_rate must be in [0, 1)";
-  FLASH_CHECK_GE(plan_.max_retries, 0);
+  FLASH_CHECK_OK(plan_.Check());
   if (plan_.fragment_bytes == 0) plan_.fragment_bytes = 1024;
   crash_fired_.assign(plan_.worker_crash_schedule.size(), 0);
 }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "flashware/metrics.h"
 
 namespace flash {
@@ -65,6 +66,9 @@ struct FaultPlan {
   bool Active() const {
     return HasMessageFaults() || HasCrashes() || checkpoint_interval > 0;
   }
+
+  /// InvalidArgument unless every rate is in [0, 1) and max_retries >= 0.
+  Status Check() const;
 
   std::string ToString() const;
 };

@@ -84,6 +84,14 @@ class MessageBus {
   uint64_t LastTotalBytes() const { return last_total_bytes_; }
   uint64_t LastMessages() const { return last_messages_; }
 
+  /// Bills the last Exchange to `sample`: its bytes, the busiest worker's
+  /// bytes and its messages.
+  void AddLastExchange(StepSample& sample) const {
+    sample.bytes_total += last_total_bytes_;
+    sample.bytes_max += last_max_worker_bytes_;
+    sample.msgs_total += last_messages_;
+  }
+
   uint64_t TotalBytes() const { return total_bytes_; }
   uint64_t TotalMessages() const { return total_messages_; }
 

@@ -7,11 +7,8 @@
 
 #include "common/random.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
-#include "flashware/fault_injector.h"
-#include "flashware/message_bus.h"
-#include "graph/partition.h"
+#include "flashware/runtime.h"
 #include "obs/tracer.h"
 
 namespace flash {
@@ -196,14 +193,12 @@ struct Transition {
   }
 };
 
-/// What one walk step needs besides the transition law.
+/// What one walk step needs besides the transition law: the step index and
+/// the cluster it runs on.
 struct StepEnv {
   const Transition& law;
-  const Partition& part;
+  Runtime& runtime;
   uint32_t step;
-  MessageBus& bus;
-  ThreadPool& pool;
-  obs::Tracer* tracer;
   uint64_t num_vertices;
 };
 
@@ -310,7 +305,7 @@ class BatchedStepper {
     PlaceSlots();
     Scatter(env, pools);
     SortAndFrame(env, tallies);
-    env.bus.Exchange();
+    env.runtime.bus().Exchange();
     Decode(env);
     Merge(env, pools);
   }
@@ -367,11 +362,12 @@ class BatchedStepper {
 
   void Advance(const StepEnv& env, std::vector<std::vector<Walker>>& pools,
                TaskTallies& tallies) {
-    env.pool.ParallelForWorkers(tasks_, [&](int t) {
+    env.runtime.pool().ParallelForWorkers(tasks_, [&](int t) {
       Timer timer;
       const int w = t / shards_;
       ShardSlot& slot = slots_[t];
       std::fill(slot.counts.begin(), slot.counts.end(), 0);
+      const Partition& part = env.runtime.partition();
       Walker* p = pools[w].data();
       WalkTally wt;
       size_t i = slot.begin;
@@ -386,7 +382,7 @@ class BatchedStepper {
             wk.cur = kInvalidVertex;
             continue;
           }
-          const int dst = env.part.Owner(wk.cur);
+          const int dst = part.Owner(wk.cur);
           ++slot.counts[static_cast<size_t>(dst) * groups_ + Group(wk.cur)];
           if (dst != w) ++wt.shipped;
         }
@@ -435,14 +431,15 @@ class BatchedStepper {
 
   void Scatter(const StepEnv& env,
                const std::vector<std::vector<Walker>>& pools) {
-    env.pool.ParallelForWorkers(tasks_, [&](int t) {
+    env.runtime.pool().ParallelForWorkers(tasks_, [&](int t) {
       const int w = t / shards_;
       ShardSlot& slot = slots_[t];
+      const Partition& part = env.runtime.partition();
       const Walker* p = pools[w].data();
       for (size_t i = slot.begin; i < slot.end; ++i) {
         const Walker& wk = p[i];
         if (wk.cur == kInvalidVertex) continue;
-        const int dst = env.part.Owner(wk.cur);
+        const int dst = part.Owner(wk.cur);
         size_t& next =
             slot.counts[static_cast<size_t>(dst) * groups_ + Group(wk.cur)];
         channel(w, dst).walkers[next++] = wk;
@@ -453,14 +450,14 @@ class BatchedStepper {
   /// Sorts every group of every channel by (cur, id) and frames the remote
   /// channels: one sealed frame per non-empty channel, one wire message.
   void SortAndFrame(const StepEnv& env, TaskTallies& tallies) {
-    env.pool.ParallelForWorkers(m_ * m_, [&](int c) {
+    env.runtime.pool().ParallelForWorkers(m_ * m_, [&](int c) {
       const int w = c / m_;
       const int dst = c % m_;
       Channel& ch = channels_[c];
       if (ch.walkers.empty()) return;
       Timer timer;
       {
-        OBS_SPAN_VAR(shuffle_span, env.tracer, "walk:shuffle",
+        OBS_SPAN_VAR(shuffle_span, env.runtime.tracer(), "walk:shuffle",
                      obs::SpanKind::kTask, w, dst);
         for (int g = 0; g < groups_; ++g) {
           SortGroup(ch.walkers.data() + ch.group_begin[g],
@@ -472,9 +469,9 @@ class BatchedStepper {
       if (dst != w) {
         std::transform(ch.walkers.begin(), ch.walkers.end(),
                        ch.records.begin(), ToRecord);
-        EncodeWalkerFrame(env.bus.Channel(w, dst), ch.records.data(),
+        EncodeWalkerFrame(env.runtime.bus().Channel(w, dst), ch.records.data(),
                           ch.records.size(), ch.frame);
-        env.bus.CountMessages(w, dst, 1);
+        env.runtime.bus().CountMessages(w, dst, 1);
       }
       channel_seconds_[c] = timer.Seconds();
     });
@@ -490,13 +487,13 @@ class BatchedStepper {
   /// frame input buffer, spent once the frame is on the wire, is the decode
   /// scratch.
   void Decode(const StepEnv& env) {
-    env.pool.ParallelForWorkers(m_ * m_, [&](int c) {
+    env.runtime.pool().ParallelForWorkers(m_ * m_, [&](int c) {
       const int src = c / m_;
       const int dst = c % m_;
       if (src == dst) return;
       Channel& ch = channels_[c];
       ch.records.clear();
-      BufferReader reader(env.bus.Incoming(dst, src));
+      BufferReader reader(env.runtime.bus().Incoming(dst, src));
       while (!reader.AtEnd()) {
         const Status st =
             DecodeWalkerFrame(reader, env.num_vertices, &ch.records);
@@ -526,7 +523,7 @@ class BatchedStepper {
                   shards_, env.num_vertices,
                   &merge_cut_[static_cast<size_t>(dst) * (shards_ + 1)]);
     }
-    env.pool.ParallelForWorkers(tasks_, [&](int t) {
+    env.runtime.pool().ParallelForWorkers(tasks_, [&](int t) {
       const int dst = t / shards_;
       const uint64_t* cut =
           &merge_cut_[static_cast<size_t>(dst) * (shards_ + 1)];
@@ -598,15 +595,16 @@ class NaiveStepper {
 
   void Step(const StepEnv& env, std::vector<std::vector<Walker>>& pools,
             TaskTallies& tallies) {
-    env.pool.ParallelForWorkers(m_, [&](int w) {
+    env.runtime.pool().ParallelForWorkers(m_, [&](int w) {
       Timer timer;
       WalkTally wt;
+      const Partition& part = env.runtime.partition();
       std::vector<Walker>& next = next_pools_[w];
       for (Walker wk : pools[w]) {
         if (!env.law.Advance(wk, env.law.Neighbors(wk.cur), env.step, wt)) {
           continue;
         }
-        const int dst = env.part.Owner(wk.cur);
+        const int dst = part.Owner(wk.cur);
         if (dst == w) {
           next.push_back(wk);
         } else {
@@ -620,24 +618,24 @@ class NaiveStepper {
         std::vector<WalkerRecord>& lane =
             staged_[static_cast<size_t>(w) * m_ + dst];
         if (lane.empty()) continue;
-        BufferWriter& out = env.bus.Channel(w, dst);
+        BufferWriter& out = env.runtime.bus().Channel(w, dst);
         for (const WalkerRecord& rec : lane) {
           EncodeWalkerFrame(out, &rec, 1, frame_scratch_[w]);
         }
-        env.bus.CountMessages(w, dst, lane.size());
+        env.runtime.bus().CountMessages(w, dst, lane.size());
         lane.clear();
       }
       tallies.walk[w] = wt;
       tallies.step[w] = StepTally{0, wt.processed, timer.Seconds()};
     });
 
-    env.bus.Exchange();
-    env.pool.ParallelForWorkers(m_, [&](int dst) {
+    env.runtime.bus().Exchange();
+    env.runtime.pool().ParallelForWorkers(m_, [&](int dst) {
       std::vector<WalkerRecord>& records = decode_scratch_[dst];
       records.clear();
       for (int src = 0; src < m_; ++src) {
         if (src == dst) continue;
-        BufferReader reader(env.bus.Incoming(dst, src));
+        BufferReader reader(env.runtime.bus().Incoming(dst, src));
         while (!reader.AtEnd()) {
           const Status st =
               DecodeWalkerFrame(reader, env.num_vertices, &records);
@@ -707,7 +705,7 @@ void PlaceWalkers(const Partition& part, uint64_t num_vertices,
 WalkEngine::WalkEngine(GraphPtr graph, const RuntimeOptions& options)
     : graph_(std::move(graph)), options_(options) {
   FLASH_CHECK(graph_ != nullptr);
-  FLASH_CHECK_GE(options_.num_workers, 1);
+  FLASH_CHECK_OK(CheckRuntimeOptions(options_, RuntimeSurface::kWalks));
 }
 
 WalkResult WalkEngine::Run(const WalkSpec& spec) {
@@ -725,42 +723,19 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   if (num_walkers == 0) return result;
   if (ppr) FLASH_CHECK(spec.ppr_source < n) << "walk source out of range";
 
-  auto part_result = Partition::ForGraph(graph_, m, options_.partition);
-  FLASH_CHECK(part_result.ok()) << part_result.status().ToString();
-  const Partition& part = *part_result.value();
-
-  // Observability: the caller's tracer, or a private one the result owns.
-  if (options_.trace) {
-    result.tracer = options_.tracer ? options_.tracer
-                                    : std::make_shared<obs::Tracer>();
-  }
-  obs::Tracer* tracer = result.tracer.get();
-
-  MessageBus bus(m);
-  bus.SetTracer(tracer);
-  FaultInjector injector(options_.fault_plan);
-  if (injector.message_faults()) bus.SetFaultInjector(&injector);
-  injector.SetTracer(tracer);
-
-  GraphStorage* storage = graph.storage();
-  const bool paged = graph.is_paged();
-  if (paged) {
-    storage->ApplyRuntimeLimits(options_.edge_cache_bytes,
-                                options_.storage_prefetch_depth);
-    storage->SetTracer(tracer);
-  }
-
+  Runtime runtime(graph_, options_, RuntimeSurface::kWalks);
+  obs::Tracer* const tracer = runtime.tracer();
+  result.tracer = runtime.shared_tracer();
   // The batched step runs threads_per_worker shard tasks per worker; the
   // naive baseline one task per worker.
-  const int shards =
-      spec.batch_by_vertex ? std::max(1, options_.threads_per_worker) : 1;
-  ThreadPool pool(HostThreadCount(m * shards, options_.host_threads));
+  const int shards = spec.batch_by_vertex ? options_.threads_per_worker : 1;
 
   // A walker lives in the pool of the worker owning its current vertex.
   std::vector<std::vector<Walker>> pools(m);
   std::vector<std::vector<VertexId>>* traces =
       spec.record_traces ? &result.traces : nullptr;
-  PlaceWalkers(part, n, num_walkers, spec, pools, traces, pool);
+  PlaceWalkers(runtime.partition(), n, num_walkers, spec, pools, traces,
+               runtime.pool());
   result.metrics.walks.walkers = num_walkers;
 
   const double inv_p = 1.0 / options_.node2vec_p;
@@ -797,8 +772,8 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
     // every walker's current vertex, plus previous vertices for node2vec's
     // HasEdge probes. Planning sees the exact access set, so the paged
     // backend can sweep or prefetch instead of demand-faulting.
-    if (paged) {
-      storage->BeginEpoch();
+    if (runtime.paged()) {
+      runtime.OpenEpoch();
       plan_scratch.clear();
       for (int w = 0; w < m; ++w) {
         for (const Walker& wk : pools[w]) {
@@ -812,11 +787,11 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
       plan_scratch.erase(
           std::unique(plan_scratch.begin(), plan_scratch.end()),
           plan_scratch.end());
-      storage->PlanBlocks(plan_scratch, /*out_dir=*/true);
+      runtime.storage()->PlanBlocks(plan_scratch, /*out_dir=*/true);
     }
 
     tallies.Reset(m * shards, m);
-    const StepEnv env{law, part, step, bus, pool, tracer, n};
+    const StepEnv env{law, runtime, step, n};
     if (batched) {
       batched->Step(env, pools, tallies);
     } else {
@@ -830,16 +805,8 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
     sample.frontier_in = static_cast<uint32_t>(
         std::min<uint64_t>(live, UINT32_MAX));
     FoldTallies(tallies.step, shards, tallies.worker, sample);
-    sample.bytes_total = bus.LastTotalBytes();
-    sample.bytes_max = bus.LastMaxWorkerBytes();
-    sample.msgs_total = bus.LastMessages();
-    if (paged) {
-      const EpochIo io = storage->EndEpoch();
-      sample.storage_bytes = io.bytes;
-      sample.storage_blocks = io.blocks;
-      sample.storage_decode_bytes = io.decode_bytes;
-      result.metrics.storage = storage->stats();
-    }
+    runtime.bus().AddLastExchange(sample);
+    runtime.CloseEpoch(sample, result.metrics);
 
     WalkStats& ws = result.metrics.walks;
     ws.steps += 1;
@@ -859,7 +826,7 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   // step will count — count it here, one task per worker (workers own
   // disjoint vertices).
   uint64_t* const visits = result.visits.data();
-  pool.ParallelForWorkers(m, [&](int w) {
+  runtime.pool().ParallelForWorkers(m, [&](int w) {
     for (const Walker& wk : pools[w]) visits[wk.cur] += 1;
   });
 
@@ -867,11 +834,10 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   for (VertexId v = 0; v < n; ++v) total += result.visits[v];
   result.total_visits = total;
 
-  if (injector.stats().Any()) result.metrics.fault = injector.stats();
+  runtime.SyncFaultStats(result.metrics);
   result.metrics.wire_pool_peak_bytes =
-      std::max(result.metrics.wire_pool_peak_bytes, bus.PoolPeakBytes());
-  // The graph may outlive the tracer (result-owned when engine-made).
-  if (paged) storage->SetTracer(nullptr);
+      std::max(result.metrics.wire_pool_peak_bytes,
+               runtime.bus().PoolPeakBytes());
   if (tracer != nullptr) tracer->Fold();
   return result;
 }

@@ -93,6 +93,10 @@ struct WalkResult {
 /// cross-partition walkers as checksummed walker frames through the
 /// MessageBus — exact byte/message accounting, composing with message-fault
 /// plans; each destination merges its sorted arrivals into its next pool.
+/// Each Run builds its own Runtime (flashware/runtime.h), the cluster the
+/// BSP and async engines run on. Walks have no crash recovery yet, so
+/// options with a crash or checkpoint plan, or threads_per_worker < 1, are
+/// rejected (CheckRuntimeOptions) when the engine is constructed.
 /// On the paged backend the engine drives the storage epoch protocol
 /// (BeginEpoch/PlanBlocks/EndEpoch) once per step, so block I/O is planned
 /// from the step's walker positions and billed per step like wire traffic.

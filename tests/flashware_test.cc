@@ -1,13 +1,19 @@
 // Unit tests for the FLASHWARE middleware internals: the current/next
 // vertex store (BSP visibility, dirty tracking, masked mirror overlays),
-// metrics aggregation, and the cluster cost model.
+// metrics aggregation, the cluster cost model, and the runtime options
+// check.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <functional>
+#include <string>
 
 #include "algorithms/algorithms.h"
 #include "flashware/checkpoint.h"
 #include "flashware/cost_model.h"
 #include "flashware/metrics.h"
+#include "flashware/runtime.h"
 #include "flashware/vertex_store.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
@@ -318,6 +324,143 @@ TEST(PartitionMetrics, TotalMirrorsMatchesMaskPopcounts) {
   }
   EXPECT_EQ(part.TotalMirrors(), expected);
   EXPECT_GT(part.TotalMirrors(), 0u);
+}
+
+// --- CheckRuntimeOptions ---------------------------------------------------
+
+TEST(CheckRuntimeOptions, EveryRuleNamesItsField) {
+  struct Row {
+    const char* name;
+    RuntimeSurface surface;
+    std::function<void(RuntimeOptions&)> edit;
+    const char* field;  // Null: the options are valid.
+  };
+  const auto crash = [](RuntimeOptions& o, int worker) {
+    o.fault_plan.worker_crash_schedule.push_back({2, worker});
+  };
+  const auto message_faults = [](RuntimeOptions& o, double rate) {
+    o.fault_plan.msg_drop_rate = rate;
+    o.fault_plan.msg_dup_rate = rate;
+    o.fault_plan.msg_reorder_rate = rate;
+  };
+  const auto none = [](RuntimeOptions&) {};
+  const RuntimeSurface kGraph = RuntimeSurface::kGraph;
+  const RuntimeSurface kWalks = RuntimeSurface::kWalks;
+  const std::vector<Row> rows = {
+      // Valid: the defaults, and what the benches and perfbench build.
+      {"defaults", kGraph, none, nullptr},
+      {"walk defaults", kWalks, none, nullptr},
+      {"perfbench cluster", kGraph,
+       [](RuntimeOptions& o) {
+         o.num_workers = 4;
+         o.threads_per_worker = 4;
+         o.host_threads = 4;
+       },
+       nullptr},
+      {"perfbench async", kGraph,
+       [](RuntimeOptions& o) {
+         o.threads_per_worker = 4;
+         o.execution_mode = ExecutionMode::kAsync;
+       },
+       nullptr},
+      {"perfbench faulty walks", kWalks,
+       [&](RuntimeOptions& o) {
+         o.threads_per_worker = 4;
+         message_faults(o, 0.01);
+       },
+       nullptr},
+      {"perfbench paged serve", kGraph,
+       [](RuntimeOptions& o) {
+         o.edge_cache_bytes = 1 << 20;
+         o.storage_prefetch_depth = 0;
+       },
+       nullptr},
+      {"async under message faults", kGraph,
+       [&](RuntimeOptions& o) {
+         o.execution_mode = ExecutionMode::kAsync;
+         message_faults(o, 0.05);
+       },
+       nullptr},
+      {"fault_recovery storm", kGraph,
+       [&](RuntimeOptions& o) {
+         message_faults(o, 0.2);
+         o.fault_plan.checkpoint_interval = 4;
+         crash(o, 0);
+         crash(o, 3);
+       },
+       nullptr},
+      {"exhausted retry budget", kGraph,
+       [](RuntimeOptions& o) {
+         o.fault_plan.msg_drop_rate = 0.7;
+         o.fault_plan.max_retries = 0;
+       },
+       nullptr},
+      {"64 workers", kGraph, [](RuntimeOptions& o) { o.num_workers = 64; },
+       nullptr},
+      // One row per rule.
+      {"no workers", kGraph, [](RuntimeOptions& o) { o.num_workers = 0; },
+       "num_workers"},
+      {"65 workers", kGraph, [](RuntimeOptions& o) { o.num_workers = 65; },
+       "num_workers"},
+      {"100 walk workers", kWalks,
+       [](RuntimeOptions& o) { o.num_workers = 100; }, "num_workers"},
+      {"no shards", kGraph,
+       [](RuntimeOptions& o) { o.threads_per_worker = 0; },
+       "threads_per_worker"},
+      {"no walk shards", kWalks,
+       [](RuntimeOptions& o) { o.threads_per_worker = 0; },
+       "threads_per_worker"},
+      {"negative host threads", kGraph,
+       [](RuntimeOptions& o) { o.host_threads = -1; }, "host_threads"},
+      {"certain drops", kGraph,
+       [](RuntimeOptions& o) { o.fault_plan.msg_drop_rate = 1.0; },
+       "msg_drop_rate"},
+      {"negative drops", kWalks,
+       [](RuntimeOptions& o) { o.fault_plan.msg_drop_rate = -0.1; },
+       "msg_drop_rate"},
+      {"dup rate 1.5", kGraph,
+       [](RuntimeOptions& o) { o.fault_plan.msg_dup_rate = 1.5; },
+       "msg_dup_rate"},
+      {"NaN reorders", kGraph,
+       [](RuntimeOptions& o) { o.fault_plan.msg_reorder_rate = std::nan(""); },
+       "msg_reorder_rate"},
+      {"negative retries", kGraph,
+       [](RuntimeOptions& o) { o.fault_plan.max_retries = -1; },
+       "max_retries"},
+      {"crash past the last worker", kGraph,
+       [&](RuntimeOptions& o) { crash(o, 4); }, "worker_crash_schedule"},
+      {"crash of worker -1", kGraph, [&](RuntimeOptions& o) { crash(o, -1); },
+       "worker_crash_schedule"},
+      {"async crash", kGraph,
+       [&](RuntimeOptions& o) {
+         o.execution_mode = ExecutionMode::kAsync;
+         crash(o, 1);
+       },
+       "execution_mode"},
+      {"async checkpoints", kGraph,
+       [](RuntimeOptions& o) {
+         o.execution_mode = ExecutionMode::kAsync;
+         o.fault_plan.checkpoint_interval = 2;
+       },
+       "execution_mode"},
+      {"walk crash", kWalks, [&](RuntimeOptions& o) { crash(o, 1); },
+       "worker_crash_schedule"},
+      {"walk checkpoints", kWalks,
+       [](RuntimeOptions& o) { o.fault_plan.checkpoint_interval = 2; },
+       "checkpoint_interval"},
+  };
+  for (const Row& row : rows) {
+    RuntimeOptions options;
+    row.edit(options);
+    const Status status = CheckRuntimeOptions(options, row.surface);
+    if (row.field == nullptr) {
+      EXPECT_TRUE(status.ok()) << row.name << ": " << status.ToString();
+      continue;
+    }
+    EXPECT_TRUE(status.IsInvalidArgument()) << row.name;
+    EXPECT_NE(status.message().find(row.field), std::string::npos)
+        << row.name << ": " << status.message();
+  }
 }
 
 }  // namespace

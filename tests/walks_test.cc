@@ -17,6 +17,7 @@
 
 #include "algorithms/algorithms.h"
 #include "common/hash.h"
+#include "flashware/runtime.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/paged_storage.h"
@@ -326,6 +327,25 @@ TEST(WalkEngine, TracedRunDetachesItsTracerFromTheStorage) {
     (void)paged.twin->OutNeighbors(v);
   }
   EXPECT_GT(storage->stats().blocks_read, blocks_before);
+}
+
+// Walks have no crash recovery: a crash or checkpoint plan is rejected when
+// the engine is built, never run without its crashes. Message faults run.
+TEST(WalkEngine, RejectsCrashAndCheckpointPlans) {
+  RuntimeOptions options = WalkOptions(1, 500, 4);
+  options.fault_plan.worker_crash_schedule.push_back({2, 1});
+  EXPECT_TRUE(CheckRuntimeOptions(options, RuntimeSurface::kWalks)
+                  .IsInvalidArgument());
+  EXPECT_DEATH(WalkEngine(TestGraph(), options), "worker_crash_schedule");
+
+  options.fault_plan.worker_crash_schedule.clear();
+  options.fault_plan.checkpoint_interval = 2;
+  EXPECT_DEATH(WalkEngine(TestGraph(), options), "checkpoint_interval");
+
+  options.fault_plan.checkpoint_interval = 0;
+  options.fault_plan.msg_drop_rate = 0.05;
+  auto r = WalkEngine(TestGraph(), options).Run(WalkSpec{});
+  EXPECT_GT(r.metrics.fault.drops, 0u);
 }
 
 // perfbench's walks.shuffle_s sums the walk:shuffle task spans, so a traced

@@ -54,6 +54,9 @@
 //     --alpha=F           ppr termination probability       (default 0.15)
 //     --walk-seed=N       walk PRNG seed (traces are a pure function of
 //                         it — bit-identical at any --threads) (default 42)
+//   A bad runtime flag (worker or thread count, fault rate, crash worker,
+//   crash plan outside BSP or on walks, --root past the last vertex) exits
+//   2 with a message.
 //   output:
 //     --output=FILE       write per-vertex results, one per line
 //     --metrics           print the run's superstep/communication metrics
@@ -84,6 +87,7 @@
 
 #include "algorithms/algorithms.h"
 #include "common/logging.h"
+#include "flashware/runtime.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -595,7 +599,24 @@ Result<GraphPtr> PageGraph(const Args& args, const GraphPtr& graph,
   return OpenPagedGraph(guard->path, options);
 }
 
+/// Algorithms that read --root as a source vertex.
+bool IsRooted(const Args& args) {
+  for (const char* name :
+       {"bfs", "sssp", "ssspdelta", "bc", "ppr", "pprpush", "diameter"}) {
+    if (args.algorithm == name) return true;
+  }
+  return args.algorithm == "walk" && args.walk_kind == "ppr";
+}
+
 int Run(const Args& args) {
+  const RuntimeOptions options = MakeRuntime(args);
+  const Status valid = CheckRuntimeOptions(
+      options, args.algorithm == "walk" ? RuntimeSurface::kWalks
+                                        : RuntimeSurface::kGraph);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "bad runtime flags: %s\n", valid.ToString().c_str());
+    return 2;
+  }
   auto graph_or = LoadGraph(args);
   if (!graph_or.ok()) {
     std::fprintf(stderr, "cannot load graph: %s\n",
@@ -624,7 +645,11 @@ int Run(const Args& args) {
               static_cast<unsigned long long>(graph->NumEdges()),
               graph->is_symmetric() ? ", symmetric" : ", directed",
               graph->is_weighted() ? ", weighted" : "");
-  RuntimeOptions options = MakeRuntime(args);
+  if (IsRooted(args) && args.root >= graph->NumVertices()) {
+    std::fprintf(stderr, "--root=%u is out of range: the graph has %u "
+                 "vertices\n", args.root, graph->NumVertices());
+    return 2;
+  }
   const std::string& a = args.algorithm;
   Metrics metrics;
 
