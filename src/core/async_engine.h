@@ -255,12 +255,12 @@ class AsyncEngine {
     prev_drains_ = drains_;
     // Plan-ahead paging: each round's block set is knowable before its drain
     // starts — exactly the live entries of every worker's lowest non-empty
-    // bucket. Hand that set to the paged backend as a plan so block loads
-    // run on the storage pipeline (sweep or prefetch) instead of demand-
-    // faulting inside the drain. Disabled (async_plan_blocks=false) the
-    // engine reverts to pure demand paging, billing its reads to the next
-    // BSP barrier — the pre-plan baseline the storage bench compares
-    // against. Pure bookkeeping either way: results never change.
+    // bucket. Hand that set to the paged backend as a plan so its blocks
+    // load on the pool before the drain instead of demand-faulting inside
+    // it. Disabled (async_plan_blocks=false) the engine reverts to pure
+    // demand paging, billing its reads to the next BSP barrier — the
+    // pre-plan baseline the storage bench compares against. Pure
+    // bookkeeping either way: results never change.
     const bool planned = runtime_.paged() && api_.options_.async_plan_blocks;
     if (planned) {
       runtime_.OpenEpoch();
@@ -274,7 +274,8 @@ class AsyncEngine {
           if (queued_prio_[v] == b) plan_scratch_.push_back(v);
         }
       }
-      runtime_.storage()->PlanBlocks(plan_scratch_, /*out_dir=*/true);
+      runtime_.storage()->PlanBlocks(runtime_.pool(), plan_scratch_,
+                                     /*out_dir=*/true);
     }
     api_.RunPerWorker("async:drain", [&](int w) {
       Timer timer;

@@ -301,7 +301,8 @@ class GraphApi {
       // schedule when the frontier is large enough and the blocks fit.
       const EdgeOrientation pull = H->pull_source();
       if (pull != EdgeOrientation::kUnknown) {
-        runtime_.storage()->PlanSweep(pull == EdgeOrientation::kOutEdges,
+        runtime_.storage()->PlanSweep(runtime_.pool(),
+                                      pull == EdgeOrientation::kOutEdges,
                                       U.TotalSize());
       }
     }
@@ -386,8 +387,8 @@ class GraphApi {
     const int shards = options_.threads_per_worker;
     if (runtime_.paged()) {
       // Push mode reads exactly the frontier's adjacency: declare it so the
-      // backend loads those blocks (sweep or prefetch) before the compute
-      // tasks demand them.
+      // backend loads those blocks on the pool before the compute tasks
+      // demand them.
       const EdgeOrientation push = H->push_source();
       if (push != EdgeOrientation::kUnknown) {
         frontier_scratch_.clear();
@@ -396,7 +397,7 @@ class GraphApi {
           frontier_scratch_.insert(frontier_scratch_.end(), owned.begin(),
                                    owned.end());
         }
-        runtime_.storage()->PlanBlocks(frontier_scratch_,
+        runtime_.storage()->PlanBlocks(runtime_.pool(), frontier_scratch_,
                                        push == EdgeOrientation::kOutEdges);
       }
     }
@@ -1168,20 +1169,9 @@ class GraphApi {
     runtime_.bus().AddLastExchange(sample);
     UpdateWirePoolPeak();
 
-    // Barrier: drain the storage epoch. The backend's lifetime counters are
-    // snapshotted here, BEFORE the trailing prefetch is issued, so
-    // Metrics::storage never depends on how far an in-flight prefetch got.
+    // Barrier: close the storage epoch and snapshot the backend's lifetime
+    // counters.
     runtime_.CloseEpoch(sample, metrics_);
-    if (runtime_.paged()) {
-      // Next superstep's frontier, flattened before `out` is consumed:
-      // handed to the prefetch pipeline below so block loads overlap the
-      // gap between supersteps.
-      frontier_scratch_.clear();
-      for (const auto& worker_out : out) {
-        frontier_scratch_.insert(frontier_scratch_.end(), worker_out.begin(),
-                                 worker_out.end());
-      }
-    }
 
     if (log_recovery) last_frontier_ = out;  // For the next snapshot.
     VertexSubset result =
@@ -1190,12 +1180,6 @@ class GraphApi {
     metrics_.AddStep(sample, options_.record_steps);
     ObsEndSuperstep(sample);
     runtime_.SyncFaultStats(metrics_);
-    if (runtime_.paged() && !frontier_scratch_.empty()) {
-      // Asynchronous hint: the next superstep most often pushes along the
-      // new frontier's out-edges. Wrong guesses only cost an early load
-      // (billed to the epoch that drains it — still deterministic).
-      runtime_.storage()->Prefetch(frontier_scratch_, /*out_dir=*/true);
-    }
     return result;
   }
 
@@ -1411,8 +1395,8 @@ class GraphApi {
   // The open-superstep bracket state ObsBegin/EndSuperstep maintain.
   uint64_t obs_step_begin_ns_ = 0;
   bool obs_step_open_ = false;
-  // Plan/prefetch frontier ids carried between barriers of a paged graph —
-  // driving thread only.
+  // The frontier ids an EDGEMAPSPARSE step plans on a paged graph — driving
+  // thread only.
   std::vector<VertexId> frontier_scratch_;
 };
 

@@ -52,9 +52,9 @@ ModeledTime ModelTime(const Metrics& metrics, const ClusterConfig& config) {
             1e-9 * config.ns_per_message *
                 static_cast<double>(step.msgs_total) / config.nodes;
       }
-      // Plan-ahead paging gives async rounds the same overlapped storage
-      // pipeline as BSP supersteps; accumulate their I/O and decode volumes
-      // into the run-level async overlap below.
+      // Async rounds page like BSP supersteps, and the model overlaps their
+      // storage the same way: accumulate their I/O and decode volumes into
+      // the run-level async overlap below.
       if (step.storage_bytes > 0 || step.storage_blocks > 0) {
         async_io += static_cast<double>(step.storage_bytes) /
                         config.storage_bytes_per_second +
@@ -125,13 +125,13 @@ ModeledTime ModelTime(const Metrics& metrics, const ClusterConfig& config) {
                config.storage_block_latency_seconds;
     }
     // Decode is priced on decoded payload bytes — a codec-invariant volume —
-    // and overlaps compute on the prefetch pipeline like the reads it trails.
+    // and is modelled as overlapping compute like the reads it trails.
     const double decode = static_cast<double>(step.storage_decode_bytes) /
                           config.storage_decode_bytes_per_second;
 
     double step_time;
     if (config.overlap_comm_compute) {
-      // The prefetch pipeline overlaps block reads (and their decode) with
+      // The modelled cluster overlaps block reads (and their decode) with
       // compute the same way the bus overlaps network traffic: the slowest
       // of the four resources gates the superstep.
       step_time =

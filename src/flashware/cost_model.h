@@ -82,7 +82,9 @@ struct ClusterConfig {
   // Block-payload decode throughput (checksum + varint-delta expansion or
   // raw copy), priced on *decoded* bytes so the term is codec-invariant:
   // the delta codec trades fewer file bytes for the same decode volume.
-  // Decode runs on the prefetch pipeline and overlaps compute like I/O.
+  // The model overlaps decode with compute like I/O, as a semi-external
+  // engine with an I/O pipeline would; the host loads planned blocks on
+  // its pool before compute, so measured time does not overlap them.
   double storage_decode_bytes_per_second = 4.0e9;
 
   /// Ratio of the modelled cluster core's speed to the host core that ran

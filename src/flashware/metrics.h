@@ -194,7 +194,7 @@ struct Metrics {
   uint64_t storage_blocks_read = 0;
   uint64_t storage_decode_bytes = 0;
   /// Lifetime counters of the run's storage backend, snapshotted at the
-  /// last superstep barrier (quiesced — trailing prefetch never leaks in).
+  /// last superstep barrier.
   StorageStats storage;
 
   /// Per-superstep counter samples (present when

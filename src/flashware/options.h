@@ -99,11 +99,6 @@ struct RuntimeOptions {
   /// volume and modelled time, never results.
   uint64_t edge_cache_bytes = 0;
 
-  /// Max edge blocks handed to the paged backend's async prefetch pipeline
-  /// per superstep. -1 keeps the backend's configured depth; 0 disables
-  /// prefetch (demand paging only). Ignored by in-memory graphs.
-  int storage_prefetch_depth = -1;
-
   /// Plan-ahead paging for the async engine: before each micro-round's
   /// drain, the engine derives the round's edge-block set from the queued
   /// bucket contents and hands it to the paged backend as a plan, so block

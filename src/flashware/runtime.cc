@@ -91,8 +91,7 @@ Runtime::Runtime(const GraphPtr& graph, const RuntimeOptions& options,
     }
   }
   if (paged_) {
-    storage_->ApplyRuntimeLimits(options.edge_cache_bytes,
-                                 options.storage_prefetch_depth);
+    storage_->ApplyRuntimeLimits(options.edge_cache_bytes);
     storage_->SetTracer(tracer_.get());
   }
 }

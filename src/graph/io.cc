@@ -1,6 +1,5 @@
 #include "graph/io.h"
 
-#include <charconv>
 #include <fstream>
 #include <cstring>
 #include <sstream>
@@ -55,92 +54,6 @@ Status SaveEdgeListFile(const Graph& graph, const std::string& path) {
     return Status::IOError("short write to " + path);
   }
   return Status::OK();
-}
-
-namespace {
-constexpr char kMagic[8] = {'F', 'L', 'S', 'H', 'G', 'R', 'P', 'H'};
-constexpr uint32_t kBinaryVersion = 1;
-}  // namespace
-
-Status SaveBinaryFile(const Graph& graph, const std::string& path) {
-  BufferWriter writer;
-  writer.WriteRaw(kMagic, sizeof(kMagic));
-  writer.WritePod(kBinaryVersion);
-  writer.WritePod<uint8_t>(graph.is_symmetric() ? 1 : 0);
-  writer.WritePod<uint8_t>(graph.is_weighted() ? 1 : 0);
-  writer.WritePod<VertexId>(graph.NumVertices());
-  // Edges in CSR order; Build() reconstructs both directions.
-  writer.WriteVarint(graph.NumEdges());
-  graph.ForEachEdge([&](VertexId u, VertexId v, float w) {
-    writer.WritePod(u);
-    writer.WritePod(v);
-    if (graph.is_weighted()) writer.WritePod(w);
-  });
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-            static_cast<std::streamsize>(writer.size()));
-  if (!out) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Result<GraphPtr> LoadBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {
-    return Status::IOError(path + ": truncated flash binary graph");
-  }
-  BufferReader reader(bytes);
-  char magic[8];
-  reader.ReadRaw(magic, sizeof(magic));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a flash binary graph");
-  }
-  uint32_t version = reader.ReadPod<uint32_t>();
-  if (version != kBinaryVersion) {
-    return Status::InvalidArgument(path + ": unsupported version " +
-                                   std::to_string(version));
-  }
-  bool symmetric = reader.ReadPod<uint8_t>() != 0;
-  bool weighted = reader.ReadPod<uint8_t>() != 0;
-  VertexId num_vertices = reader.ReadPod<VertexId>();
-  uint64_t num_edges = reader.ReadVarint();
-  GraphBuilder builder(num_vertices);
-  for (uint64_t e = 0; e < num_edges; ++e) {
-    VertexId u = reader.ReadPod<VertexId>();
-    VertexId v = reader.ReadPod<VertexId>();
-    float w = weighted ? reader.ReadPod<float>() : 1.0f;
-    builder.AddEdge(u, v, w);
-  }
-  BuildOptions options;
-  // Already materialised symmetrically when saved; do not double up.
-  options.symmetrize = false;
-  options.remove_self_loops = false;
-  options.deduplicate = false;
-  options.keep_weights = weighted;
-  FLASH_ASSIGN_OR_RETURN(GraphPtr graph, builder.Build(options));
-  if (symmetric) {
-    // Preserve the symmetric flag through a rebuild-free cast path: the
-    // edge list already holds both directions.
-    GraphBuilder rebuilder(num_vertices);
-    graph->ForEachEdge([&](VertexId u, VertexId v, float w) {
-      if (u <= v) rebuilder.AddEdge(u, v, w);
-    });
-    BuildOptions sym_options;
-    sym_options.symmetrize = true;
-    sym_options.remove_self_loops = false;
-    sym_options.keep_weights = weighted;
-    return rebuilder.Build(sym_options);
-  }
-  return graph;
 }
 
 namespace {

@@ -18,15 +18,6 @@ Result<GraphPtr> LoadEdgeListFile(const std::string& path,
 /// graph is weighted).
 Status SaveEdgeListFile(const Graph& graph, const std::string& path);
 
-/// Writes the graph's CSR in a compact binary format (magic "FLSHGRPH",
-/// version, flags, then the offset/target/weight arrays). Loading is a
-/// single pass with no re-sorting — the fast path for repeated runs over
-/// large inputs.
-Status SaveBinaryFile(const Graph& graph, const std::string& path);
-
-/// Loads a graph written by SaveBinaryFile.
-Result<GraphPtr> LoadBinaryFile(const std::string& path);
-
 /// Options for SaveBlockFile.
 struct BlockFileOptions {
   /// Nominal decoded payload bytes per edge block. Blocks are vertex-aligned:

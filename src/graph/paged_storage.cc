@@ -10,16 +10,12 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "obs/tracer.h"
 
 namespace flash {
 
 namespace {
-
-// Loads performed on the prefetch thread skip span recording: the tracer's
-// Record is only safe between folds, and the IO thread is the one thread
-// whose loads can overlap a barrier's fold.
-thread_local bool t_on_io_thread = false;
 
 uint64_t HeaderChecksum(const BlockFileHeader& header,
                         const std::vector<EdgeId>& out_offsets,
@@ -195,18 +191,11 @@ Result<std::shared_ptr<PagedStorage>> PagedStorage::Open(
   }
 
   s->cache_bytes_ = options.cache_bytes;
-  s->prefetch_depth_ = std::max(0, options.prefetch_depth);
   s->dense_fraction_ = options.dense_fraction;
   return s;
 }
 
 PagedStorage::~PagedStorage() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (io_thread_.joinable()) io_thread_.join();
   for (Direction* d : {&out_, &in_}) {
     if (d->slots == nullptr) continue;
     for (size_t i = 0; i < d->metas.size(); ++i) {
@@ -339,10 +328,7 @@ Result<PagedStorage::DecodedBlock> PagedStorage::DecodeBlock(
 PagedStorage::DecodedBlock* PagedStorage::LoadBlock(Direction& d,
                                                     uint32_t block) {
   const BlockMeta& meta = d.metas[block];
-  // The IO thread never reads tracer_: engines attach and detach it from
-  // the driving thread while a trailing prefetch may still be loading.
-  const uint64_t begin_ns =
-      (!t_on_io_thread && tracer_ != nullptr) ? tracer_->NowNs() : 0;
+  const uint64_t begin_ns = tracer_ != nullptr ? tracer_->NowNs() : 0;
   std::vector<uint8_t> bytes;
   Status read = ReadRange(meta.file_offset, meta.stored_bytes, bytes);
   FLASH_CHECK(read.ok()) << read.ToString();
@@ -364,7 +350,7 @@ PagedStorage::DecodedBlock* PagedStorage::LoadBlock(Direction& d,
     epoch_decode_bytes_ += heap->MemoryBytes();
     resident_bytes_ += heap->MemoryBytes();
   }
-  if (!t_on_io_thread && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     tracer_->Record("storage:block_read", obs::SpanKind::kStorage, 0, 0,
                     begin_ns, tracer_->NowNs(), block, meta.stored_bytes);
   }
@@ -462,73 +448,39 @@ void PagedStorage::ForEachOutEdge(const EdgeFn& fn) {
   }
 }
 
-void PagedStorage::ApplyRuntimeLimits(uint64_t cache_bytes,
-                                      int prefetch_depth) {
+void PagedStorage::ApplyRuntimeLimits(uint64_t cache_bytes) {
   if (cache_bytes > 0) cache_bytes_ = cache_bytes;
-  if (prefetch_depth >= 0) prefetch_depth_ = prefetch_depth;
 }
 
 void PagedStorage::BeginEpoch() {
-  QuiescePrefetch();
   RefreshResidentMarks();
   epoch_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.epochs;
 }
 
-void PagedStorage::PlanBlocks(std::span<const VertexId> vertices,
+void PagedStorage::PlanBlocks(ThreadPool& pool,
+                              std::span<const VertexId> vertices,
                               bool out_dir) {
   Direction& d = dir(out_dir);
   if (d.metas.empty()) return;
-  std::vector<uint32_t> candidates;
-  candidates.reserve(64);
+  std::vector<uint32_t> needed;
   for (VertexId v : vertices) {
     if (d.offsets[v] == d.offsets[v + 1]) continue;
-    candidates.push_back(BlockOf(d, v));
+    needed.push_back(BlockOf(d, v));
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  std::sort(needed.begin(), needed.end());
+  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
   const uint64_t cur_epoch = epoch_.load(std::memory_order_relaxed);
-  std::vector<uint32_t> needed;
-  uint64_t needed_bytes = 0;
-  for (uint32_t bi : candidates) {
-    Slot& slot = d.slots[bi];
-    if (slot.resident_mark || slot.plan_epoch == cur_epoch) continue;
-    needed.push_back(bi);
-    // Plan against decoded (cache-resident) bytes, not stored bytes: the
-    // dense/sparse decision then lands the same way for every codec, which
-    // keeps all counters except bytes_read codec-invariant.
-    needed_bytes += DecodedPayloadBytes(d, d.metas[bi]);
-  }
-  if (needed.empty()) return;
-  const double coverage = static_cast<double>(needed.size()) /
-                          static_cast<double>(d.metas.size());
-  if (coverage >= dense_fraction_ && needed_bytes <= cache_bytes_) {
-    // Dense schedule: one synchronous ascending sweep — sequential file
-    // order, no stalls during the compute phase.
-    for (uint32_t bi : needed) {
-      d.slots[bi].plan_epoch = cur_epoch;
-      EnsureBlock(d, bi, /*count_access=*/false);
-    }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.dense_plans;
-    return;
-  }
-  // Sparse schedule: overlap loads with compute via the IO thread (up to
-  // the per-epoch depth budget); anything beyond it demand-pages.
-  const uint64_t capacity =
-      epoch_enqueued_ < static_cast<uint64_t>(prefetch_depth_)
-          ? static_cast<uint64_t>(prefetch_depth_) - epoch_enqueued_
-          : 0;
-  if (needed.size() > capacity) needed.resize(capacity);
-  for (uint32_t bi : needed) d.slots[bi].plan_epoch = cur_epoch;
-  EnqueuePrefetch(out_dir, needed);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.sparse_plans;
+  std::erase_if(needed, [&](uint32_t bi) {
+    const Slot& slot = d.slots[bi];
+    return slot.resident_mark || slot.plan_epoch == cur_epoch;
+  });
+  if (!needed.empty()) LoadPlanned(pool, d, needed);
 }
 
-void PagedStorage::PlanSweep(bool out_dir, uint64_t frontier_size) {
+void PagedStorage::PlanSweep(ThreadPool& pool, bool out_dir,
+                             uint64_t frontier_size) {
   Direction& d = dir(out_dir);
   if (d.metas.empty()) return;
   uint64_t total_bytes = 0;
@@ -545,99 +497,27 @@ void PagedStorage::PlanSweep(bool out_dir, uint64_t frontier_size) {
     return;
   }
   const uint64_t cur_epoch = epoch_.load(std::memory_order_relaxed);
+  std::vector<uint32_t> needed;
   for (uint32_t bi = 0; bi < d.metas.size(); ++bi) {
-    Slot& slot = d.slots[bi];
-    if (slot.resident_mark || slot.plan_epoch == cur_epoch) continue;
-    slot.plan_epoch = cur_epoch;
-    EnsureBlock(d, bi, /*count_access=*/false);
+    const Slot& slot = d.slots[bi];
+    if (!slot.resident_mark && slot.plan_epoch != cur_epoch) {
+      needed.push_back(bi);
+    }
   }
+  LoadPlanned(pool, d, needed);
+}
+
+void PagedStorage::LoadPlanned(ThreadPool& pool, Direction& d,
+                               const std::vector<uint32_t>& blocks) {
+  // plan_epoch is written here, before the pool runs, so compute tasks of
+  // this epoch never see a planned block as a demand miss.
+  const uint64_t cur_epoch = epoch_.load(std::memory_order_relaxed);
+  for (uint32_t bi : blocks) d.slots[bi].plan_epoch = cur_epoch;
+  pool.ParallelForWorkers(static_cast<int>(blocks.size()), [&](int i) {
+    EnsureBlock(d, blocks[i], /*count_access=*/false);
+  });
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.dense_plans;
-}
-
-void PagedStorage::Prefetch(std::span<const VertexId> vertices, bool out_dir) {
-  if (prefetch_depth_ <= 0) return;
-  Direction& d = dir(out_dir);
-  if (d.metas.empty()) return;
-  std::vector<uint32_t> candidates;
-  for (VertexId v : vertices) {
-    if (d.offsets[v] == d.offsets[v + 1]) continue;
-    candidates.push_back(BlockOf(d, v));
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  // This hint targets the *next* epoch: it is issued between EndEpoch and
-  // the next BeginEpoch, so its loads bill to the epoch that drains them.
-  const uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  std::vector<uint32_t> picked;
-  for (uint32_t bi : candidates) {
-    if (epoch_enqueued_ + picked.size() >=
-        static_cast<uint64_t>(prefetch_depth_)) {
-      break;
-    }
-    Slot& slot = d.slots[bi];
-    if (slot.resident_mark || slot.plan_epoch == next_epoch) continue;
-    slot.plan_epoch = next_epoch;
-    picked.push_back(bi);
-  }
-  if (picked.empty()) return;
-  EnqueuePrefetch(out_dir, picked);
-}
-
-void PagedStorage::EnqueuePrefetch(bool out_dir,
-                                   const std::vector<uint32_t>& blocks) {
-  if (blocks.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (uint32_t bi : blocks) queue_.emplace_back(out_dir, bi);
-    if (!io_thread_.joinable()) {
-      io_thread_ = std::thread([this] { IoThreadMain(); });
-    }
-  }
-  epoch_enqueued_ += blocks.size();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.prefetch_issued += blocks.size();
-  }
-  queue_cv_.notify_all();
-}
-
-void PagedStorage::IoThreadMain() {
-  t_on_io_thread = true;
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (stop_) return;
-    auto [out_dir, bi] = queue_.front();
-    queue_.pop_front();
-    io_busy_ = true;
-    lock.unlock();
-    EnsureBlock(dir(out_dir), bi, /*count_access=*/false);
-    lock.lock();
-    io_busy_ = false;
-    idle_cv_.notify_all();
-  }
-}
-
-void PagedStorage::QuiescePrefetch() {
-  // Complete (never cancel) every queued load: the set of blocks loaded in
-  // an epoch must equal planned ∪ demanded regardless of how far the IO
-  // thread got — cancellation would make bytes_read timing-dependent. The
-  // driving thread helps drain.
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  for (;;) {
-    if (!queue_.empty()) {
-      auto [out_dir, bi] = queue_.front();
-      queue_.pop_front();
-      lock.unlock();
-      EnsureBlock(dir(out_dir), bi, /*count_access=*/false);
-      lock.lock();
-      continue;
-    }
-    if (!io_busy_) return;
-    idle_cv_.wait(lock, [&] { return !io_busy_ || !queue_.empty(); });
-  }
 }
 
 void PagedStorage::RefreshResidentMarks() {
@@ -650,7 +530,6 @@ void PagedStorage::RefreshResidentMarks() {
 }
 
 EpochIo PagedStorage::EndEpoch() {
-  QuiescePrefetch();
   EpochIo io;
   uint64_t resident_now = 0;
   {
@@ -668,7 +547,6 @@ EpochIo PagedStorage::EndEpoch() {
         std::max(stats_.peak_resident_bytes, resident_bytes_);
     resident_now = resident_bytes_;
   }
-  epoch_enqueued_ = 0;
   if (resident_now > cache_bytes_) {
     // LRU at barrier granularity, deterministically ordered: stale epochs
     // first, ties by (direction, block id). All spans into these blocks

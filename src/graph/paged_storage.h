@@ -2,14 +2,11 @@
 #define FLASH_GRAPH_PAGED_STORAGE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -117,21 +114,18 @@ struct BlockHeader {
 };
 static_assert(sizeof(BlockHeader) == 32, "on-disk layout");
 
-/// Tuning knobs of a paged graph, set at Open. The cache budget and prefetch
-/// depth are overridable per run via RuntimeOptions
-/// (GraphStorage::ApplyRuntimeLimits).
+/// Tuning knobs of a paged graph, set at Open. The cache budget is
+/// overridable per run via RuntimeOptions (GraphStorage::ApplyRuntimeLimits).
 struct PagedOptions {
   /// LRU block-cache budget. Enforced at epoch barriers: within an epoch
   /// the cache may transiently exceed it (up to the epoch's working set),
   /// because mid-epoch eviction would invalidate live spans and make miss
   /// counters schedule-dependent.
   uint64_t cache_bytes = 64ull << 20;
-  /// Max blocks queued to the async IO thread per epoch; 0 disables the
-  /// prefetch pipeline (demand loads only). Affects overlap, never results.
-  int prefetch_depth = 8;
-  /// Planned-coverage fraction at or above which an epoch's blocks are
-  /// synchronously sweep-loaded in file order (M-Flash dense schedule)
-  /// instead of demand-paged + prefetched (sparse schedule).
+  /// Frontier fraction of the vertices at or above which a pull epoch
+  /// (PlanSweep) loads its whole direction before compute (M-Flash dense
+  /// schedule), provided it fits the cache budget; below it the epoch
+  /// demand-loads the blocks it reads.
   double dense_fraction = 0.25;
 };
 
@@ -168,11 +162,12 @@ class PagedStorage final : public GraphStorage {
 
   void ForEachOutEdge(const EdgeFn& fn) override;
 
-  void ApplyRuntimeLimits(uint64_t cache_bytes, int prefetch_depth) override;
+  void ApplyRuntimeLimits(uint64_t cache_bytes) override;
   void BeginEpoch() override;
-  void PlanBlocks(std::span<const VertexId> vertices, bool out_dir) override;
-  void PlanSweep(bool out_dir, uint64_t frontier_size) override;
-  void Prefetch(std::span<const VertexId> vertices, bool out_dir) override;
+  void PlanBlocks(ThreadPool& pool, std::span<const VertexId> vertices,
+                  bool out_dir) override;
+  void PlanSweep(ThreadPool& pool, bool out_dir,
+                 uint64_t frontier_size) override;
   EpochIo EndEpoch() override;
   StorageStats stats() const override;
   void SetTracer(obs::Tracer* tracer) override { tracer_ = tracer; }
@@ -217,8 +212,8 @@ class PagedStorage final : public GraphStorage {
     std::mutex load_mu;
     /// Epoch-barrier bookkeeping, written only by the driving thread at
     /// deterministic points: resident_mark at barriers, plan_epoch when a
-    /// block is planned/prefetched. Planning decisions read only these, so
-    /// the planned set never depends on in-flight load timing.
+    /// block is planned. Planning decisions read only these, so the planned
+    /// set never depends on load timing.
     bool resident_mark = false;
     uint64_t plan_epoch = 0;
   };
@@ -245,7 +240,7 @@ class PagedStorage final : public GraphStorage {
 
   /// Loads `block` if absent (per-slot mutex dedups concurrent loaders) and
   /// returns its decoded data. `count_access` stamps LRU recency and the
-  /// access counter — false for prefetch/sweep loads.
+  /// access counter — false for planned loads.
   const DecodedBlock* EnsureBlock(Direction& d, uint32_t block,
                                   bool count_access);
 
@@ -261,10 +256,11 @@ class PagedStorage final : public GraphStorage {
   Status ReadRange(uint64_t offset, uint64_t size,
                    std::vector<uint8_t>& buffer) const;
 
-  void EnqueuePrefetch(bool out_dir, const std::vector<uint32_t>& blocks);
-  void QuiescePrefetch();
+  /// Marks `blocks` planned for the current epoch, loads them on `pool`,
+  /// and counts a dense plan.
+  void LoadPlanned(ThreadPool& pool, Direction& d,
+                   const std::vector<uint32_t>& blocks);
   void RefreshResidentMarks();
-  void IoThreadMain();
 
   std::string path_;
   int fd_ = -1;
@@ -281,13 +277,11 @@ class PagedStorage final : public GraphStorage {
   // Limits (driving thread only; ApplyRuntimeLimits happens at engine
   // construction, between epochs).
   uint64_t cache_bytes_ = 0;
-  int prefetch_depth_ = 0;
   double dense_fraction_ = 0.25;
 
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> epoch_accesses_{0};
   std::atomic<uint64_t> epoch_demand_misses_{0};
-  uint64_t epoch_enqueued_ = 0;  // Driving thread only.
 
   mutable std::mutex stats_mu_;  // Guards stats_ and epoch byte deltas.
   StorageStats stats_;
@@ -295,15 +289,6 @@ class PagedStorage final : public GraphStorage {
   uint64_t epoch_blocks_ = 0;
   uint64_t epoch_decode_bytes_ = 0;
   uint64_t resident_bytes_ = 0;
-
-  // Async prefetch pipeline: one IO thread, started lazily.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;  // Signals the IO thread.
-  std::condition_variable idle_cv_;   // Signals quiescence waiters.
-  std::deque<std::pair<bool, uint32_t>> queue_;
-  bool io_busy_ = false;
-  bool stop_ = false;
-  std::thread io_thread_;
 
   obs::Tracer* tracer_ = nullptr;
 };

@@ -11,7 +11,6 @@ void StorageStats::MergeMax(const StorageStats& other) {
   bytes_read = std::max(bytes_read, other.bytes_read);
   decode_bytes = std::max(decode_bytes, other.decode_bytes);
   stream_bytes = std::max(stream_bytes, other.stream_bytes);
-  prefetch_issued = std::max(prefetch_issued, other.prefetch_issued);
   evictions = std::max(evictions, other.evictions);
   epochs = std::max(epochs, other.epochs);
   dense_plans = std::max(dense_plans, other.dense_plans);
@@ -25,8 +24,7 @@ std::string StorageStats::ToString() const {
   std::ostringstream out;
   out << "accesses=" << accesses << " blocks=" << blocks_read
       << " bytes=" << bytes_read << " decode_bytes=" << decode_bytes
-      << " stream_bytes=" << stream_bytes
-      << " prefetch=" << prefetch_issued << " evictions=" << evictions
+      << " stream_bytes=" << stream_bytes << " evictions=" << evictions
       << " epochs=" << epochs << " dense=" << dense_plans
       << " sparse=" << sparse_plans << " demand_misses=" << demand_misses
       << " peak_resident=" << peak_resident_bytes;

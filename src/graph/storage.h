@@ -13,6 +13,8 @@ namespace obs {
 class Tracer;
 }
 
+class ThreadPool;
+
 using VertexId = uint32_t;
 using EdgeId = uint64_t;
 
@@ -24,21 +26,19 @@ using EdgeId = uint64_t;
 /// counters at any host thread count (docs/INTERNALS.md, "Storage tiers").
 struct StorageStats {
   uint64_t accesses = 0;        // Non-empty adjacency span requests served.
-  uint64_t blocks_read = 0;     // Block loads from disk (demand + prefetch).
+  uint64_t blocks_read = 0;     // Block loads from disk (demand + planned).
   uint64_t bytes_read = 0;      // File bytes of those block loads.
   uint64_t decode_bytes = 0;    // Decoded payload bytes those loads produced.
   uint64_t stream_bytes = 0;    // Cache-bypassing sequential edge scans.
-  uint64_t prefetch_issued = 0; // Blocks enqueued to the async IO thread.
   uint64_t evictions = 0;       // Blocks dropped at epoch barriers.
   uint64_t epochs = 0;          // BeginEpoch calls (one per superstep).
-  uint64_t dense_plans = 0;     // Epochs scheduled as a sweep load.
-  uint64_t sparse_plans = 0;    // Epochs scheduled demand + prefetch.
+  uint64_t dense_plans = 0;     // Plans whose blocks loaded before compute.
+  uint64_t sparse_plans = 0;    // Sweeps left to demand loads.
   /// Accesses to blocks that were neither resident at the epoch barrier nor
-  /// planned/prefetched for this epoch — reads that stall on a synchronous
-  /// load instead of hitting the plan-ahead pipeline. Attributed against
-  /// barrier-time state (resident marks + the plan set), both written only
-  /// by the driving thread, so the count is schedule-invariant even though
-  /// the accesses themselves race.
+  /// planned for this epoch — reads that stall on a synchronous load inside
+  /// a compute task. Attributed against barrier-time state (resident marks
+  /// + the plan set), both written only by the driving thread, so the count
+  /// is schedule-invariant even though the accesses themselves race.
   uint64_t demand_misses = 0;
   uint64_t peak_resident_bytes = 0;  // Max cached block bytes at a barrier.
 
@@ -46,8 +46,8 @@ struct StorageStats {
 
   bool Any() const {
     return accesses | blocks_read | bytes_read | decode_bytes | stream_bytes |
-           prefetch_issued | evictions | epochs | dense_plans | sparse_plans |
-           demand_misses | peak_resident_bytes;
+           evictions | epochs | dense_plans | sparse_plans | demand_misses |
+           peak_resident_bytes;
   }
 
   /// Element-wise max. Because every field is monotonic, merging snapshots
@@ -73,16 +73,20 @@ struct EpochIo {
 /// InMemoryStorage (the classic CSR vectors; the default, zero-overhead
 /// path — Graph bypasses the vtable with cached raw pointers) and
 /// PagedStorage (graph/paged_storage.h; edge blocks on disk behind an LRU
-/// cache with an async prefetch pipeline).
+/// cache).
 ///
 /// Offsets stay in memory for every backend — that is the semi-external
 /// contract: vertex state (degrees, CSR offsets) is RAM-resident, only the
 /// adjacency payload may live on disk.
 ///
-/// The epoch protocol (BeginEpoch/Plan*/Prefetch/EndEpoch) is driven by the
-/// BSP engine, one epoch per superstep. All epoch calls come from the
-/// engine's driving thread at barrier points; adjacency accessors may be
-/// called concurrently from compute tasks between them.
+/// The epoch protocol (BeginEpoch/Plan*/EndEpoch) is driven by the engines,
+/// one epoch per superstep (or async round, or walk step). All epoch calls
+/// come from the engine's driving thread at barrier points; adjacency
+/// accessors may be called concurrently from compute tasks between them.
+/// The backend owns no thread: a plan loads its blocks on the caller's
+/// pool (the runtime's), before compute starts. The pool is passed per
+/// call, not stored, because a graph outlives every runtime that runs on
+/// it.
 class GraphStorage {
  public:
   using EdgeFn = std::function<void(VertexId, VertexId, float)>;
@@ -125,41 +129,39 @@ class GraphStorage {
   // --- epoch protocol (no-ops for in-memory) ------------------------------
 
   /// Engine-construction hook: RuntimeOptions override the backend's
-  /// configured limits. 0 / negative values keep the current setting.
-  virtual void ApplyRuntimeLimits(uint64_t /*cache_bytes*/,
-                                  int /*prefetch_depth*/) {}
+  /// configured cache budget. 0 keeps the current setting.
+  virtual void ApplyRuntimeLimits(uint64_t /*cache_bytes*/) {}
 
-  /// Superstep entry: quiesce any trailing prefetch, then open a new epoch.
+  /// Superstep entry: opens a new epoch.
   virtual void BeginEpoch() {}
 
   /// Declares the exact vertex set whose `out_dir` adjacency this epoch
-  /// will read (EDGEMAPSPARSE: the frontier). The backend either
-  /// sweep-loads the needed blocks in file order (dense schedule) or
-  /// queues them to the prefetch pipeline (sparse schedule).
-  virtual void PlanBlocks(std::span<const VertexId> /*vertices*/,
+  /// will read (EDGEMAPSPARSE: the frontier). The backend loads every
+  /// needed block on `pool` before returning, so no compute task of the
+  /// epoch stalls on one. The set is a subset of the epoch's reads, so a
+  /// plan never grows the working set.
+  virtual void PlanBlocks(ThreadPool& /*pool*/,
+                          std::span<const VertexId> /*vertices*/,
                           bool /*out_dir*/) {}
 
   /// Declares a pull-mode epoch (EDGEMAPDENSE) over the `out_dir` blocks:
   /// with a frontier this dense, most blocks will be touched, so the
-  /// backend may sweep-load the whole direction (M-Flash dense schedule)
-  /// when it fits the cache budget.
-  virtual void PlanSweep(bool /*out_dir*/, uint64_t /*frontier_size*/) {}
+  /// backend loads the whole direction on `pool` (M-Flash dense schedule)
+  /// when the frontier is dense enough and the blocks fit the cache
+  /// budget; otherwise the epoch demand-loads what it reads.
+  virtual void PlanSweep(ThreadPool& /*pool*/, bool /*out_dir*/,
+                         uint64_t /*frontier_size*/) {}
 
-  /// Asynchronous hint issued at the barrier: the next superstep's frontier.
-  /// Queued blocks load on the IO thread while the next superstep's compute
-  /// starts; their bytes bill to the epoch that drains them.
-  virtual void Prefetch(std::span<const VertexId> /*vertices*/,
-                        bool /*out_dir*/) {}
-
-  /// Barrier: completes all planned loads, samples the resident peak,
-  /// evicts down to the cache budget in (last-used epoch, direction,
-  /// block id) order, and returns the epoch's I/O delta.
+  /// Barrier: samples the resident peak, evicts down to the cache budget in
+  /// (last-used epoch, direction, block id) order, and returns the epoch's
+  /// I/O delta.
   virtual EpochIo EndEpoch() { return {}; }
 
   virtual StorageStats stats() const { return {}; }
 
-  /// Span sink for `storage:block_read` spans (demand loads only; the
-  /// prefetch thread stays silent so recording never races a tracer fold).
+  /// Span sink for `storage:block_read` spans, one per block load, demand
+  /// or planned. Every load runs on a pool task or the driving thread, so
+  /// recording never races a tracer fold.
   virtual void SetTracer(obs::Tracer*) {}
 };
 

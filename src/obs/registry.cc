@@ -190,16 +190,14 @@ Registry BuildRegistry(const flash::Metrics& metrics,
                 "Accesses that stalled on an unplanned synchronous load");
     reg.Counter("flash_storage_stream_bytes_total", st.stream_bytes,
                 "Cache-bypassing sequential edge-scan bytes");
-    reg.Counter("flash_storage_prefetch_issued_total", st.prefetch_issued,
-                "Edge blocks enqueued to the async prefetch pipeline");
     reg.Counter("flash_storage_evictions_total", st.evictions,
                 "Edge blocks evicted at superstep barriers");
     reg.Counter("flash_storage_epochs_total", st.epochs,
                 "Storage epochs opened (one per superstep)");
     reg.Counter("flash_storage_dense_plans_total", st.dense_plans,
-                "Epochs scheduled as a dense sweep load");
+                "Plans whose edge blocks loaded before compute");
     reg.Counter("flash_storage_sparse_plans_total", st.sparse_plans,
-                "Epochs scheduled as demand paging + prefetch");
+                "Sweeps left to demand paging");
     reg.Gauge("flash_storage_peak_resident_bytes",
               static_cast<double>(st.peak_resident_bytes),
               "Peak cached block bytes observed at a barrier");

@@ -771,7 +771,7 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
     // Open the storage epoch and plan the blocks this step will touch:
     // every walker's current vertex, plus previous vertices for node2vec's
     // HasEdge probes. Planning sees the exact access set, so the paged
-    // backend can sweep or prefetch instead of demand-faulting.
+    // backend loads it on the pool instead of demand-faulting.
     if (runtime.paged()) {
       runtime.OpenEpoch();
       plan_scratch.clear();
@@ -787,7 +787,8 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
       plan_scratch.erase(
           std::unique(plan_scratch.begin(), plan_scratch.end()),
           plan_scratch.end());
-      runtime.storage()->PlanBlocks(plan_scratch, /*out_dir=*/true);
+      runtime.storage()->PlanBlocks(runtime.pool(), plan_scratch,
+                                    /*out_dir=*/true);
     }
 
     tallies.Reset(m * shards, m);

@@ -1,6 +1,6 @@
-# Runs flash_cli over a grid of runtime flags and checks every exit status:
-# 2, with a message, for each bad flag (never a signal), and 0 for the valid
-# runs. Every run uses a small generated graph.
+# Runs flash_cli over a grid of runtime and storage flags and checks every
+# exit status: 2, with a message, for each bad flag (never a signal), and 0
+# for the valid runs. Every run uses a small generated graph.
 #
 #   cmake -DFLASH_CLI=path/to/flash_cli -P tests/cli_flag_grid.cmake
 
@@ -24,8 +24,16 @@ set(cases
   "2|bfs --exec=async --root=999999999"
   "2|sssp --exec=async --root=999999999"
   "2|walk --walk-kind=ppr --root=999999999"
+  "2|bfs --storage=zzz"
+  "2|bfs --storage=paged --block-codec=zzz"
+  "2|bfs --storage=paged --block-kb=0"
+  "2|bfs --storage=paged --block-kb=-5"
+  "2|bfs --storage=paged --cache-mb=0"
+  "2|bfs --storage=paged --cache-mb=-1"
+  "2|bfs --prefetch=4"
   "0|bfs"
   "0|bfs --crash=1@2"
+  "0|bfs --storage=paged --cache-mb=1 --block-kb=16"
   "0|sssp --exec=async --drop-rate=0.05"
   "0|walk --walkers=2000 --drop-rate=0.05"
 )

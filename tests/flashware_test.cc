@@ -372,7 +372,6 @@ TEST(CheckRuntimeOptions, EveryRuleNamesItsField) {
       {"perfbench paged serve", kGraph,
        [](RuntimeOptions& o) {
          o.edge_cache_bytes = 1 << 20;
-         o.storage_prefetch_depth = 0;
        },
        nullptr},
       {"async under message faults", kGraph,

@@ -212,36 +212,6 @@ TEST(GraphIo, RoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(GraphIo, BinaryRoundTrip) {
-  RmatOptions opt;
-  opt.scale = 9;
-  opt.weighted = true;
-  auto graph = GenerateRmat(opt).value();
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flash_io_test.bin").string();
-  ASSERT_TRUE(SaveBinaryFile(*graph, path).ok());
-  auto loaded = LoadBinaryFile(path).value();
-  EXPECT_EQ(loaded->NumVertices(), graph->NumVertices());
-  EXPECT_EQ(loaded->NumEdges(), graph->NumEdges());
-  EXPECT_EQ(loaded->out_targets(), graph->out_targets());
-  EXPECT_EQ(loaded->is_symmetric(), graph->is_symmetric());
-  EXPECT_EQ(loaded->is_weighted(), graph->is_weighted());
-  EXPECT_EQ(loaded->OutWeights(0)[0], graph->OutWeights(0)[0]);
-  std::remove(path.c_str());
-}
-
-TEST(GraphIo, BinaryRejectsGarbage) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flash_io_junk.bin").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "definitely not a graph";
-  }
-  auto result = LoadBinaryFile(path);
-  EXPECT_FALSE(result.ok());
-  std::remove(path.c_str());
-}
-
 TEST(GraphIo, MissingFileIsIOError) {
   auto result = LoadEdgeListFile("/nonexistent/path/graph.el");
   EXPECT_FALSE(result.ok());

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "common/thread_pool.h"
 #include "core/api.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -102,19 +103,17 @@ void ExpectSameAdjacency(const Graph& mem, const Graph& paged) {
   }
 }
 
-// --- Round trips across page sizes x prefetch depths ----------------------
+// --- Round trips across page sizes ----------------------------------------
 
 class RoundTrip
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(RoundTrip, AdjacencyIdenticalAndBytesExact) {
-  const auto [block_bytes, depth, weighted] = GetParam();
+  const auto [block_bytes, weighted] = GetParam();
   GraphPtr mem = TestGraph(weighted);
   TempBlockFile file(*mem, block_bytes, weighted ? "w" : "u");
 
-  PagedOptions options;
-  options.prefetch_depth = depth;
-  auto paged = OpenPagedGraph(file.path(), options);
+  auto paged = OpenPagedGraph(file.path());
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   GraphPtr pg = *paged;
   ASSERT_TRUE(pg->is_paged());
@@ -137,15 +136,13 @@ TEST_P(RoundTrip, AdjacencyIdenticalAndBytesExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PageSizesAndDepths, RoundTrip,
+    PageSizes, RoundTrip,
     ::testing::Combine(::testing::Values(uint64_t{4} << 10, uint64_t{64} << 10,
                                          uint64_t{1} << 20),
-                       ::testing::Values(0, 1, 8),
                        ::testing::Values(false, true)),
     [](const auto& info) {
-      return "block" + std::to_string(std::get<0>(info.param) >> 10) +
-             "k_depth" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_weighted" : "_unweighted");
+      return "block" + std::to_string(std::get<0>(info.param) >> 10) + "k" +
+             (std::get<1>(info.param) ? "_weighted" : "_unweighted");
     });
 
 TEST(StorageTier, PartialTouchReadsExactlyTheTouchedBlocks) {
@@ -198,7 +195,7 @@ TEST(StorageTier, ZeroDegreeVertexCostsNoIo) {
   EXPECT_EQ(storage->stats().accesses, 0u);
 }
 
-// --- Epoch machinery: eviction, prefetch, plan invariance -----------------
+// --- Epoch machinery: eviction, planned loads, plan invariance ------------
 
 TEST(StorageTier, EvictionEnforcesBudgetAtBarriers) {
   GraphPtr mem = TestGraph();
@@ -233,44 +230,14 @@ TEST(StorageTier, EvictionEnforcesBudgetAtBarriers) {
   EXPECT_GT(io2.bytes, 0u);
 }
 
-TEST(StorageTier, PrefetchDepthNeverChangesBytesOrAccessCounts) {
-  GraphPtr mem = TestGraph();
-  TempBlockFile file(*mem, 4 << 10, "depth");
-
-  auto run = [&](int depth) {
-    PagedOptions options;
-    options.prefetch_depth = depth;
-    options.cache_bytes = 32 << 10;
-    auto storage = PagedStorage::Open(file.path(), options).value();
-    std::vector<VertexId> frontier;
-    for (VertexId v = 0; v < mem->NumVertices(); v += 7) {
-      frontier.push_back(v);
-    }
-    uint64_t total_bytes = 0;
-    for (int epoch = 0; epoch < 4; ++epoch) {
-      storage->BeginEpoch();
-      storage->PlanBlocks(frontier, /*out_dir=*/true);
-      for (VertexId v : frontier) (void)storage->OutNeighbors(v);
-      storage->Prefetch(frontier, /*out_dir=*/true);
-      total_bytes += storage->EndEpoch().bytes;
-    }
-    StorageStats stats = storage->stats();
-    return std::tuple(total_bytes, stats.bytes_read, stats.accesses,
-                      stats.blocks_read, stats.evictions);
-  };
-
-  const auto baseline = run(0);
-  EXPECT_EQ(run(1), baseline);
-  EXPECT_EQ(run(8), baseline);
-}
-
 TEST(StorageTier, DenseSweepLoadsEveryBlockOnce) {
   GraphPtr mem = TestGraph();
   TempBlockFile file(*mem, 4 << 10, "sweep");
   auto storage = PagedStorage::Open(file.path()).value();
 
+  ThreadPool pool(1);
   storage->BeginEpoch();
-  storage->PlanSweep(/*out_dir=*/false, mem->NumVertices());
+  storage->PlanSweep(pool, /*out_dir=*/false, mem->NumVertices());
   for (VertexId v = 0; v < mem->NumVertices(); ++v) {
     (void)storage->InNeighbors(v);
   }
@@ -279,6 +246,58 @@ TEST(StorageTier, DenseSweepLoadsEveryBlockOnce) {
   for (const auto& m : storage->block_index(false)) in_bytes += m.stored_bytes;
   EXPECT_EQ(io.bytes, in_bytes);
   EXPECT_EQ(storage->stats().dense_plans, 1u);
+}
+
+// Plans load their blocks on the caller's pool. The pool's width never
+// changes a counter, and a planned block is never a demand miss.
+TEST(StorageTier, PlannedLoadsAreIdenticalAtAnyPoolWidth) {
+  GraphPtr mem = TestGraph();
+  TempBlockFile file(*mem, 4 << 10, "pool");
+  std::vector<VertexId> frontier;
+  for (VertexId v = 0; v < mem->NumVertices(); v += 7) frontier.push_back(v);
+
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
+    // PlanBlocks under a budget the barriers evict down to, so every epoch
+    // reloads part of its plan.
+    PagedOptions tight;
+    tight.cache_bytes = 32 << 10;
+    auto blocks = PagedStorage::Open(file.path(), tight).value();
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      blocks->BeginEpoch();
+      blocks->PlanBlocks(pool, frontier, /*out_dir=*/true);
+      for (VertexId v : frontier) (void)blocks->OutNeighbors(v);
+      blocks->EndEpoch();
+    }
+    // PlanSweep under the default budget, which holds a whole direction:
+    // the first epoch loads every in-block, the second finds them resident.
+    auto sweep = PagedStorage::Open(file.path()).value();
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      sweep->BeginEpoch();
+      sweep->PlanSweep(pool, /*out_dir=*/false, mem->NumVertices());
+      for (VertexId v = 0; v < mem->NumVertices(); ++v) {
+        (void)sweep->InNeighbors(v);
+      }
+      sweep->EndEpoch();
+    }
+    return std::pair(blocks->stats(), sweep->stats());
+  };
+
+  const auto [blocks1, sweep1] = run(1);
+  const auto [blocks4, sweep4] = run(4);
+  EXPECT_EQ(blocks1, blocks4) << blocks1.ToString() << " vs "
+                              << blocks4.ToString();
+  EXPECT_EQ(sweep1, sweep4) << sweep1.ToString() << " vs "
+                            << sweep4.ToString();
+
+  EXPECT_GT(blocks1.blocks_read, 0u);
+  EXPECT_GT(blocks1.evictions, 0u);
+  EXPECT_EQ(blocks1.dense_plans, 4u);
+  EXPECT_EQ(blocks1.demand_misses, 0u);
+  EXPECT_EQ(sweep1.blocks_read,
+            PagedStorage::Open(file.path()).value()->block_index(false).size());
+  EXPECT_EQ(sweep1.dense_plans, 2u);
+  EXPECT_EQ(sweep1.demand_misses, 0u);
 }
 
 TEST(StorageTier, RuntimeOptionsPlumbThroughToTheBackend) {
@@ -292,13 +311,10 @@ TEST(StorageTier, RuntimeOptionsPlumbThroughToTheBackend) {
   RuntimeOptions options;
   options.num_workers = 2;
   options.edge_cache_bytes = 16 << 10;
-  options.storage_prefetch_depth = 0;
   auto run = algo::RunBfs(pg, RootWithEdges(*mem), options);
   EXPECT_GT(run.metrics.storage_bytes_read, 0u);
   // The run-scoped cache budget stuck: the barrier evicted down to it.
   EXPECT_LE(storage->resident_bytes(), uint64_t{16} << 10);
-  // Depth 0 disables the pipeline entirely.
-  EXPECT_EQ(storage->stats().prefetch_issued, 0u);
 }
 
 // A traced pass whose tracer the engine owns (trace on, no tracer given)

@@ -20,7 +20,6 @@
 //                         (delta writes FLSHBLK2 varint-delta neighbor
 //                         lists; raw keeps the FLSHBLK1 byte layout)
 //     --cache-mb=N        LRU block-cache budget, MiB     (default 64)
-//     --prefetch=N        prefetch queue depth, 0 = off   (default 8)
 //   runtime options:
 //     --workers=N         simulated workers               (default 4)
 //     --threads=N         threads per worker              (default 1)
@@ -55,8 +54,9 @@
 //     --walk-seed=N       walk PRNG seed (traces are a pure function of
 //                         it — bit-identical at any --threads) (default 42)
 //   A bad runtime flag (worker or thread count, fault rate, crash worker,
-//   crash plan outside BSP or on walks, --root past the last vertex) exits
-//   2 with a message.
+//   crash plan outside BSP or on walks, --root past the last vertex) or
+//   storage flag (--storage, --block-codec, --block-kb, --cache-mb) exits
+//   2 with a message; every one but --root exits before the graph loads.
 //   output:
 //     --output=FILE       write per-vertex results, one per line
 //     --metrics           print the run's superstep/communication metrics
@@ -113,7 +113,6 @@ struct Args {
   int block_kb = 64;
   std::string block_codec = "delta";
   int cache_mb = 64;
-  int prefetch = 8;
   int workers = 4;
   int threads = 1;
   std::string mode = "adaptive";
@@ -191,8 +190,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->block_codec = v;
     } else if ((v = value("--cache-mb="))) {
       args->cache_mb = std::atoi(v);
-    } else if ((v = value("--prefetch="))) {
-      args->prefetch = std::atoi(v);
     } else if ((v = value("--workers="))) {
       args->workers = std::atoi(v);
     } else if ((v = value("--threads="))) {
@@ -333,10 +330,8 @@ RuntimeOptions MakeRuntime(const Args& args) {
   if (args.storage == "paged") {
     // Plumb the CLI knobs through RuntimeOptions so the engine re-applies
     // them per run (the same path a library user would take).
-    options.edge_cache_bytes = uint64_t{static_cast<uint32_t>(
-                                   std::max(1, args.cache_mb))}
+    options.edge_cache_bytes = uint64_t{static_cast<uint32_t>(args.cache_mb)}
                                << 20;
-    options.storage_prefetch_depth = std::max(0, args.prefetch);
   }
   options.num_walkers = args.walkers;
   options.walk_length = static_cast<uint32_t>(std::max(1, args.walk_length));
@@ -582,20 +577,12 @@ Result<GraphPtr> PageGraph(const Args& args, const GraphPtr& graph,
   guard->path = "/tmp/flash_cli_" + std::to_string(::getpid()) + ".fblk";
   BlockFileOptions save_options;
   save_options.block_payload_bytes =
-      uint64_t{static_cast<uint32_t>(std::max(1, args.block_kb))} << 10;
-  if (args.block_codec == "delta") {
-    save_options.codec = BlockCodec::kDelta;
-  } else if (args.block_codec == "raw") {
-    save_options.codec = BlockCodec::kRaw;
-  } else {
-    return Status::InvalidArgument("unknown --block-codec=" +
-                                   args.block_codec + " (raw | delta)");
-  }
+      uint64_t{static_cast<uint32_t>(args.block_kb)} << 10;
+  save_options.codec =
+      args.block_codec == "delta" ? BlockCodec::kDelta : BlockCodec::kRaw;
   FLASH_RETURN_NOT_OK(SaveBlockFile(*graph, guard->path, save_options));
   PagedOptions options;
-  options.cache_bytes =
-      uint64_t{static_cast<uint32_t>(std::max(1, args.cache_mb))} << 20;
-  options.prefetch_depth = std::max(0, args.prefetch);
+  options.cache_bytes = uint64_t{static_cast<uint32_t>(args.cache_mb)} << 20;
   return OpenPagedGraph(guard->path, options);
 }
 
@@ -608,7 +595,32 @@ bool IsRooted(const Args& args) {
   return args.algorithm == "walk" && args.walk_kind == "ppr";
 }
 
+/// The storage flags' rules, checked before the graph loads.
+Status CheckStorageFlags(const Args& args) {
+  if (args.storage != "mem" && args.storage != "paged") {
+    return Status::InvalidArgument("unknown --storage=" + args.storage +
+                                   " (mem | paged)");
+  }
+  if (args.block_codec != "raw" && args.block_codec != "delta") {
+    return Status::InvalidArgument("unknown --block-codec=" +
+                                   args.block_codec + " (raw | delta)");
+  }
+  if (args.block_kb < 1) {
+    return Status::InvalidArgument("--block-kb must be at least 1");
+  }
+  if (args.cache_mb < 1) {
+    return Status::InvalidArgument("--cache-mb must be at least 1");
+  }
+  return Status::OK();
+}
+
 int Run(const Args& args) {
+  const Status storage_valid = CheckStorageFlags(args);
+  if (!storage_valid.ok()) {
+    std::fprintf(stderr, "bad storage flags: %s\n",
+                 storage_valid.ToString().c_str());
+    return 2;
+  }
   const RuntimeOptions options = MakeRuntime(args);
   const Status valid = CheckRuntimeOptions(
       options, args.algorithm == "walk" ? RuntimeSurface::kWalks
@@ -633,13 +645,9 @@ int Run(const Args& args) {
       return 1;
     }
     graph = std::move(paged_or).value();
-    std::printf("storage: paged (%s, codec %s, cache %d MiB, prefetch %d)\n",
+    std::printf("storage: paged (%s, codec %s, cache %d MiB)\n",
                 block_file.path.c_str(), args.block_codec.c_str(),
-                args.cache_mb, args.prefetch);
-  } else if (args.storage != "mem") {
-    std::fprintf(stderr, "unknown --storage=%s (mem | paged)\n",
-                 args.storage.c_str());
-    return 2;
+                args.cache_mb);
   }
   std::printf("graph: %u vertices, %llu edges%s%s\n", graph->NumVertices(),
               static_cast<unsigned long long>(graph->NumEdges()),
