@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace flash {
 
@@ -19,35 +20,46 @@ Result<GraphPtr> GenerateRmat(const RmatOptions& options) {
     return Status::InvalidArgument("RMAT scale out of range");
   }
   double d = 1.0 - options.a - options.b - options.c;
-  if (d < 0 || options.a < 0 || options.b < 0 || options.c < 0) {
+  // Written so that a NaN probability fails too.
+  if (!(d >= 0 && options.a >= 0 && options.b >= 0 && options.c >= 0)) {
     return Status::InvalidArgument("RMAT probabilities must be a partition");
   }
   const VertexId n = VertexId{1} << options.scale;
   const uint64_t m = static_cast<uint64_t>(options.avg_degree * n);
-  Rng rng(options.seed);
-  GraphBuilder builder(n);
-  for (uint64_t i = 0; i < m; ++i) {
-    VertexId src = 0, dst = 0;
-    for (int bit = options.scale - 1; bit >= 0; --bit) {
-      double r = rng.NextDouble();
-      // Quadrant choice with light noise to avoid degenerate self-similarity.
-      if (r < options.a) {
-        // top-left: nothing to set.
-      } else if (r < options.a + options.b) {
-        dst |= VertexId{1} << bit;
-      } else if (r < options.a + options.b + options.c) {
-        src |= VertexId{1} << bit;
-      } else {
-        src |= VertexId{1} << bit;
-        dst |= VertexId{1} << bit;
-      }
-    }
-    builder.AddEdge(src, dst, RandomWeight(rng));
+  // Every edge consumes exactly scale + 1 draws (one quadrant per bit, then
+  // the weight). So one serial pass of bare draws finds the Rng state at
+  // each chunk's start, and the chunks decode in parallel.
+  constexpr uint64_t kChunk = uint64_t{1} << 16;
+  const uint64_t chunks = (m + kChunk - 1) / kChunk;
+  std::vector<Rng> starts(1, Rng(options.seed));
+  for (uint64_t c = 1; c < chunks; ++c) {
+    Rng next = starts.back();
+    for (uint64_t i = 0; i < kChunk * (options.scale + 1); ++i) next.Next();
+    starts.push_back(next);
   }
+  std::vector<Edge> edges(m);
+  ThreadPool pool(GraphBuilder::PoolWidth(m));
+  pool.ParallelForWorkers(static_cast<int>(chunks), [&](int c) {
+    Rng rng = starts[c];
+    for (uint64_t i = c * kChunk; i < std::min(m, (c + 1) * kChunk); ++i) {
+      VertexId src = 0, dst = 0;
+      for (int bit = options.scale - 1; bit >= 0; --bit) {
+        // Quadrant 0-3 (top-left, top-right, bottom-left, bottom-right):
+        // how many of the cumulative probabilities r reaches.
+        const double r = rng.NextDouble();
+        const VertexId q = (r >= options.a) + (r >= options.a + options.b) +
+                           (r >= options.a + options.b + options.c);
+        src |= (q >> 1) << bit;
+        dst |= (q & 1) << bit;
+      }
+      edges[i] = Edge{src, dst, RandomWeight(rng)};
+    }
+  });
+  GraphBuilder builder(n, std::move(edges));
   BuildOptions build;
   build.symmetrize = options.symmetrize;
   build.keep_weights = options.weighted;
-  return builder.Build(build);
+  return builder.Build(build, pool);
 }
 
 Result<GraphPtr> GenerateGrid(const GridOptions& options) {
@@ -165,6 +177,7 @@ Result<GraphPtr> GenerateErdosRenyi(uint32_t num_vertices, uint64_t num_edges,
   }
   Rng rng(seed);
   GraphBuilder builder(num_vertices);
+  builder.Reserve(num_edges);
   for (uint64_t i = 0; i < num_edges; ++i) {
     builder.AddEdge(static_cast<VertexId>(rng.Uniform(num_vertices)),
                     static_cast<VertexId>(rng.Uniform(num_vertices)),

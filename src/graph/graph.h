@@ -36,6 +36,7 @@ class Graph;
 using GraphPtr = std::shared_ptr<const Graph>;
 class Partition;
 enum class PartitionScheme;
+class ThreadPool;
 
 /// Immutable directed property graph in CSR form, with both out- and
 /// in-adjacency so that pull-mode (EDGEMAPDENSE) and `reverse(E)` edge sets
@@ -215,7 +216,11 @@ class GraphBuilder {
   /// num_vertices may be 0; it is then inferred as max endpoint + 1.
   explicit GraphBuilder(VertexId num_vertices = 0)
       : num_vertices_(num_vertices) {}
+  /// Starts from a whole edge list, taken without a copy.
+  GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
+      : num_vertices_(num_vertices), edges_(std::move(edges)) {}
 
+  void Reserve(size_t edges) { edges_.reserve(edges); }
   void AddEdge(VertexId src, VertexId dst, float weight = 1.0f) {
     edges_.push_back(Edge{src, dst, weight});
   }
@@ -225,8 +230,18 @@ class GraphBuilder {
 
   size_t NumPendingEdges() const { return edges_.size(); }
 
-  /// Builds the graph; the builder is left empty.
+  /// Builds the graph on a pool scoped to the call: PoolWidth(pending
+  /// edges) threads, so small builds start no thread. The builder is left
+  /// empty. The CSR is a pure function of the edge multiset and the
+  /// options: neither the pool's width nor the AddEdge order changes a bit.
   Result<GraphPtr> Build(const BuildOptions& options = {});
+  /// The same build on the caller's pool.
+  Result<GraphPtr> Build(const BuildOptions& options, ThreadPool& pool);
+
+  /// Threads Build sizes its pool to for `edges` pending edges: one below
+  /// a fixed size, where threads cost more than they save, else the host's
+  /// cores.
+  static int PoolWidth(size_t edges);
 
  private:
   VertexId num_vertices_;

@@ -27,7 +27,12 @@ Result<GraphPtr> LoadEdgeListFile(const std::string& path,
       return Status::IOError(path + ":" + std::to_string(line_number) +
                              ": malformed edge line");
     }
-    fields >> weight;  // Optional third column.
+    // Optional third column; a present one must parse, with nothing after.
+    std::string rest;
+    if (!(fields >> std::ws).eof() && (!(fields >> weight) || fields >> rest)) {
+      return Status::IOError(path + ":" + std::to_string(line_number) +
+                             ": malformed weight");
+    }
     if (src > kInvalidVertex - 1 || dst > kInvalidVertex - 1) {
       return Status::OutOfRange("vertex id exceeds 32-bit range");
     }

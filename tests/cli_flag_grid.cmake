@@ -1,6 +1,7 @@
 # Runs flash_cli over a grid of runtime and storage flags and checks every
 # exit status: 2, with a message, for each bad flag (never a signal), and 0
-# for the valid runs. Every run uses a small generated graph.
+# for the valid runs. Every run uses a small generated graph. Then it loads
+# malformed edge-list files, each of which must exit 1 with a message.
 #
 #   cmake -DFLASH_CLI=path/to/flash_cli -P tests/cli_flag_grid.cmake
 
@@ -58,6 +59,32 @@ foreach(entry IN LISTS cases)
     math(EXPR failures "${failures} + 1")
   endif()
 endforeach()
+
+# Bad graph files are load errors: exit 1 with a message naming the fault,
+# never a signal. "<file contents>|<stderr regex>"
+set(bad_files
+  "0 1 2.5\n0 2 abc\n|cli_flag_grid.el:2: malformed weight"
+  "4294967294 0\n|vertex count 4294967295 exceeds"
+)
+set(graph_file "${CMAKE_CURRENT_BINARY_DIR}/cli_flag_grid.el")
+foreach(entry IN LISTS bad_files)
+  string(FIND "${entry}" "|" bar)
+  string(SUBSTRING "${entry}" 0 ${bar} contents)
+  math(EXPR start "${bar} + 1")
+  string(SUBSTRING "${entry}" ${start} -1 want_err)
+  file(WRITE "${graph_file}" "${contents}")
+  execute_process(COMMAND "${FLASH_CLI}" bfs "--graph=${graph_file}"
+                  RESULT_VARIABLE got
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT got STREQUAL "1" OR NOT err MATCHES "${want_err}")
+    message(SEND_ERROR "flash_cli bfs --graph with '${contents}': exit "
+                       "'${got}', want 1 and '${want_err}'\n${err}")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+file(REMOVE "${graph_file}")
+list(APPEND cases ${bad_files})
 
 list(LENGTH cases total)
 if(failures GREATER 0)
