@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -100,6 +102,86 @@ void ExpectSameAdjacency(const Graph& mem, const Graph& paged) {
                 std::vector<float>(pw.begin(), pw.end()))
           << "out weights of " << v;
     }
+  }
+}
+
+// --- Golden block files ---------------------------------------------------
+
+std::string Hex(uint64_t digest) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
+}
+
+/// FNV-1a digest and size of the delta block file SaveBlockFile writes.
+std::pair<std::string, uint64_t> DeltaFileDigest(const Graph& graph,
+                                                 uint64_t block_bytes,
+                                                 const char* tag) {
+  const std::string path = std::string("/tmp/flash_storage_golden_") + tag +
+                           "_" + std::to_string(::getpid()) + ".fblk";
+  BlockFileOptions options;
+  options.block_payload_bytes = block_bytes;
+  options.codec = BlockCodec::kDelta;
+  const Status st = SaveBlockFile(graph, path, options);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return {Hex(Fnv1a64(bytes.data(), bytes.size())), bytes.size()};
+}
+
+/// 300 vertices: vertex 0 is a hub with 199 weighted out-edges (its list
+/// alone outgrows a 512-byte block), a short chain hangs off vertex 200,
+/// and vertices 250 and up have no edges at all.
+GraphPtr HubAndIsolatedGraph() {
+  GraphBuilder builder(300);
+  for (VertexId v = 1; v < 200; ++v) {
+    builder.AddEdge(0, v, 0.5f + static_cast<float>(v % 7));
+  }
+  for (VertexId v = 200; v < 210; ++v) builder.AddEdge(v, v + 1, 2.0f);
+  builder.AddEdge(9, 0, 3.0f);
+  BuildOptions options;
+  options.symmetrize = false;
+  options.keep_weights = true;
+  return builder.Build(options).value();
+}
+
+struct GoldenBlockFile {
+  const char* name;
+  std::function<GraphPtr()> make;
+  uint64_t block_bytes;
+  const char* digest;
+  uint64_t size;
+};
+
+// Every byte SaveBlockFile writes is pinned: header, offsets, both block
+// indices and every delta payload.
+TEST(BlockFileGolden, DeltaFilesArePinned) {
+  const std::vector<GoldenBlockFile> cases = {
+      {"rmat-symmetric", [] { return TestGraph(); }, 8 << 10,
+       "0x786165386e08968d", 135206},
+      {"rmat-directed-weighted",
+       [] {
+         RmatOptions options;
+         options.scale = 10;
+         options.avg_degree = 8.0;
+         options.symmetrize = false;
+         options.weighted = true;
+         options.seed = 7;
+         return GenerateRmat(options).value();
+       },
+       4 << 10, "0xce92f0c5a4c6b513", 86393},
+      {"hub-and-isolated", HubAndIsolatedGraph, 512, "0x2d8ac023bc7b59be",
+       7328},
+  };
+  for (const GoldenBlockFile& golden : cases) {
+    SCOPED_TRACE(golden.name);
+    const auto [digest, size] =
+        DeltaFileDigest(*golden.make(), golden.block_bytes, golden.name);
+    EXPECT_EQ(digest, golden.digest);
+    EXPECT_EQ(size, golden.size);
   }
 }
 
