@@ -109,6 +109,17 @@ void PriceCell(Cell& cell, bool shared_memory) {
   cell.modeled = ModelTime(cell.metrics, config).total;
 }
 
+double CounterOnlyModeled(Metrics metrics, int workers) {
+  for (StepSample& step : metrics.steps) {
+    step.comp_max = 0;
+    step.comp_total = 0;
+  }
+  metrics.async.comp_seconds_max = 0;
+  ClusterConfig config;
+  config.nodes = workers;
+  return ModelTime(metrics, config).total;
+}
+
 ResultTable::ResultTable(std::string title, std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns)) {}
 

@@ -66,6 +66,11 @@ Cell TimeCell(const std::function<Metrics()>& fn);
 /// of a one-host simulation cannot show multi-node parallelism.
 void PriceCell(Cell& cell, bool shared_memory = false);
 
+/// Counter-only cost-model price of a run on `workers` nodes: strips the
+/// measured per-step compute seconds, which jitter with the host, so only
+/// exact counters reach the model and repeated runs price identically.
+double CounterOnlyModeled(Metrics metrics, int workers);
+
 /// A row-major results table: rows (app or app+framework), named columns
 /// (datasets), printed in the paper's Table V/VI style.
 class ResultTable {

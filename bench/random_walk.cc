@@ -13,8 +13,8 @@
 //  - modelled, in-memory backend: batched modelled walkers/sec at least
 //    FLASH_BENCH_WALK_GATE (default 5.0) times the naive baseline. Each
 //    mode's deterministic step counters are priced through the cost model
-//    on the paper cluster (counter-only, like storage_tier.cc: measured
-//    comp_* stripped so the number is bit-stable). Most of this win — one
+//    on the paper cluster (bench/harness's CounterOnlyModeled strips the
+//    measured comp_* so the number is bit-stable). Most of this win — one
 //    frame dispatch per channel instead of one per migrating walker, and
 //    3x fewer wire bytes — lives in the network, which one host cannot
 //    exhibit.
@@ -48,10 +48,8 @@
 #include "bench/harness/harness.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "flashware/cost_model.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/paged_storage.h"
 #include "walks/walk_engine.h"
 
 namespace {
@@ -83,21 +81,6 @@ struct WalkPoint {
   WalkResult result;
 };
 
-/// Deterministic paper-cluster price of a run: strip the measured compute
-/// overrides so only exact counters (walker advances, shuffle entries,
-/// frame counts, wire bytes, storage blocks) reach the model — the same
-/// counter-only discipline as storage_tier.cc.
-double CounterOnlyModeled(flash::Metrics metrics, int workers) {
-  for (flash::StepSample& step : metrics.steps) {
-    step.comp_max = 0;
-    step.comp_total = 0;
-  }
-  metrics.async.comp_seconds_max = 0;
-  flash::ClusterConfig config;
-  config.nodes = workers;
-  return flash::ModelTime(metrics, config).total;
-}
-
 /// One timed run of `point`'s mode; the first run's result is the point's.
 void TimeWalk(const GraphPtr& graph, const RuntimeOptions& options,
               bool batch_by_vertex, WalkPoint& point) {
@@ -126,7 +109,8 @@ void Rate(WalkPoint& point, int workers) {
   const uint64_t advances = walks.walker_steps + walks.terminations;
   point.walkers_per_sec =
       point.seconds > 0 ? static_cast<double>(advances) / point.seconds : 0;
-  point.modeled_seconds = CounterOnlyModeled(point.result.metrics, workers);
+  point.modeled_seconds =
+      flash::bench::CounterOnlyModeled(point.result.metrics, workers);
   point.modeled_walkers_per_sec =
       point.modeled_seconds > 0
           ? static_cast<double>(advances) / point.modeled_seconds

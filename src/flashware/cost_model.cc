@@ -124,8 +124,8 @@ ModeledTime ModelTime(const Metrics& metrics, const ClusterConfig& config) {
            static_cast<double>(step.storage_blocks) *
                config.storage_block_latency_seconds;
     }
-    // Decode is priced on decoded payload bytes — a codec-invariant volume —
-    // and is modelled as overlapping compute like the reads it trails.
+    // Decode is priced on decoded payload bytes and is modelled as
+    // overlapping compute like the reads it trails.
     const double decode = static_cast<double>(step.storage_decode_bytes) /
                           config.storage_decode_bytes_per_second;
 

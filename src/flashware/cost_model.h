@@ -79,9 +79,9 @@ struct ClusterConfig {
   // block reads overlap compute exactly like network traffic does.
   double storage_bytes_per_second = 2.5e9;
   double storage_block_latency_seconds = 30e-6;
-  // Block-payload decode throughput (checksum + varint-delta expansion or
-  // raw copy), priced on *decoded* bytes so the term is codec-invariant:
-  // the delta codec trades fewer file bytes for the same decode volume.
+  // Block-payload decode throughput (checksum + varint-delta expansion),
+  // priced on *decoded* bytes: the work the decoder does, while
+  // storage_bytes_per_second prices the smaller file bytes it reads.
   // The model overlaps decode with compute like I/O, as a semi-external
   // engine with an I/O pipeline would; the host loads planned blocks on
   // its pool before compute, so measured time does not overlap them.

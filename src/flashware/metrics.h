@@ -45,9 +45,8 @@ struct StepSample {
   /// Counted exactly like wire bytes: deterministic at any host threads.
   uint64_t storage_bytes = 0;
   uint64_t storage_blocks = 0;
-  /// Decoded payload bytes those block reads produced. Identical across
-  /// block codecs (raw decode is a copy; delta decode expands), so the cost
-  /// model's decode term is codec-invariant while storage_bytes shrinks.
+  /// Decoded payload bytes those block reads produced (the varint-delta
+  /// payloads expand to 4-byte ids, so this exceeds storage_bytes).
   uint64_t storage_decode_bytes = 0;
 };
 

@@ -93,12 +93,6 @@ struct RuntimeOptions {
   /// true, the engine owns a private tracer reachable via GraphApi::tracer().
   std::shared_ptr<obs::Tracer> tracer;
 
-  /// Block-cache budget for graphs on the paged (semi-external) storage
-  /// backend, in bytes; 0 keeps the backend's configured budget. Enforced
-  /// at superstep barriers; ignored by in-memory graphs. Affects only I/O
-  /// volume and modelled time, never results.
-  uint64_t edge_cache_bytes = 0;
-
   /// Plan-ahead paging for the async engine: before each micro-round's
   /// drain, the engine derives the round's edge-block set from the queued
   /// bucket contents and hands it to the paged backend as a plan, so block

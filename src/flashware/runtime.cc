@@ -90,10 +90,7 @@ Runtime::Runtime(const GraphPtr& graph, const RuntimeOptions& options,
       ckpt_->SetTracer(tracer_.get());
     }
   }
-  if (paged_) {
-    storage_->ApplyRuntimeLimits(options.edge_cache_bytes);
-    storage_->SetTracer(tracer_.get());
-  }
+  if (paged_) storage_->SetTracer(tracer_.get());
 }
 
 Runtime::~Runtime() {

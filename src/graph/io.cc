@@ -95,9 +95,9 @@ void AppendPod(std::vector<uint8_t>& out, const void* data, size_t size) {
 
 /// Serializes one direction's blocks (headers + payloads), assigning each
 /// meta its final file offset/size. Payload layout matches
-/// PagedStorage::DecodeBlock: all targets (raw u32s or per-vertex varint
-/// deltas, by codec), then all weights.
-void EncodeBlocks(const Graph& graph, bool out_dir, BlockCodec codec,
+/// PagedStorage::DecodeBlock: every vertex's varint-delta list, then all
+/// weights.
+void EncodeBlocks(const Graph& graph, bool out_dir,
                   const std::vector<EdgeId>& offsets,
                   std::vector<BlockMeta>& metas, uint64_t& cursor,
                   std::vector<uint8_t>& out) {
@@ -105,21 +105,12 @@ void EncodeBlocks(const Graph& graph, bool out_dir, BlockCodec codec,
   for (uint32_t bi = 0; bi < metas.size(); ++bi) {
     BlockMeta& meta = metas[bi];
     const VertexId end = meta.first_vertex + meta.vertex_count;
-    std::vector<uint8_t> payload;
-    payload.reserve(meta.stored_bytes - sizeof(BlockHeader));
-    if (codec == BlockCodec::kDelta) {
-      BufferWriter deltas;
-      for (VertexId v = meta.first_vertex; v < end; ++v) {
-        auto nbrs = out_dir ? graph.OutNeighbors(v) : graph.InNeighbors(v);
-        EncodeAdjacency(deltas, nbrs.data(), nbrs.size());
-      }
-      payload = deltas.Release();
-    } else {
-      for (VertexId v = meta.first_vertex; v < end; ++v) {
-        auto nbrs = out_dir ? graph.OutNeighbors(v) : graph.InNeighbors(v);
-        AppendPod(payload, nbrs.data(), nbrs.size() * sizeof(VertexId));
-      }
+    BufferWriter deltas;
+    for (VertexId v = meta.first_vertex; v < end; ++v) {
+      auto nbrs = out_dir ? graph.OutNeighbors(v) : graph.InNeighbors(v);
+      EncodeAdjacency(deltas, nbrs.data(), nbrs.size());
     }
+    std::vector<uint8_t> payload = deltas.Release();
     if (weighted) {
       for (VertexId v = meta.first_vertex; v < end; ++v) {
         auto w = out_dir ? graph.OutWeights(v) : graph.InWeights(v);
@@ -159,15 +150,7 @@ Status SaveBlockFile(const Graph& graph, const std::string& path,
       PartitionBlocks(in_offsets, options.block_payload_bytes, edge_bytes);
 
   BlockFileHeader header;
-  // kRaw keeps writing byte-identical FLSHBLK1 files (the codec slot is the
-  // old zero padding); only kDelta stamps the version-2 magic.
-  if (options.codec == BlockCodec::kRaw) {
-    std::memcpy(header.magic, kBlockFileMagic, sizeof(kBlockFileMagic));
-  } else {
-    std::memcpy(header.magic, kBlockFileMagicV2, sizeof(kBlockFileMagicV2));
-    header.version = kBlockFileVersionV2;
-    header.codec = static_cast<uint32_t>(options.codec);
-  }
+  std::memcpy(header.magic, kBlockFileMagicV2, sizeof(kBlockFileMagicV2));
   header.symmetric = graph.is_symmetric() ? 1 : 0;
   header.weighted = graph.is_weighted() ? 1 : 0;
   header.num_vertices = graph.NumVertices();
@@ -183,10 +166,9 @@ Status SaveBlockFile(const Graph& graph, const std::string& path,
 
   std::vector<uint8_t> blocks;
   uint64_t cursor = meta_bytes;
-  EncodeBlocks(graph, /*out_dir=*/true, options.codec, out_offsets, out_metas,
-               cursor, blocks);
-  EncodeBlocks(graph, /*out_dir=*/false, options.codec, in_offsets, in_metas,
-               cursor, blocks);
+  EncodeBlocks(graph, /*out_dir=*/true, out_offsets, out_metas, cursor,
+               blocks);
+  EncodeBlocks(graph, /*out_dir=*/false, in_offsets, in_metas, cursor, blocks);
 
   // Metadata checksum chains header (field zeroed), offsets, then indices —
   // the same sections, in the same order, that PagedStorage::Open rehashes.

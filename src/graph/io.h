@@ -21,19 +21,18 @@ Status SaveEdgeListFile(const Graph& graph, const std::string& path);
 /// Options for SaveBlockFile.
 struct BlockFileOptions {
   /// Nominal decoded payload bytes per edge block. Blocks are vertex-aligned:
-  /// a block closes once it reaches this size, except that a single vertex's
-  /// adjacency never splits (hubs get one oversized block). Partitioning
-  /// always measures decoded bytes, so block boundaries are identical for
-  /// every codec.
+  /// a block closes once its decoded payload reaches this size, except that
+  /// a single vertex's adjacency never splits (hubs get one oversized
+  /// block).
   uint64_t block_payload_bytes = 64 * 1024;
-  /// Payload encoding. kRaw writes a byte-identical FLSHBLK1 file; kDelta
-  /// writes FLSHBLK2 with per-vertex varint-delta neighbor lists.
-  BlockCodec codec = BlockCodec::kRaw;
+  /// Payload encoding; delta is the only one. Kept so callers that name it
+  /// (perfbench sets it) still build.
+  BlockCodec codec = BlockCodec::kDelta;
 };
 
-/// Writes the graph as a paged edge-block file ("FLSHBLK1" raw / "FLSHBLK2"
-/// delta; format in graph/paged_storage.h) for the semi-external
-/// PagedStorage backend.
+/// Writes the graph as a paged edge-block file ("FLSHBLK2", per-vertex
+/// varint-delta neighbor lists; format in graph/paged_storage.h) for the
+/// semi-external PagedStorage backend.
 Status SaveBlockFile(const Graph& graph, const std::string& path,
                      const BlockFileOptions& options = {});
 

@@ -17,6 +17,12 @@ namespace flash {
 
 namespace {
 
+/// Frontier fraction of the vertices at or above which a pull epoch
+/// (PlanSweep) loads its whole direction before compute (M-Flash dense
+/// schedule), provided it fits the cache budget; below it the epoch
+/// demand-loads the blocks it reads.
+constexpr double kDenseFraction = 0.25;
+
 uint64_t HeaderChecksum(const BlockFileHeader& header,
                         const std::vector<EdgeId>& out_offsets,
                         const std::vector<EdgeId>& in_offsets,
@@ -74,25 +80,18 @@ Result<std::shared_ptr<PagedStorage>> PagedStorage::Open(
   FLASH_RETURN_NOT_OK(s->ReadRange(0, sizeof(BlockFileHeader), scratch));
   BlockFileHeader header;
   std::memcpy(&header, scratch.data(), sizeof(header));
-  const bool v1 = std::memcmp(header.magic, kBlockFileMagic,
-                              sizeof(kBlockFileMagic)) == 0;
-  const bool v2 = std::memcmp(header.magic, kBlockFileMagicV2,
-                              sizeof(kBlockFileMagicV2)) == 0;
-  if (!v1 && !v2) {
-    return Status::InvalidArgument(path + ": not a flash block file");
+  if (std::memcmp(header.magic, kBlockFileMagicV2,
+                  sizeof(kBlockFileMagicV2)) != 0) {
+    return Status::InvalidArgument(path + ": not a FLSHBLK2 block file");
   }
-  if (header.version != (v1 ? kBlockFileVersion : kBlockFileVersionV2)) {
+  if (header.version != kBlockFileVersionV2) {
     return Status::InvalidArgument(path + ": unsupported block file version " +
                                    std::to_string(header.version));
   }
-  // Version 1 wrote zero padding where version 2 stores the codec, so v1
-  // files land on kRaw without a special case; anything else is corruption.
-  if (header.codec > static_cast<uint32_t>(BlockCodec::kDelta) ||
-      (v1 && header.codec != static_cast<uint32_t>(BlockCodec::kRaw))) {
+  if (header.codec != static_cast<uint32_t>(BlockCodec::kDelta)) {
     return Status::InvalidArgument(path + ": unsupported block codec " +
                                    std::to_string(header.codec));
   }
-  s->codec_ = static_cast<BlockCodec>(header.codec);
   s->num_vertices_ = header.num_vertices;
   s->num_edges_ = header.num_edges;
   s->symmetric_ = header.symmetric != 0;
@@ -153,22 +152,15 @@ Result<std::shared_ptr<PagedStorage>> PagedStorage::Open(
           d->offsets[expected_first] - d->offsets[meta.first_vertex];
       const uint64_t weight_bytes =
           s->weighted_ ? edge_count * sizeof(float) : 0;
-      // Raw payloads have exactly one size; delta payloads range from one
-      // byte per edge (dense sorted runs) to the five-byte varint ceiling.
-      // Either way a lying index is caught here, before any extent is read.
-      bool size_ok;
-      if (s->codec_ == BlockCodec::kRaw) {
-        size_ok = meta.stored_bytes ==
-                  sizeof(BlockHeader) + edge_count * sizeof(VertexId) +
-                      weight_bytes;
-      } else {
-        const uint64_t lo = sizeof(BlockHeader) + edge_count + weight_bytes;
-        const uint64_t hi = sizeof(BlockHeader) +
-                            edge_count * kMaxDeltaBytesPerEdge + weight_bytes;
-        size_ok = edge_count == 0
-                      ? meta.stored_bytes == sizeof(BlockHeader)
-                      : meta.stored_bytes >= lo && meta.stored_bytes <= hi;
-      }
+      // A payload takes one to five bytes per edge plus the raw weights, so
+      // a lying index is caught here, before any extent is read.
+      const uint64_t lo = sizeof(BlockHeader) + edge_count + weight_bytes;
+      const uint64_t hi = sizeof(BlockHeader) +
+                          edge_count * kMaxDeltaBytesPerEdge + weight_bytes;
+      const bool size_ok = edge_count == 0
+                               ? meta.stored_bytes == sizeof(BlockHeader)
+                               : meta.stored_bytes >= lo &&
+                                     meta.stored_bytes <= hi;
       if (!size_ok) {
         return Status::InvalidArgument(path + ": " + what + " block " +
                                        std::to_string(i) +
@@ -191,7 +183,6 @@ Result<std::shared_ptr<PagedStorage>> PagedStorage::Open(
   }
 
   s->cache_bytes_ = options.cache_bytes;
-  s->dense_fraction_ = options.dense_fraction;
   return s;
 }
 
@@ -270,31 +261,12 @@ Result<PagedStorage::DecodedBlock> PagedStorage::DecodeBlock(
   }
   DecodedBlock decoded;
   decoded.first_edge = first_edge;
-  decoded.stored_bytes = meta.stored_bytes;
   decoded.targets.resize(edge_count);
-  if (codec_ == BlockCodec::kRaw) {
-    std::memcpy(decoded.targets.data(), payload,
-                edge_count * sizeof(VertexId));
-    for (VertexId t : decoded.targets) {
-      if (t >= num_vertices_) {
-        return Status::OutOfRange(path_ + ": " + what + " block " +
-                                  std::to_string(block) +
-                                  " stores an out-of-range vertex id");
-      }
-    }
-    if (weighted_) {
-      decoded.weights.resize(edge_count);
-      std::memcpy(decoded.weights.data(),
-                  payload + edge_count * sizeof(VertexId),
-                  edge_count * sizeof(float));
-    }
-    return decoded;
-  }
-  // Delta codec: one varint list per vertex, degree taken from the
-  // RAM-resident offsets; weights follow as raw floats. The decoder rejects
-  // truncation, over-long varints, and out-of-range deltas, and a payload
-  // must be consumed exactly — trailing bytes behind a valid checksum are
-  // still corruption.
+  // One varint list per vertex, degree taken from the RAM-resident
+  // offsets; weights follow as raw floats. The decoder rejects truncation,
+  // over-long varints, and out-of-range deltas, and a payload must be
+  // consumed exactly — trailing bytes behind a valid checksum are still
+  // corruption.
   BufferReader reader(payload, payload_size);
   const VertexId end_vertex = meta.first_vertex + meta.vertex_count;
   for (VertexId v = meta.first_vertex; v < end_vertex; ++v) {
@@ -342,8 +314,7 @@ PagedStorage::DecodedBlock* PagedStorage::LoadBlock(Direction& d,
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.blocks_read;
     stats_.bytes_read += meta.stored_bytes;
-    // Decode output is priced in decoded bytes so the counter — and the cost
-    // model term it feeds — is identical across codecs.
+    // Decode output is priced in decoded bytes: the work the decoder did.
     stats_.decode_bytes += heap->MemoryBytes();
     ++epoch_blocks_;
     epoch_bytes_ += meta.stored_bytes;
@@ -448,10 +419,6 @@ void PagedStorage::ForEachOutEdge(const EdgeFn& fn) {
   }
 }
 
-void PagedStorage::ApplyRuntimeLimits(uint64_t cache_bytes) {
-  if (cache_bytes > 0) cache_bytes_ = cache_bytes;
-}
-
 void PagedStorage::BeginEpoch() {
   RefreshResidentMarks();
   epoch_.fetch_add(1, std::memory_order_relaxed);
@@ -485,11 +452,11 @@ void PagedStorage::PlanSweep(ThreadPool& pool, bool out_dir,
   if (d.metas.empty()) return;
   uint64_t total_bytes = 0;
   for (const BlockMeta& meta : d.metas) {
-    total_bytes += DecodedPayloadBytes(d, meta);  // codec-invariant decision
+    total_bytes += DecodedPayloadBytes(d, meta);
   }
   const bool dense =
       static_cast<double>(frontier_size) >=
-          dense_fraction_ * static_cast<double>(num_vertices_) &&
+          kDenseFraction * static_cast<double>(num_vertices_) &&
       total_bytes <= cache_bytes_;
   if (!dense) {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -15,9 +15,8 @@
 
 namespace flash {
 
-/// On-disk edge-block file ("FLSHBLK1" version 1 raw, "FLSHBLK2" version 2
-/// codec-tagged) — the semi-external format behind PagedStorage. Layout, in
-/// file order (identical across versions; only block payloads differ):
+/// On-disk edge-block file ("FLSHBLK2", version 2) — the semi-external
+/// format behind PagedStorage. Layout, in file order:
 ///
 ///   BlockFileHeader                       (56 bytes, validated magic)
 ///   out_offsets   EdgeId[n + 1]           (CSR offsets; RAM-resident)
@@ -26,23 +25,18 @@ namespace flash {
 ///   in index      BlockMeta[num_in_blocks]
 ///   blocks        each: BlockHeader + payload
 ///
-/// A version-1 payload is raw: targets u32[] (+ weights f32[]). A version-2
-/// payload is codec-tagged by the header's `codec` field — kRaw repeats the
-/// v1 layout; kDelta stores each vertex's neighbor list as varint deltas
+/// A payload stores each vertex's neighbor list as varint deltas
 /// (EncodeAdjacency in common/serialize.h; sorted lists take plain deltas,
-/// the zigzag fallback covers arbitrary orders) followed by raw f32 weights.
-/// List lengths are never stored: the decoder derives every degree from the
-/// RAM-resident offsets. Version-1 files read transparently — their header
-/// byte at the `codec` slot was written as zero padding, which is exactly
-/// BlockCodec::kRaw.
+/// the zigzag fallback covers arbitrary orders) followed by raw f32
+/// weights. List lengths are never stored: the decoder derives every
+/// degree from the RAM-resident offsets. The header's `codec` field must
+/// read BlockCodec::kDelta; Open rejects any other magic, version or codec.
 ///
 /// Blocks are vertex-aligned: each covers a contiguous vertex range whose
 /// *decoded* adjacency payload is packed until it reaches the nominal
 /// `block_payload_target` bytes, so a vertex's full list is always inside
 /// one block (hub vertices get an oversized block of their own) and spans
-/// into the decoded block stay contiguous. Partitioning on decoded — not
-/// stored — bytes keeps block boundaries, plans, and every counter except
-/// bytes_read identical across codecs. Zero-degree vertices cost zero
+/// into the decoded block stay contiguous. Zero-degree vertices cost zero
 /// payload; together the per-direction ranges cover [0, n) exactly.
 ///
 /// Integrity: `meta_checksum` (FNV-1a) covers the header (with this field
@@ -51,27 +45,23 @@ namespace flash {
 /// the index and the offsets. Open() validates all metadata — any
 /// truncation fails there because every block's extent is bounds-checked
 /// against the file size — and every block load re-validates header,
-/// checksum, and target range (the delta decoder additionally rejects
-/// truncated lists, over-long varints, out-of-range deltas, and trailing
-/// bytes with a Status) before a span is ever handed out.
+/// checksum, and the decoder rejects truncated lists, over-long varints,
+/// out-of-range ids, and trailing bytes with a Status before a span is ever
+/// handed out.
 
-inline constexpr char kBlockFileMagic[8] = {'F', 'L', 'S', 'H',
-                                            'B', 'L', 'K', '1'};
 inline constexpr char kBlockFileMagicV2[8] = {'F', 'L', 'S', 'H',
                                               'B', 'L', 'K', '2'};
-inline constexpr uint32_t kBlockFileVersion = 1;
 inline constexpr uint32_t kBlockFileVersionV2 = 2;
 inline constexpr uint32_t kBlockHeaderMagic = 0xB10CFA5Eu;
 
-/// Block payload encoding of a version-2 file. Version-1 files carry zero
-/// padding in the header's codec slot, so they alias kRaw by construction.
+/// Block payload encoding, stored in the header's `codec` field. Delta is
+/// the only one; the enum stays because BlockFileOptions names it.
 enum class BlockCodec : uint32_t {
-  kRaw = 0,    // u32 targets (+ f32 weights), memcpy-decoded.
   kDelta = 1,  // Per-vertex varint deltas (+ raw f32 weights).
 };
 
-/// Upper bound on the stored bytes one edge can take under kDelta: a 33-bit
-/// zigzagged delta spans five varint bytes.
+/// Upper bound on the stored bytes one edge can take: a 33-bit zigzagged
+/// delta spans five varint bytes.
 inline constexpr uint64_t kMaxDeltaBytesPerEdge = 5;
 
 // Fnv1a64 (the block checksum function) moved to common/hash.h so the
@@ -79,14 +69,14 @@ inline constexpr uint64_t kMaxDeltaBytesPerEdge = 5;
 
 struct BlockFileHeader {
   char magic[8] = {};
-  uint32_t version = kBlockFileVersion;
+  uint32_t version = kBlockFileVersionV2;
   uint8_t symmetric = 0;
   uint8_t weighted = 0;
   uint16_t pad0 = 0;
   uint32_t num_vertices = 0;
   uint32_t num_out_blocks = 0;
   uint32_t num_in_blocks = 0;
-  uint32_t codec = 0;  // BlockCodec; zero (= kRaw) in version-1 files.
+  uint32_t codec = static_cast<uint32_t>(BlockCodec::kDelta);
   uint64_t num_edges = 0;
   uint64_t block_payload_target = 0;
   uint64_t meta_checksum = 0;
@@ -114,19 +104,13 @@ struct BlockHeader {
 };
 static_assert(sizeof(BlockHeader) == 32, "on-disk layout");
 
-/// Tuning knobs of a paged graph, set at Open. The cache budget is
-/// overridable per run via RuntimeOptions (GraphStorage::ApplyRuntimeLimits).
+/// Tuning knobs of a paged graph, set once at Open.
 struct PagedOptions {
-  /// LRU block-cache budget. Enforced at epoch barriers: within an epoch
-  /// the cache may transiently exceed it (up to the epoch's working set),
-  /// because mid-epoch eviction would invalidate live spans and make miss
-  /// counters schedule-dependent.
+  /// LRU block-cache budget, in decoded bytes. Enforced at epoch barriers:
+  /// within an epoch the cache may transiently exceed it (up to the epoch's
+  /// working set), because mid-epoch eviction would invalidate live spans
+  /// and make miss counters schedule-dependent.
   uint64_t cache_bytes = 64ull << 20;
-  /// Frontier fraction of the vertices at or above which a pull epoch
-  /// (PlanSweep) loads its whole direction before compute (M-Flash dense
-  /// schedule), provided it fits the cache budget; below it the epoch
-  /// demand-loads the blocks it reads.
-  double dense_fraction = 0.25;
 };
 
 /// Semi-external storage backend: adjacency blocks on disk, offsets and an
@@ -162,7 +146,6 @@ class PagedStorage final : public GraphStorage {
 
   void ForEachOutEdge(const EdgeFn& fn) override;
 
-  void ApplyRuntimeLimits(uint64_t cache_bytes) override;
   void BeginEpoch() override;
   void PlanBlocks(ThreadPool& pool, std::span<const VertexId> vertices,
                   bool out_dir) override;
@@ -176,7 +159,6 @@ class PagedStorage final : public GraphStorage {
 
   bool symmetric() const { return symmetric_; }
   bool weighted() const { return weighted_; }
-  BlockCodec codec() const { return codec_; }
   const std::string& path() const { return path_; }
   const std::vector<BlockMeta>& block_index(bool out_dir) const {
     return out_dir ? out_.metas : in_.metas;
@@ -198,7 +180,6 @@ class PagedStorage final : public GraphStorage {
     std::vector<VertexId> targets;
     std::vector<float> weights;
     EdgeId first_edge = 0;
-    uint64_t stored_bytes = 0;
 
     uint64_t MemoryBytes() const {
       return targets.size() * sizeof(VertexId) +
@@ -231,10 +212,9 @@ class PagedStorage final : public GraphStorage {
   Direction& dir(bool out_dir) { return out_dir ? out_ : in_; }
   uint32_t BlockOf(const Direction& d, VertexId v) const;
 
-  /// Decoded payload bytes of one block (targets + weights) — derived from
-  /// the offsets, so it is codec-invariant. Cache budgeting and plan
-  /// decisions use this, never the stored size, which keeps every counter
-  /// except bytes_read identical across codecs.
+  /// Decoded payload bytes of one block (targets + weights), derived from
+  /// the offsets. Cache budgeting and plan decisions use this, never the
+  /// stored size.
   uint64_t DecodedPayloadBytes(const Direction& d, const BlockMeta& meta)
       const;
 
@@ -269,15 +249,11 @@ class PagedStorage final : public GraphStorage {
   EdgeId num_edges_ = 0;
   bool symmetric_ = false;
   bool weighted_ = false;
-  BlockCodec codec_ = BlockCodec::kRaw;
 
   Direction out_;
   Direction in_;
 
-  // Limits (driving thread only; ApplyRuntimeLimits happens at engine
-  // construction, between epochs).
-  uint64_t cache_bytes_ = 0;
-  double dense_fraction_ = 0.25;
+  uint64_t cache_bytes_ = 0;  // PagedOptions::cache_bytes, fixed at Open.
 
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> epoch_accesses_{0};

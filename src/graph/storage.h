@@ -128,10 +128,6 @@ class GraphStorage {
 
   // --- epoch protocol (no-ops for in-memory) ------------------------------
 
-  /// Engine-construction hook: RuntimeOptions override the backend's
-  /// configured cache budget. 0 keeps the current setting.
-  virtual void ApplyRuntimeLimits(uint64_t /*cache_bytes*/) {}
-
   /// Superstep entry: opens a new epoch.
   virtual void BeginEpoch() {}
 

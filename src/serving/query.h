@@ -79,6 +79,9 @@ struct Answer {
 /// Parses a replay log (flash_cli --serve-replay): one query per line,
 ///   <kind> <source> <target-or-k> [tenant] [deadline_s]
 /// where <kind> is bfs | khop | landmark | ppr. '#' starts a comment.
+/// Source, target and k must be whole unsigned 32-bit tokens, the deadline
+/// a number, and nothing may follow it; any other line is InvalidArgument
+/// naming it.
 Result<std::vector<Query>> ParseQueryLog(const std::string& text);
 
 }  // namespace flash::serving

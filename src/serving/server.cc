@@ -1,7 +1,9 @@
 #include "serving/server.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -34,6 +36,14 @@ std::vector<VertexId> DistinctSources(const Batch& batch,
   return sources;
 }
 
+/// Parses all of `token` as an unsigned 32-bit number: no sign, no
+/// trailing characters, nothing past 2^32 - 1.
+bool ParseU32(const std::string& token, uint32_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 const char* QueryKindName(QueryKind kind) {
@@ -58,6 +68,10 @@ Result<std::vector<Query>> ParseQueryLog(const std::string& text) {
     std::istringstream fields(line);
     std::string kind;
     if (!(fields >> kind)) continue;  // Blank / comment-only line.
+    const auto bad = [&](const std::string& what) {
+      return Status::InvalidArgument("query log line " +
+                                     std::to_string(lineno) + ": " + what);
+    };
     Query q;
     if (kind == "bfs") {
       q.kind = QueryKind::kBfsDistance;
@@ -68,32 +82,34 @@ Result<std::vector<Query>> ParseQueryLog(const std::string& text) {
     } else if (kind == "ppr") {
       q.kind = QueryKind::kPpr;
     } else {
-      std::ostringstream msg;
-      msg << "query log line " << lineno << ": unknown kind '" << kind
-          << "' (want bfs|khop|landmark|ppr)";
-      return Status::InvalidArgument(msg.str());
+      return bad("unknown kind '" + kind + "' (want bfs|khop|landmark|ppr)");
     }
-    uint64_t a = 0;
-    uint64_t b = 0;
-    if (!(fields >> a >> b)) {
-      std::ostringstream msg;
-      msg << "query log line " << lineno << ": want '" << kind
-          << " <source> <" << (q.kind == QueryKind::kKHop ? "k" : "target")
-          << ">'";
-      return Status::InvalidArgument(msg.str());
+    std::string a;
+    std::string b;
+    uint32_t second = 0;
+    if (!(fields >> a >> b) || !ParseU32(a, &q.source) ||
+        !ParseU32(b, &second)) {
+      return bad("want '" + kind + " <source> <" +
+                 (q.kind == QueryKind::kKHop ? "k" : "target") +
+                 ">' as unsigned 32-bit integers");
     }
-    q.source = static_cast<VertexId>(a);
     if (q.kind == QueryKind::kKHop) {
-      q.k = static_cast<uint32_t>(b);
+      q.k = second;
     } else {
-      q.target = static_cast<VertexId>(b);
+      q.target = second;
     }
     std::string tenant;
     if (fields >> tenant) q.tenant = std::move(tenant);
-    // A failed stream extraction zeroes its target, which would turn the
-    // +inf "patient" default into an instant deadline — stage into a local.
-    double deadline = 0;
-    if (fields >> deadline) q.deadline_s = deadline;
+    std::string deadline;
+    if (fields >> deadline) {
+      char* end = nullptr;
+      q.deadline_s = std::strtod(deadline.c_str(), &end);
+      if (end != deadline.c_str() + deadline.size()) {
+        return bad("bad deadline '" + deadline + "'");
+      }
+    }
+    std::string extra;
+    if (fields >> extra) return bad("unexpected '" + extra + "'");
     queries.push_back(std::move(q));
   }
   return queries;

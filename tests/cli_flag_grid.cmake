@@ -1,7 +1,8 @@
 # Runs flash_cli over a grid of runtime and storage flags and checks every
 # exit status: 2, with a message, for each bad flag (never a signal), and 0
 # for the valid runs. Every run uses a small generated graph. Then it loads
-# malformed edge-list files, each of which must exit 1 with a message.
+# malformed edge-list files and replays malformed query logs, each of which
+# must exit 1 with a message naming the fault.
 #
 #   cmake -DFLASH_CLI=path/to/flash_cli -P tests/cli_flag_grid.cmake
 
@@ -26,7 +27,7 @@ set(cases
   "2|sssp --exec=async --root=999999999"
   "2|walk --walk-kind=ppr --root=999999999"
   "2|bfs --storage=zzz"
-  "2|bfs --storage=paged --block-codec=zzz"
+  "2|bfs --storage=paged --block-codec=delta"
   "2|bfs --storage=paged --block-kb=0"
   "2|bfs --storage=paged --block-kb=-5"
   "2|bfs --storage=paged --cache-mb=0"
@@ -85,6 +86,31 @@ foreach(entry IN LISTS bad_files)
 endforeach()
 file(REMOVE "${graph_file}")
 list(APPEND cases ${bad_files})
+
+# Bad query logs fail the serve replay the same way. "<log>|<stderr regex>"
+set(bad_logs
+  "bfs 0 1\nbfs 4294967296 5\n|query log line 2: want"
+)
+set(log_file "${CMAKE_CURRENT_BINARY_DIR}/cli_flag_grid.log")
+foreach(entry IN LISTS bad_logs)
+  string(FIND "${entry}" "|" bar)
+  string(SUBSTRING "${entry}" 0 ${bar} contents)
+  math(EXPR start "${bar} + 1")
+  string(SUBSTRING "${entry}" ${start} -1 want_err)
+  file(WRITE "${log_file}" "${contents}")
+  execute_process(COMMAND "${FLASH_CLI}" serve "--serve-replay=${log_file}"
+                          --scale=0.05
+                  RESULT_VARIABLE got
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT got STREQUAL "1" OR NOT err MATCHES "${want_err}")
+    message(SEND_ERROR "flash_cli serve with log '${contents}': exit "
+                       "'${got}', want 1 and '${want_err}'\n${err}")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+file(REMOVE "${log_file}")
+list(APPEND cases ${bad_logs})
 
 list(LENGTH cases total)
 if(failures GREATER 0)

@@ -369,11 +369,6 @@ TEST(CheckRuntimeOptions, EveryRuleNamesItsField) {
          message_faults(o, 0.01);
        },
        nullptr},
-      {"perfbench paged serve", kGraph,
-       [](RuntimeOptions& o) {
-         o.edge_cache_bytes = 1 << 20;
-       },
-       nullptr},
       {"async under message faults", kGraph,
        [&](RuntimeOptions& o) {
          o.execution_mode = ExecutionMode::kAsync;

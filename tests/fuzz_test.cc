@@ -289,14 +289,12 @@ TEST(EngineFuzz, XorPushIsSelfInverseAcrossWorkers) {
 // to surface as a Status from Open() (metadata is fully validated there) or
 // from VerifyAllBlocks() (payload checksums and target ranges).
 
-std::vector<uint8_t> MakeBlockFileImage(std::string* out_path,
-                                        BlockCodec codec = BlockCodec::kRaw) {
+std::vector<uint8_t> MakeBlockFileImage(std::string* out_path) {
   auto graph = GenerateErdosRenyi(48, 180, /*symmetrize=*/true, 9).value();
-  std::string path = "/tmp/flash_fuzz_blocks_" + std::to_string(::getpid()) +
-                     (codec == BlockCodec::kDelta ? "_d" : "_r") + ".fblk";
+  std::string path =
+      "/tmp/flash_fuzz_blocks_" + std::to_string(::getpid()) + ".fblk";
   BlockFileOptions options;
   options.block_payload_bytes = 256;  // Many small blocks.
-  options.codec = codec;
   Status st = SaveBlockFile(*graph, path, options);
   EXPECT_TRUE(st.ok()) << st.ToString();
   std::ifstream in(path, std::ios::binary);
@@ -313,95 +311,40 @@ void WriteImage(const std::string& path, const uint8_t* data, size_t size) {
 }
 
 TEST(StorageFuzz, TruncationAtEveryPrefixFailsToOpen) {
-  for (const BlockCodec codec : {BlockCodec::kRaw, BlockCodec::kDelta}) {
-    std::string origin;
-    std::vector<uint8_t> bytes = MakeBlockFileImage(&origin, codec);
-    std::remove(origin.c_str());
-    const std::string path =
-        "/tmp/flash_fuzz_trunc_" + std::to_string(::getpid()) + ".fblk";
-    // Every proper prefix must be rejected at Open: short prefixes fail the
-    // header or metadata reads, longer ones fail the checksum or the block
-    // extent bounds-check against the (shrunken) file size.
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      WriteImage(path, bytes.data(), len);
-      auto opened = PagedStorage::Open(path);
-      ASSERT_FALSE(opened.ok())
-          << "codec " << static_cast<int>(codec) << ": prefix of " << len
-          << " bytes opened";
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(StorageFuzz, EveryByteFlipIsDetected) {
-  for (const BlockCodec codec : {BlockCodec::kRaw, BlockCodec::kDelta}) {
-    std::string origin;
-    std::vector<uint8_t> bytes = MakeBlockFileImage(&origin, codec);
-    std::remove(origin.c_str());
-    const std::string path =
-        "/tmp/flash_fuzz_flip_" + std::to_string(::getpid()) + ".fblk";
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      bytes[i] ^= 0xA5;
-      WriteImage(path, bytes.data(), bytes.size());
-      auto opened = PagedStorage::Open(path);
-      if (opened.ok()) {
-        // Metadata still parsed (the flip hit a block body): the full block
-        // scan must name the corruption instead.
-        Status verify = (*opened)->VerifyAllBlocks();
-        ASSERT_FALSE(verify.ok()) << "codec " << static_cast<int>(codec)
-                                  << ": flip at byte " << i << " undetected";
-      }
-      bytes[i] ^= 0xA5;
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(StorageFuzz, OutOfRangeTargetWithValidChecksumsIsRejected) {
   std::string origin;
   std::vector<uint8_t> bytes = MakeBlockFileImage(&origin);
   std::remove(origin.c_str());
-
-  // Walk the on-disk metadata by hand to find the first out-block with
-  // edges, then plant a target id >= num_vertices in its payload and
-  // recompute the payload checksum so every integrity check passes: the
-  // range validation itself must reject the block (OutOfRange), proving a
-  // hostile-but-checksummed file still cannot yield a wrong span.
-  BlockFileHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  const size_t offsets_bytes =
-      2 * (size_t{header.num_vertices} + 1) * sizeof(EdgeId);
-  const size_t out_index = sizeof(BlockFileHeader) + offsets_bytes;
-  BlockMeta meta{};
-  uint32_t picked = 0;
-  for (uint32_t b = 0; b < header.num_out_blocks; ++b) {
-    std::memcpy(&meta, bytes.data() + out_index + b * sizeof(BlockMeta),
-                sizeof(meta));
-    if (meta.stored_bytes > sizeof(BlockHeader)) {
-      picked = b;
-      break;
-    }
-  }
-  ASSERT_GT(meta.stored_bytes, sizeof(BlockHeader)) << "no out-block has edges";
-
-  uint8_t* block = bytes.data() + meta.file_offset;
-  const uint32_t bad_target = header.num_vertices + 1000;
-  std::memcpy(block + sizeof(BlockHeader), &bad_target, sizeof(bad_target));
-  const uint64_t payload_bytes = meta.stored_bytes - sizeof(BlockHeader);
-  const uint64_t checksum = Fnv1a64(block + sizeof(BlockHeader), payload_bytes);
-  std::memcpy(block + offsetof(BlockHeader, payload_checksum), &checksum,
-              sizeof(checksum));
-
   const std::string path =
-      "/tmp/flash_fuzz_range_" + std::to_string(::getpid()) + ".fblk";
-  WriteImage(path, bytes.data(), bytes.size());
-  auto opened = PagedStorage::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString()
-                           << " (metadata was untouched)";
-  Status verify = (*opened)->VerifyAllBlocks();
-  ASSERT_FALSE(verify.ok());
-  EXPECT_TRUE(verify.IsOutOfRange()) << verify.ToString() << " block "
-                                     << picked;
+      "/tmp/flash_fuzz_trunc_" + std::to_string(::getpid()) + ".fblk";
+  // Every proper prefix must be rejected at Open: short prefixes fail the
+  // header or metadata reads, longer ones fail the checksum or the block
+  // extent bounds-check against the (shrunken) file size.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteImage(path, bytes.data(), len);
+    auto opened = PagedStorage::Open(path);
+    ASSERT_FALSE(opened.ok()) << "prefix of " << len << " bytes opened";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StorageFuzz, EveryByteFlipIsDetected) {
+  std::string origin;
+  std::vector<uint8_t> bytes = MakeBlockFileImage(&origin);
+  std::remove(origin.c_str());
+  const std::string path =
+      "/tmp/flash_fuzz_flip_" + std::to_string(::getpid()) + ".fblk";
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] ^= 0xA5;
+    WriteImage(path, bytes.data(), bytes.size());
+    auto opened = PagedStorage::Open(path);
+    if (opened.ok()) {
+      // Metadata still parsed (the flip hit a block body): the full block
+      // scan must name the corruption instead.
+      Status verify = (*opened)->VerifyAllBlocks();
+      ASSERT_FALSE(verify.ok()) << "flip at byte " << i << " undetected";
+    }
+    bytes[i] ^= 0xA5;
+  }
   std::remove(path.c_str());
 }
 
@@ -433,7 +376,7 @@ void RehashMetadata(std::vector<uint8_t>& bytes) {
 
 TEST(StorageFuzz, DeltaOutOfRangeIdWithValidChecksumIsRejected) {
   std::string origin;
-  std::vector<uint8_t> bytes = MakeBlockFileImage(&origin, BlockCodec::kDelta);
+  std::vector<uint8_t> bytes = MakeBlockFileImage(&origin);
   std::remove(origin.c_str());
 
   // Plant a one-byte list head decoding to id 63 (>= the graph's 48
@@ -475,7 +418,7 @@ TEST(StorageFuzz, DeltaOutOfRangeIdWithValidChecksumIsRejected) {
 
 TEST(StorageFuzz, DeltaTrailingPayloadBytesBehindValidChecksumsAreRejected) {
   std::string origin;
-  std::vector<uint8_t> bytes = MakeBlockFileImage(&origin, BlockCodec::kDelta);
+  std::vector<uint8_t> bytes = MakeBlockFileImage(&origin);
   std::remove(origin.c_str());
 
   // Pad the file's final block (the last in-block — nothing is stored
@@ -514,6 +457,36 @@ TEST(StorageFuzz, DeltaTrailingPayloadBytesBehindValidChecksumsAreRejected) {
   Status verify = (*opened)->VerifyAllBlocks();
   ASSERT_FALSE(verify.ok());
   EXPECT_TRUE(verify.IsInvalidArgument()) << verify.ToString();
+  std::remove(path.c_str());
+}
+
+// Headers of the retired formats — the version-1 magic and version with
+// its zero codec slot, and a version-2 header naming codec 0 — carry a
+// valid metadata checksum, so only the format checks can refuse them.
+// Open must return InvalidArgument, never abort.
+TEST(StorageFuzz, RetiredFormatsAreRejectedAtOpen) {
+  std::string origin;
+  const std::vector<uint8_t> image = MakeBlockFileImage(&origin);
+  std::remove(origin.c_str());
+  const std::string path =
+      "/tmp/flash_fuzz_retired_" + std::to_string(::getpid()) + ".fblk";
+  for (const bool version1 : {true, false}) {
+    std::vector<uint8_t> bytes = image;
+    BlockFileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    if (version1) {
+      header.magic[7] = '1';
+      header.version = 1;
+    }
+    header.codec = 0;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    RehashMetadata(bytes);
+    WriteImage(path, bytes.data(), bytes.size());
+    auto opened = PagedStorage::Open(path);
+    ASSERT_FALSE(opened.ok()) << "version1=" << version1;
+    EXPECT_TRUE(opened.status().IsInvalidArgument())
+        << opened.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

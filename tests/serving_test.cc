@@ -369,6 +369,19 @@ TEST(ServingLog, ParseQueryLogRoundTrips) {
   EXPECT_EQ(queries[2].deadline_s, 0.25);
   EXPECT_EQ(queries[3].kind, QueryKind::kPpr);
   EXPECT_FALSE(ParseQueryLog("sssp 1 2\n").ok());
+  // Numbers are whole unsigned 32-bit tokens, never truncated or split,
+  // and nothing follows the deadline.
+  for (const char* bad :
+       {"bfs 4294967296 5", "khop 3 4294967298", "bfs 1 2x", "bfs -1 2",
+        "ppr 1", "landmark 1 7 app 0.25s", "landmark 1 7 app 0.25 x"}) {
+    auto rejected = ParseQueryLog(std::string("bfs 0 1\n") + bad + "\n");
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument()) << bad;
+    EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
+        << rejected.status().ToString();
+  }
+  EXPECT_EQ(ParseQueryLog("bfs 4294967295 0\n").value()[0].source,
+            4294967295u);
 }
 
 TEST(ServingArrivals, PoissonClockIsDeterministicAndMonotone) {

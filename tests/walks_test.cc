@@ -44,14 +44,17 @@ GraphPtr TestGraph() {
 /// A paged twin of `graph`: spilled to a temp block file and reopened
 /// behind the LRU cache. The file is removed when the guard dies.
 struct PagedTwin {
-  explicit PagedTwin(const GraphPtr& graph, const char* tag) {
+  PagedTwin(const GraphPtr& graph, const char* tag,
+            uint64_t cache_bytes = PagedOptions{}.cache_bytes) {
     path = std::string("/tmp/flash_walks_test_") + tag + "_" +
            std::to_string(::getpid()) + ".fblk";
     BlockFileOptions options;
     options.block_payload_bytes = 4096;  // Many blocks: real paging traffic.
     Status st = SaveBlockFile(*graph, path, options);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    twin = OpenPagedGraph(path).value();
+    PagedOptions paged;
+    paged.cache_bytes = cache_bytes;
+    twin = OpenPagedGraph(path, paged).value();
   }
   ~PagedTwin() { std::remove(path.c_str()); }
 
@@ -313,9 +316,8 @@ TEST(WalkEngine, WalkStepSamplesFeedTheCostModel) {
 // record into it.
 TEST(WalkEngine, TracedRunDetachesItsTracerFromTheStorage) {
   GraphPtr mem = TestGraph();
-  PagedTwin paged(mem, "tracer");
+  PagedTwin paged(mem, "tracer", 8 << 10);  // Barriers evict most blocks.
   RuntimeOptions options = WalkOptions(2, 500, 4);
-  options.edge_cache_bytes = 8 << 10;  // Barriers evict most blocks.
   options.trace = true;
   {
     auto r = WalkEngine(paged.twin, options).Run(WalkSpec{});
@@ -492,7 +494,6 @@ GoldenValues RunGolden(const GoldenCase& c, const std::string& block_path,
   options.threads_per_worker = threads_per_worker;
   options.node2vec_p = 0.5;  // Both biases on, so rejections happen.
   options.node2vec_q = 2.0;
-  options.edge_cache_bytes = 4 << 10;  // Barriers evict: real paging.
   if (c.faults) {
     options.fault_plan.seed = 99;
     options.fault_plan.msg_drop_rate = 0.05;
@@ -507,8 +508,10 @@ GoldenValues RunGolden(const GoldenCase& c, const std::string& block_path,
   spec.batch_by_vertex = c.batched;
   // A fresh open per run: a cold cache and an unmemoised partition, so the
   // storage counters do not depend on which case ran before.
+  PagedOptions paged;
+  paged.cache_bytes = 4 << 10;  // Barriers evict: real paging.
   const GraphPtr graph =
-      c.paged ? OpenPagedGraph(block_path).value() : TestGraph();
+      c.paged ? OpenPagedGraph(block_path, paged).value() : TestGraph();
   const WalkResult r = WalkEngine(graph, options).Run(spec);
   GoldenValues v;
   v.digest = WalkDigest(r);

@@ -14,12 +14,12 @@
 //   storage tier (semi-external paged backend; docs/INTERNALS.md):
 //     --storage=S         mem | paged                     (default mem)
 //                         (paged spills the edge blocks to a temp block
-//                         file and reloads them through the LRU cache)
+//                         file of FLSHBLK2 varint-delta neighbor lists
+//                         and reloads them through the LRU cache)
 //     --block-kb=N        block payload target, KiB       (default 64)
-//     --block-codec=C     raw | delta block payloads      (default delta)
-//                         (delta writes FLSHBLK2 varint-delta neighbor
-//                         lists; raw keeps the FLSHBLK1 byte layout)
 //     --cache-mb=N        LRU block-cache budget, MiB     (default 64)
+//                         (PagedOptions::cache_bytes, set when the
+//                         block file is opened)
 //   runtime options:
 //     --workers=N         simulated workers               (default 4)
 //     --threads=N         threads per worker              (default 1)
@@ -55,8 +55,8 @@
 //                         it — bit-identical at any --threads) (default 42)
 //   A bad runtime flag (worker or thread count, fault rate, crash worker,
 //   crash plan outside BSP or on walks, --root past the last vertex) or
-//   storage flag (--storage, --block-codec, --block-kb, --cache-mb) exits
-//   2 with a message; every one but --root exits before the graph loads.
+//   storage flag (--storage, --block-kb, --cache-mb) exits 2 with a
+//   message; every one but --root exits before the graph loads.
 //   output:
 //     --output=FILE       write per-vertex results, one per line
 //     --metrics           print the run's superstep/communication metrics
@@ -111,7 +111,6 @@ struct Args {
   bool directed = false;
   std::string storage = "mem";
   int block_kb = 64;
-  std::string block_codec = "delta";
   int cache_mb = 64;
   int workers = 4;
   int threads = 1;
@@ -186,8 +185,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->storage = v;
     } else if ((v = value("--block-kb="))) {
       args->block_kb = std::atoi(v);
-    } else if ((v = value("--block-codec="))) {
-      args->block_codec = v;
     } else if ((v = value("--cache-mb="))) {
       args->cache_mb = std::atoi(v);
     } else if ((v = value("--workers="))) {
@@ -326,12 +323,6 @@ RuntimeOptions MakeRuntime(const Args& args) {
   if (args.WantsTrace()) {
     options.trace = true;
     options.tracer = std::make_shared<obs::Tracer>();
-  }
-  if (args.storage == "paged") {
-    // Plumb the CLI knobs through RuntimeOptions so the engine re-applies
-    // them per run (the same path a library user would take).
-    options.edge_cache_bytes = uint64_t{static_cast<uint32_t>(args.cache_mb)}
-                               << 20;
   }
   options.num_walkers = args.walkers;
   options.walk_length = static_cast<uint32_t>(std::max(1, args.walk_length));
@@ -578,8 +569,6 @@ Result<GraphPtr> PageGraph(const Args& args, const GraphPtr& graph,
   BlockFileOptions save_options;
   save_options.block_payload_bytes =
       uint64_t{static_cast<uint32_t>(args.block_kb)} << 10;
-  save_options.codec =
-      args.block_codec == "delta" ? BlockCodec::kDelta : BlockCodec::kRaw;
   FLASH_RETURN_NOT_OK(SaveBlockFile(*graph, guard->path, save_options));
   PagedOptions options;
   options.cache_bytes = uint64_t{static_cast<uint32_t>(args.cache_mb)} << 20;
@@ -600,10 +589,6 @@ Status CheckStorageFlags(const Args& args) {
   if (args.storage != "mem" && args.storage != "paged") {
     return Status::InvalidArgument("unknown --storage=" + args.storage +
                                    " (mem | paged)");
-  }
-  if (args.block_codec != "raw" && args.block_codec != "delta") {
-    return Status::InvalidArgument("unknown --block-codec=" +
-                                   args.block_codec + " (raw | delta)");
   }
   if (args.block_kb < 1) {
     return Status::InvalidArgument("--block-kb must be at least 1");
@@ -645,9 +630,8 @@ int Run(const Args& args) {
       return 1;
     }
     graph = std::move(paged_or).value();
-    std::printf("storage: paged (%s, codec %s, cache %d MiB)\n",
-                block_file.path.c_str(), args.block_codec.c_str(),
-                args.cache_mb);
+    std::printf("storage: paged (%s, cache %d MiB)\n",
+                block_file.path.c_str(), args.cache_mb);
   }
   std::printf("graph: %u vertices, %llu edges%s%s\n", graph->NumVertices(),
               static_cast<unsigned long long>(graph->NumEdges()),
