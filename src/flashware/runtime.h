@@ -89,9 +89,10 @@ class Runtime {
   }
 
  private:
+  // The pool comes first: the partition is built on it.
+  ThreadPool pool_;
   std::shared_ptr<const Partition> partition_;
   MessageBus bus_;
-  ThreadPool pool_;
   std::shared_ptr<obs::Tracer> tracer_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<CheckpointManager> ckpt_;

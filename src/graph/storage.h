@@ -111,8 +111,11 @@ class GraphStorage {
 
   /// Streaming enumeration of all out-edges in CSR order. The paged backend
   /// reads sequentially, bypassing (and never polluting) the block cache;
-  /// bytes are accounted as StorageStats::stream_bytes. Used by partition
-  /// construction and whole-graph exports.
+  /// bytes are accounted as StorageStats::stream_bytes. Used by whole-graph
+  /// scans through Graph::ForEachEdge (edge-list export, cut-edge counts,
+  /// the reference oracles).
+  /// Partition::Create does not use it: it reads OutNeighbors through the
+  /// block cache, one vertex range per pool task.
   virtual void ForEachOutEdge(const EdgeFn& fn) = 0;
 
   /// Raw CSR vectors, or nullptr when the backend does not keep them in

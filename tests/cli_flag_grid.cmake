@@ -33,6 +33,9 @@ set(cases
   "2|bfs --storage=paged --cache-mb=0"
   "2|bfs --storage=paged --cache-mb=-1"
   "2|bfs --prefetch=4"
+  "2|bfs --storage=paged --cache-mb=4294967297"
+  "2|bfs --workers=2x"
+  "2|bfs --scale=0.5x"
   "0|bfs"
   "0|bfs --crash=1@2"
   "0|bfs --storage=paged --cache-mb=1 --block-kb=16"

@@ -914,5 +914,426 @@ TEST(FrameFuzz, TruncationsFlipsAndOutOfRangeIds) {
   }
 }
 
+// --- The varint kernel's fast loop ------------------------------------------
+//
+// Id columns of 8 or more varints go through the BMI2 fast loop where the
+// CPU has one; shorter ones, and whatever the fast loop leaves, through the
+// scalar loop. Every case here is long enough to reach the fast loop and
+// checks it against a one-varint-at-a-time oracle: the same values, and
+// the same Status code (and, for blocks, message) on every corruption.
+
+/// `value` as a varint of at least `min_bytes` bytes: an over-long
+/// encoding pads it with continuation bytes, which decode as zero bits.
+void WritePaddedVarint(std::vector<uint8_t>& out, uint64_t value,
+                       int min_bytes) {
+  for (int i = 1;; ++i) {
+    const uint8_t low = static_cast<uint8_t>(value & 0x7F);
+    value >>= 7;
+    if (value == 0 && i >= min_bytes) {
+      out.push_back(low);
+      return;
+    }
+    out.push_back(low | 0x80);
+  }
+}
+
+constexpr uint64_t kDeltaCap = static_cast<uint64_t>(UINT32_MAX) << 2;
+
+TEST(VarintKernelFuzz, FastLoopMatchesScalarLoop) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Runs of 1-10 byte varints, some over-long, then random garbage.
+    std::vector<uint8_t> bytes;
+    const size_t count = 8 + rng.Uniform(120);
+    for (size_t i = 0; i < count; ++i) {
+      const int bits = static_cast<int>(rng.Uniform(64));
+      const uint64_t value = rng.Next() >> (63 - bits);
+      // One varint in three is padded to 1-10 bytes.
+      const int min_bytes =
+          rng.Uniform(3) == 0 ? 1 + static_cast<int>(rng.Uniform(10)) : 1;
+      WritePaddedVarint(bytes, value, min_bytes);
+    }
+    for (uint64_t i = rng.Uniform(4); i > 0; --i) {
+      bytes.push_back(static_cast<uint8_t>(rng.Uniform(256)));
+    }
+    for (size_t len = 0; len <= bytes.size(); len += 1 + rng.Uniform(7)) {
+      const size_t want = count + rng.Uniform(4);
+      std::vector<uint64_t> fast(want, 0), scalar(want, 0);
+      const uint8_t* p_fast = bytes.data();
+      const uint8_t* p_scalar = bytes.data();
+      const size_t n_fast =
+          DecodeVarints(p_fast, bytes.data() + len, fast.data(), want);
+      const size_t n_scalar = DecodeVarintsScalar(
+          p_scalar, bytes.data() + len, scalar.data(), want);
+      ASSERT_EQ(n_fast, n_scalar) << "trial " << trial << " len " << len;
+      ASSERT_EQ(p_fast, p_scalar) << "trial " << trial << " len " << len;
+      fast.resize(n_fast);
+      scalar.resize(n_scalar);
+      ASSERT_EQ(fast, scalar) << "trial " << trial << " len " << len;
+    }
+  }
+}
+
+/// The id-column reader ReadWireFrame had before the kernel, one varint at
+/// a time: the oracle for every long-frame case below.
+Status ScalarReadWireFrame(const std::vector<uint8_t>& bytes, uint32_t mask,
+                           uint64_t num_vertices, std::vector<WireId>* ids) {
+  BufferReader r(bytes.data(), bytes.size());
+  uint64_t header = 0, frame_mask = 0, first = 0;
+  if (!r.TryReadVarint(&header) || !r.TryReadVarint(&frame_mask)) {
+    return Status::OutOfRange("truncated header");
+  }
+  if (frame_mask != mask) return Status::InvalidArgument("mask");
+  const uint64_t count = header >> 1;
+  if (count == 0 || count > r.remaining()) {
+    return Status::OutOfRange("bad record count");
+  }
+  if (!r.TryReadVarint(&first)) return Status::OutOfRange("truncated");
+  if (first >= num_vertices) return Status::InvalidArgument("out of range");
+  ids->push_back(static_cast<WireId>(first));
+  int64_t last = static_cast<int64_t>(first);
+  for (uint64_t i = 1; i < count; ++i) {
+    uint64_t raw = 0;
+    if (!r.TryReadVarint(&raw)) return Status::OutOfRange("truncated");
+    if (raw > kDeltaCap) return Status::InvalidArgument("delta cap");
+    last += (header & 1) != 0 ? static_cast<int64_t>(raw) : ZigZagDecode64(raw);
+    if (last < 0 || static_cast<uint64_t>(last) >= num_vertices) {
+      return Status::InvalidArgument("out of range");
+    }
+    ids->push_back(static_cast<WireId>(last));
+  }
+  return Status::OK();
+}
+
+/// A frame header and id column from raw column varints, each written
+/// `lengths[i]` bytes wide (0: its shortest form).
+std::vector<uint8_t> LongFrame(uint32_t mask, bool sorted, uint64_t first,
+                               const std::vector<uint64_t>& raw,
+                               const std::vector<int>& lengths) {
+  std::vector<uint8_t> bytes;
+  WritePaddedVarint(bytes, (raw.size() + 1) << 1 | (sorted ? 1 : 0), 1);
+  WritePaddedVarint(bytes, mask, 1);
+  WritePaddedVarint(bytes, first, 1);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    WritePaddedVarint(bytes, raw[i], lengths.empty() ? 1 : lengths[i]);
+  }
+  return bytes;
+}
+
+/// ReadWireFrame and the oracle agree on `bytes` and on every prefix.
+void ExpectFrameMatchesOracle(const std::vector<uint8_t>& bytes,
+                              uint64_t num_vertices, StatusCode want_code,
+                              const std::string& where) {
+  constexpr uint32_t kMask = 5;
+  for (size_t len = bytes.size() + 1; len-- > 0;) {
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+    std::vector<WireId> got_ids, want_ids;
+    BufferReader r(prefix.data(), prefix.size());
+    const Status got = ReadWireFrame(r, kMask, num_vertices, &got_ids);
+    const Status want =
+        ScalarReadWireFrame(prefix, kMask, num_vertices, &want_ids);
+    ASSERT_EQ(got.code(), want.code())
+        << where << ", prefix " << len << ": " << got.ToString() << " vs "
+        << want.ToString();
+    if (len == bytes.size()) {
+      EXPECT_EQ(got.code(), want_code) << where << ": " << got.ToString();
+    }
+    if (got.ok()) {
+      ASSERT_EQ(got_ids, want_ids) << where << ", prefix " << len;
+      EXPECT_TRUE(r.AtEnd()) << where;
+    }
+  }
+}
+
+TEST(VarintKernelFuzz, LongWireFramesMatchTheScalarOracle) {
+  constexpr uint64_t kVertices = UINT32_MAX;
+  Rng rng(77);
+  // Zigzag deltas of a random walk whose steps span 1-5 byte varints.
+  std::vector<uint64_t> walk;
+  int64_t at = 1 << 30;
+  for (int i = 0; i < 96; ++i) {
+    const int64_t limits[] = {60, 8000, 1 << 20, 1 << 27, int64_t{1} << 31};
+    int64_t step = static_cast<int64_t>(rng.Uniform(limits[rng.Uniform(5)]));
+    if (at + step >= static_cast<int64_t>(kVertices) ||
+        (rng.Uniform(2) == 0 && at - step >= 0)) {
+      step = -step;
+    }
+    walk.push_back(ZigZagEncode64(step));
+    at += step;
+  }
+  ExpectFrameMatchesOracle(LongFrame(5, false, 1 << 30, walk, {}), kVertices,
+                           StatusCode::kOk, "mixed 1-5 byte deltas");
+
+  // Sorted deltas written over-long, 6-10 bytes each at random.
+  std::vector<uint64_t> sorted(80);
+  std::vector<int> wide(80);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = rng.Uniform(300);
+    wide[i] = rng.Uniform(2) == 0 ? 1 : 6 + static_cast<int>(rng.Uniform(5));
+  }
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, sorted, wide), kVertices,
+                           StatusCode::kOk, "over-long 6-10 byte varints");
+  // An 11-byte varint is longer than any uint64 and truncates the column.
+  std::vector<int> eleven = wide;
+  eleven[50] = 11;
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, sorted, eleven), kVertices,
+                           StatusCode::kOutOfRange, "an 11-byte varint");
+
+  // A delta one past the 33-bit cap, deep inside the column.
+  std::vector<uint64_t> capped = sorted;
+  capped[41] = kDeltaCap + 1;
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, capped, {}), kVertices,
+                           StatusCode::kInvalidArgument, "delta past the cap");
+
+  // Ids that reach the vertex bound: exactly one past the last vertex.
+  constexpr uint64_t kSmall = 5000;
+  std::vector<uint64_t> steps(72, 60);
+  uint64_t id = 7;
+  for (uint64_t step : steps) id += step;
+  ASSERT_LT(id, kSmall);
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, steps, {}), id + 1,
+                           StatusCode::kOk, "last id below the bound");
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, steps, {}), id,
+                           StatusCode::kInvalidArgument, "last id at the bound");
+  steps[20] += kSmall;
+  ExpectFrameMatchesOracle(LongFrame(5, true, 7, steps, {}), kSmall,
+                           StatusCode::kInvalidArgument, "mid id past the bound");
+}
+
+/// The block decoder before the kernel, one varint at a time, over an
+/// unweighted payload: the oracle for the block cases below.
+Status ScalarDecodePayload(const std::vector<uint8_t>& payload,
+                           const std::vector<uint32_t>& degrees,
+                           uint64_t num_vertices, std::vector<WireId>* ids) {
+  BufferReader r(payload.data(), payload.size());
+  for (uint32_t degree : degrees) {
+    if (degree == 0) continue;
+    uint64_t head = 0;
+    if (!r.TryReadVarint(&head)) {
+      return Status::OutOfRange("adjacency: truncated list head");
+    }
+    if ((head >> 1) >= num_vertices) {
+      return Status::InvalidArgument("adjacency: vertex id out of range");
+    }
+    int64_t last = static_cast<int64_t>(head >> 1);
+    ids->push_back(static_cast<WireId>(last));
+    for (uint32_t i = 1; i < degree; ++i) {
+      uint64_t raw = 0;
+      if (!r.TryReadVarint(&raw)) {
+        return Status::OutOfRange("id column: truncated");
+      }
+      if (raw > kDeltaCap) {
+        return Status::InvalidArgument("id column: delta exceeds id range");
+      }
+      last += (head & 1) != 0 ? static_cast<int64_t>(raw) : ZigZagDecode64(raw);
+      if (last < 0 || static_cast<uint64_t>(last) >= num_vertices) {
+        return Status::InvalidArgument("id column: vertex id out of range");
+      }
+      ids->push_back(static_cast<WireId>(last));
+    }
+  }
+  if (!r.AtEnd()) return Status::InvalidArgument("has trailing payload bytes");
+  return Status::OK();
+}
+
+/// The file's last in-block (nothing is stored behind it, so its payload
+/// may grow or shrink), with the degrees and raw varints of its lists.
+struct LastInBlock {
+  size_t meta_pos = 0;
+  BlockMeta meta{};
+  VertexId first_vertex = 0;
+  std::vector<uint32_t> degrees;
+  std::vector<uint64_t> raw;
+};
+
+LastInBlock FindLastInBlock(const std::vector<uint8_t>& bytes) {
+  BlockFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const size_t n = header.num_vertices;
+  const size_t in_offsets = sizeof(BlockFileHeader) + (n + 1) * sizeof(EdgeId);
+  LastInBlock last;
+  last.meta_pos = in_offsets + (n + 1) * sizeof(EdgeId) +
+                  (size_t{header.num_out_blocks} + header.num_in_blocks - 1) *
+                      sizeof(BlockMeta);
+  std::memcpy(&last.meta, bytes.data() + last.meta_pos, sizeof(last.meta));
+  last.first_vertex = last.meta.first_vertex;
+  uint64_t edges = 0;
+  for (VertexId v = last.meta.first_vertex;
+       v < last.meta.first_vertex + last.meta.vertex_count; ++v) {
+    EdgeId lo = 0, hi = 0;
+    std::memcpy(&lo, bytes.data() + in_offsets + v * sizeof(EdgeId),
+                sizeof(lo));
+    std::memcpy(&hi, bytes.data() + in_offsets + (v + 1) * sizeof(EdgeId),
+                sizeof(hi));
+    last.degrees.push_back(static_cast<uint32_t>(hi - lo));
+    edges += hi - lo;
+  }
+  last.raw.resize(edges);
+  const uint8_t* p = bytes.data() + last.meta.file_offset + sizeof(BlockHeader);
+  const uint8_t* end = bytes.data() + last.meta.file_offset +
+                       last.meta.stored_bytes;
+  EXPECT_EQ(DecodeVarintsScalar(p, end, last.raw.data(), edges), edges);
+  return last;
+}
+
+/// `image` with the last in-block's payload replaced and, when `redigest`,
+/// re-digested; the metadata is re-digested around its new size.
+std::vector<uint8_t> WithLastPayload(std::vector<uint8_t> image,
+                                     const LastInBlock& last,
+                                     const std::vector<uint8_t>& payload,
+                                     bool redigest = true) {
+  BlockMeta meta = last.meta;
+  image.resize(meta.file_offset + sizeof(BlockHeader));
+  image.insert(image.end(), payload.begin(), payload.end());
+  meta.stored_bytes = sizeof(BlockHeader) + payload.size();
+  std::memcpy(image.data() + last.meta_pos, &meta, sizeof(meta));
+  if (redigest) {
+    uint8_t* block = image.data() + meta.file_offset;
+    const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+    std::memcpy(block + offsetof(BlockHeader, payload_checksum), &checksum,
+                sizeof(checksum));
+  }
+  RehashMetadata(image);
+  return image;
+}
+
+TEST(VarintKernelFuzz, LongBlockPayloadsMatchTheScalarOracle) {
+  // The last in-block holds the in-lists of the top four vertices: 96
+  // edges from sources in [4096, 8996), so every list head (id << 1 | 1)
+  // fills a two-byte varint to its top bit, and deltas take one or two.
+  GraphBuilder builder(9000);
+  Rng sources(13);
+  for (VertexId t = 8996; t < 9000; ++t) {
+    for (int k = 0; k < 24; ++k) {
+      builder.AddEdge(static_cast<VertexId>(4096 + sources.Uniform(4900)), t);
+    }
+  }
+  BuildOptions build;
+  build.symmetrize = false;
+  auto graph = builder.Build(build).value();
+  const std::string origin =
+      "/tmp/flash_fuzz_kernel_" + std::to_string(::getpid()) + ".fblk";
+  BlockFileOptions options;
+  options.block_payload_bytes = 1024;
+  ASSERT_TRUE(SaveBlockFile(*graph, origin, options).ok());
+  std::vector<uint8_t> image;
+  {
+    std::ifstream in(origin, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::remove(origin.c_str());
+  const LastInBlock last = FindLastInBlock(image);
+  ASSERT_GE(last.raw.size(), 64u);
+  const uint64_t n = graph->NumVertices();
+  const std::string path =
+      "/tmp/flash_fuzz_kernel_case_" + std::to_string(::getpid()) + ".fblk";
+
+  auto check = [&](const std::vector<uint8_t>& payload, const char* what,
+                   bool want_ok) {
+    std::vector<WireId> want_ids;
+    const Status want =
+        ScalarDecodePayload(payload, last.degrees, n, &want_ids);
+    const std::vector<uint8_t> bytes = WithLastPayload(image, last, payload);
+    WriteImage(path, bytes.data(), bytes.size());
+    auto opened = OpenPagedGraph(path);
+    if (!opened.ok()) {
+      // The index bounds a payload at five bytes an edge; the oracle has
+      // nothing to say about a file Open already refuses.
+      EXPECT_FALSE(want_ok) << what << ": " << opened.status().ToString();
+      return;
+    }
+    const Status got =
+        static_cast<PagedStorage*>((*opened)->storage())->VerifyAllBlocks();
+    ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.ToString()
+                                   << " vs " << want.ToString();
+    EXPECT_EQ(got.ok(), want_ok) << what << ": " << got.ToString();
+    if (!got.ok()) {
+      EXPECT_TRUE(got.IsInvalidArgument()) << what;
+      EXPECT_NE(got.message().find(want.message()), std::string::npos)
+          << what << ": " << got.ToString() << " vs " << want.ToString();
+      return;
+    }
+    std::vector<WireId> got_ids;
+    for (size_t i = 0; i < last.degrees.size(); ++i) {
+      for (VertexId u : (*opened)->InNeighbors(last.first_vertex +
+                                               static_cast<VertexId>(i))) {
+        got_ids.push_back(u);
+      }
+    }
+    EXPECT_EQ(got_ids, want_ids) << what;
+  };
+  auto encode = [&](const std::vector<uint64_t>& raw,
+                    const std::vector<int>& lengths) {
+    std::vector<uint8_t> payload;
+    for (size_t i = 0; i < raw.size(); ++i) {
+      WritePaddedVarint(payload, raw[i], lengths.empty() ? 1 : lengths[i]);
+    }
+    return payload;
+  };
+
+  Rng rng(5);
+  std::vector<int> mixed(last.raw.size());
+  for (int& len : mixed) len = 1 + static_cast<int>(rng.Uniform(5));
+  const std::vector<uint8_t> mixed_payload = encode(last.raw, mixed);
+  check(mixed_payload, "mixed 1-5 byte varints", true);
+  std::vector<int> wide(last.raw.size(), 1);
+  for (size_t i = 3; i < wide.size(); i += 9) {
+    wide[i] = 6 + static_cast<int>(rng.Uniform(5));
+  }
+  check(encode(last.raw, wide), "over-long 6-10 byte varints", true);
+  wide[40] = 11;
+  check(encode(last.raw, wide), "an 11-byte varint", false);
+
+  // A delta: the varint after the head of the first list of two or more
+  // ids that starts at or past varint 30.
+  size_t delta = 0;
+  for (size_t i = 0, at = 0; i < last.degrees.size(); at += last.degrees[i++]) {
+    if (at >= 30 && last.degrees[i] >= 2) {
+      delta = at + 1;
+      break;
+    }
+  }
+  ASSERT_GT(delta, 0u);
+  std::vector<uint64_t> raw = last.raw;
+  raw[delta] = kDeltaCap + 1;
+  check(encode(raw, {}), "a delta past the cap", false);
+  raw = last.raw;
+  raw[delta - 1] = n << 1 | 1;
+  check(encode(raw, {}), "a list head at the vertex bound", false);
+  raw = last.raw;
+  raw[delta] += n;
+  check(encode(raw, {}), "a delta reaching the vertex bound", false);
+
+  const std::vector<uint8_t> plain_payload = encode(last.raw, {});
+  for (size_t len = 0; len < plain_payload.size(); ++len) {
+    const std::vector<uint8_t> prefix(plain_payload.begin(),
+                                      plain_payload.begin() + len);
+    check(prefix, ("prefix of " + std::to_string(len) + " bytes").c_str(),
+          false);
+  }
+
+  // Left with the original digest, the same payloads fail their checksum,
+  // and the mismatch is reported ahead of any decode error.
+  raw = last.raw;
+  raw[delta] = kDeltaCap + 1;
+  const std::vector<std::vector<uint8_t>> corrupt = {
+      mixed_payload, encode(raw, {}),
+      std::vector<uint8_t>(plain_payload.begin(), plain_payload.end() - 1)};
+  for (const std::vector<uint8_t>& payload : corrupt) {
+    const std::vector<uint8_t> bytes =
+        WithLastPayload(image, last, payload, /*redigest=*/false);
+    WriteImage(path, bytes.data(), bytes.size());
+    auto opened = PagedStorage::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const Status got = (*opened)->VerifyAllBlocks();
+    EXPECT_TRUE(got.IsInvalidArgument()) << got.ToString();
+    EXPECT_NE(got.message().find("payload checksum mismatch"),
+              std::string::npos)
+        << got.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace flash

@@ -56,7 +56,9 @@
 //   A bad runtime flag (worker or thread count, fault rate, crash worker,
 //   crash plan outside BSP or on walks, --root past the last vertex) or
 //   storage flag (--storage, --block-kb, --cache-mb) exits 2 with a
-//   message; every one but --root exits before the graph loads.
+//   message; every one but --root exits before the graph loads. So does a
+//   numeric flag whose whole value does not parse, or does not fit its
+//   field (--workers=2x, --cache-mb=4294967297).
 //   output:
 //     --output=FILE       write per-vertex results, one per line
 //     --metrics           print the run's superstep/communication metrics
@@ -72,6 +74,7 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -79,6 +82,8 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include <iostream>
 #include <iterator>
@@ -163,6 +168,19 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as the value of `flag` into `*out`: no trailing
+/// characters, and a value in range for the field's type. Otherwise prints
+/// a message naming the flag and returns false.
+template <typename T>
+bool ParseNumber(const char* flag, std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "%s: bad value '%.*s'\n", flag,
+               static_cast<int>(text.size()), text.data());
+  return false;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) return false;
   args->algorithm = argv[1];
@@ -180,17 +198,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if ((v = value("--gen="))) {
       args->generator = v;
     } else if ((v = value("--scale="))) {
-      args->scale = std::atof(v);
+      if (!ParseNumber("--scale", v, &args->scale)) return false;
     } else if ((v = value("--storage="))) {
       args->storage = v;
     } else if ((v = value("--block-kb="))) {
-      args->block_kb = std::atoi(v);
+      if (!ParseNumber("--block-kb", v, &args->block_kb)) return false;
     } else if ((v = value("--cache-mb="))) {
-      args->cache_mb = std::atoi(v);
+      if (!ParseNumber("--cache-mb", v, &args->cache_mb)) return false;
     } else if ((v = value("--workers="))) {
-      args->workers = std::atoi(v);
+      if (!ParseNumber("--workers", v, &args->workers)) return false;
     } else if ((v = value("--threads="))) {
-      args->threads = std::atoi(v);
+      if (!ParseNumber("--threads", v, &args->threads)) return false;
     } else if ((v = value("--mode="))) {
       args->mode = v;
     } else if ((v = value("--partition="))) {
@@ -198,11 +216,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if ((v = value("--exec="))) {
       args->exec = v;
     } else if ((v = value("--root="))) {
-      args->root = static_cast<VertexId>(std::atoll(v));
+      if (!ParseNumber("--root", v, &args->root)) return false;
     } else if ((v = value("--iters="))) {
-      args->iters = std::atoi(v);
+      if (!ParseNumber("--iters", v, &args->iters)) return false;
     } else if ((v = value("--k="))) {
-      args->k = std::atoi(v);
+      if (!ParseNumber("--k", v, &args->k)) return false;
     } else if ((v = value("--output="))) {
       args->output = v;
     } else if ((v = value("--trace-out="))) {
@@ -214,35 +232,35 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if ((v = value("--serve-replay="))) {
       args->serve_replay = v;
     } else if ((v = value("--serve-batch="))) {
-      args->serve_batch = std::atoi(v);
+      if (!ParseNumber("--serve-batch", v, &args->serve_batch)) return false;
     } else if ((v = value("--serve-queue="))) {
-      args->serve_queue = std::atoi(v);
+      if (!ParseNumber("--serve-queue", v, &args->serve_queue)) return false;
     } else if ((v = value("--serve-wait-ms="))) {
-      args->serve_wait_ms = std::atof(v);
+      if (!ParseNumber("--serve-wait-ms", v, &args->serve_wait_ms)) return false;
     } else if ((v = value("--serve-qps="))) {
-      args->serve_qps = std::atof(v);
+      if (!ParseNumber("--serve-qps", v, &args->serve_qps)) return false;
     } else if ((v = value("--serve-arrivals="))) {
       args->serve_arrivals = v;
     } else if ((v = value("--serve-seed="))) {
-      args->serve_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseNumber("--serve-seed", v, &args->serve_seed)) return false;
     } else if ((v = value("--walk-kind="))) {
       args->walk_kind = v;
     } else if ((v = value("--walkers="))) {
-      args->walkers = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseNumber("--walkers", v, &args->walkers)) return false;
     } else if ((v = value("--walk-length="))) {
-      args->walk_length = std::atoi(v);
+      if (!ParseNumber("--walk-length", v, &args->walk_length)) return false;
     } else if ((v = value("--p="))) {
-      args->p = std::atof(v);
+      if (!ParseNumber("--p", v, &args->p)) return false;
     } else if ((v = value("--q="))) {
-      args->q = std::atof(v);
+      if (!ParseNumber("--q", v, &args->q)) return false;
     } else if ((v = value("--alpha="))) {
-      args->alpha = std::atof(v);
+      if (!ParseNumber("--alpha", v, &args->alpha)) return false;
     } else if ((v = value("--walk-seed="))) {
-      args->walk_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseNumber("--walk-seed", v, &args->walk_seed)) return false;
     } else if ((v = value("--drop-rate="))) {
-      args->drop_rate = std::atof(v);
+      if (!ParseNumber("--drop-rate", v, &args->drop_rate)) return false;
     } else if ((v = value("--ckpt-interval="))) {
-      args->ckpt_interval = std::atoi(v);
+      if (!ParseNumber("--ckpt-interval", v, &args->ckpt_interval)) return false;
     } else if ((v = value("--crash="))) {
       const char* at = std::strchr(v, '@');
       if (at == nullptr) {
@@ -250,8 +268,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
       CrashEvent e;
-      e.worker = std::atoi(v);
-      e.superstep = static_cast<uint64_t>(std::atoll(at + 1));
+      if (!ParseNumber("--crash", std::string_view(v, at - v), &e.worker) ||
+          !ParseNumber("--crash", at + 1, &e.superstep)) {
+        return false;
+      }
       args->crashes.push_back(e);
     } else if (arg == "--profile") {
       args->profile = true;
