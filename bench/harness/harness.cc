@@ -16,8 +16,8 @@ namespace flash::bench {
 double BenchScale() {
   static const double scale = [] {
     const char* env = std::getenv("FLASH_BENCH_SCALE");
-    double value = env ? std::atof(env) : 0.25;
-    return value > 0 ? value : 0.25;
+    double value = env ? std::atof(env) : kDefaultBenchScale;
+    return value > 0 ? value : kDefaultBenchScale;
   }();
   return scale;
 }

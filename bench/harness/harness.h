@@ -17,8 +17,12 @@ namespace flash::bench {
 /// loading with a global scale knob, cell timing, aligned table printing in
 /// the paper's layout, and the Fig. 1 slowdown heat map.
 
+/// BenchScale() when FLASH_BENCH_SCALE is unset: the full suite completes
+/// on a laptop core. Smaller scales are smoke runs.
+inline constexpr double kDefaultBenchScale = 0.25;
+
 /// Scale factor for the dataset twins; FLASH_BENCH_SCALE overrides
-/// (default 0.25 so the full suite completes on a laptop core).
+/// (default kDefaultBenchScale).
 double BenchScale();
 
 /// RMAT scale for the RMAT-driven benches. FLASH_BENCH_SCALE >= 1 is the
