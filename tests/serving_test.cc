@@ -12,12 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "algorithms/algorithms.h"
+#include "common/hash.h"
+#include "graph/generators.h"
+#include "graph/io.h"
+#include "graph/paged_storage.h"
 #include "obs/registry.h"
 #include "reference/reference.h"
 #include "serving/arrivals.h"
@@ -425,6 +433,153 @@ TEST(ServingArrivals, BurstAndFixedClocks) {
   const std::vector<double> fixed = FixedArrivalTimes(10, 100.0);
   for (size_t i = 0; i < fixed.size(); ++i) {
     EXPECT_DOUBLE_EQ(fixed[i], static_cast<double>(i) * 0.01);
+  }
+}
+
+// --- MsBfsGolden ------------------------------------------------------------
+//
+// Pins the multi-source BFS core bit for bit: one FNV-1a digest of
+// RunMultiSourceBfs's distance_sum and harmonic per source-batch width, and
+// one of a fixed serve replay's answers (bfs-distance, k-hop, landmark). A
+// digest must come out the same in memory and paged (cache about 1/8 of the
+// decoded adjacency, as perfbench's serve workload), at host_threads 1 and
+// 4, and — for the replay — at batch windows 1, 21 and 64 (64 fills the
+// whole source mask). A change to the traversal may move one only on
+// purpose.
+
+std::string Hex(uint64_t digest) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
+}
+
+GraphPtr GoldenRmat() {
+  static GraphPtr graph = [] {
+    RmatOptions options;
+    options.scale = 12;
+    options.avg_degree = 16;
+    options.symmetrize = true;
+    options.seed = 25;
+    return GenerateRmat(options).value();
+  }();
+  return graph;
+}
+
+/// Vertices with at least one edge, ascending: sources that traverse.
+std::vector<VertexId> ActiveVertices(const Graph& graph) {
+  std::vector<VertexId> active;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    if (graph.OutDegree(v) > 0) active.push_back(v);
+  }
+  return active;
+}
+
+/// The golden graph in memory, or paged from a delta block file with an
+/// LRU budget of 1/8 of its decoded adjacency; the file is deleted with
+/// the fixture.
+class GoldenBackends {
+ public:
+  GoldenBackends()
+      : path_("/tmp/flash_serving_golden_" + std::to_string(::getpid()) +
+              ".fblk") {
+    BlockFileOptions options;
+    options.block_payload_bytes = 4 << 10;
+    const Status st = SaveBlockFile(*GoldenRmat(), path_, options);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  ~GoldenBackends() { std::remove(path_.c_str()); }
+
+  GraphPtr Open(bool paged) const {
+    if (!paged) return GoldenRmat();
+    PagedOptions options;
+    options.cache_bytes = GoldenRmat()->NumEdges() * 2 * sizeof(VertexId) / 8;
+    return OpenPagedGraph(path_, options).value();
+  }
+
+ private:
+  std::string path_;
+};
+
+uint64_t MsBfsDigest(const GraphPtr& graph, size_t width, int host_threads) {
+  const std::vector<VertexId> active = ActiveVertices(*graph);
+  std::vector<VertexId> sources;
+  for (size_t i = 0; i < width; ++i) {
+    sources.push_back(active[(i * 97 + 5) % active.size()]);
+  }
+  const algo::MsBfsResult result =
+      algo::RunMultiSourceBfs(graph, sources, Runtime(host_threads));
+  uint64_t h = Fnv1a64(result.distance_sum.data(),
+                       result.distance_sum.size() * sizeof(uint32_t));
+  h = Fnv1a64(result.harmonic.data(), result.harmonic.size() * sizeof(double),
+              h);
+  return Fnv1a64(&result.rounds, sizeof(result.rounds), h);
+}
+
+/// Submits a fixed 48-query bfs/khop/landmark log as one burst through a
+/// server with `batch_window` and 64 landmarks; digests the answer values
+/// in query-id order.
+uint64_t ReplayDigest(const GraphPtr& graph, int batch_window,
+                      int host_threads) {
+  const std::vector<VertexId> active = ActiveVertices(*graph);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < 48; ++i) {
+    Query q;
+    q.kind = static_cast<QueryKind>(i % 3);
+    q.source = active[(i * 37 + 1) % active.size()];
+    q.target = active[(i * 53 + 11) % active.size()];
+    if (i % 16 == 5) q.target = q.source;
+    q.k = 1 + static_cast<uint32_t>(i % 4);
+    queries.push_back(q);
+  }
+  ServerOptions options;
+  options.scheduler.batch_window = batch_window;
+  options.scheduler.max_queue = queries.size() + 8;
+  options.num_landmarks = 64;
+  Server server(graph, Runtime(host_threads), options);
+  for (const Query& q : queries) EXPECT_TRUE(server.Submit(q, 0.0).ok());
+  server.Drain();
+  std::vector<double> values(queries.size(),
+                             std::numeric_limits<double>::quiet_NaN());
+  for (const Answer& a : server.answers()) {
+    EXPECT_LT(a.query_id, values.size());
+    EXPECT_EQ(a.kind, queries[a.query_id].kind);
+    values[a.query_id] = a.value;
+  }
+  for (const double v : values) EXPECT_FALSE(std::isnan(v));
+  return Fnv1a64(values.data(), values.size() * sizeof(double));
+}
+
+TEST(MsBfsGolden, DistanceSumsAndHarmonicArePinned) {
+  const GoldenBackends backends;
+  const std::pair<size_t, uint64_t> cases[] = {{1, 0xcc12a2462c459a13},
+                                               {21, 0x88807c479993d566},
+                                               {64, 0x9b6aafe6f6379b5a}};
+  for (bool paged : {false, true}) {
+    for (int host_threads : {1, 4}) {
+      for (const auto& [width, digest] : cases) {
+        EXPECT_EQ(Hex(MsBfsDigest(backends.Open(paged), width, host_threads)),
+                  Hex(digest))
+            << "width " << width << (paged ? " paged" : " mem")
+            << " host_threads " << host_threads;
+      }
+    }
+  }
+}
+
+TEST(MsBfsGolden, ServeReplayAnswersArePinned) {
+  const GoldenBackends backends;
+  const uint64_t digest = 0x5757c9fcd0a2f70c;
+  for (bool paged : {false, true}) {
+    for (int host_threads : {1, 4}) {
+      for (int batch_window : {1, 21, 64}) {
+        EXPECT_EQ(Hex(ReplayDigest(backends.Open(paged), batch_window,
+                                   host_threads)),
+                  Hex(digest))
+            << "batch_window " << batch_window << (paged ? " paged" : " mem")
+            << " host_threads " << host_threads;
+      }
+    }
   }
 }
 
