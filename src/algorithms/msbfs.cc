@@ -31,9 +31,16 @@ int RunMultiSourceBfsCore(const GraphPtr& graph,
                           const RuntimeOptions& options,
                           const MsBfsCoreOptions& core, Metrics* metrics) {
   FLASH_CHECK_LE(sources.size(), 64u) << "at most 64 simultaneous sources";
+  // A fresh GraphApi holds MsCoreData{} (empty masks) on every worker, so
+  // the traversal starts without a reset map.
   GraphApi<MsCoreData> fl(graph, options);
   int rounds = 0;
-  fl.VertexMap(fl.V(), CTrue, [](MsCoreData& v) { v = MsCoreData{}; });
+  // Every source's bit: a vertex whose visited | frontier mask is full can
+  // gain nothing more, so the pull's C skips it and stops scanning its
+  // in-edges once it fills. Push needs no C — F already rejects it.
+  const uint64_t full = sources.size() == 64
+                            ? ~uint64_t{0}
+                            : (uint64_t{1} << sources.size()) - 1;
   VertexSubset frontier = fl.None();
   for (size_t s = 0; s < sources.size(); ++s) frontier.Add(sources[s]);
   fl.VertexMap(frontier, CTrue, [&](MsCoreData& v, VertexId id) {
@@ -67,7 +74,9 @@ int RunMultiSourceBfsCore(const GraphPtr& graph,
         [](const MsCoreData& s, MsCoreData& d) {
           d.frontier |= s.frontier & ~d.visited;  // Committed below.
         },
-        CTrue,
+        [full](const MsCoreData& d) {
+          return (d.visited | d.frontier) != full;
+        },
         [](const MsCoreData& t, MsCoreData& d) { d.frontier |= t.frontier; });
     // Commit the round: fold the newly reached sources into visited. After
     // this map, members of `frontier` carry exactly this level's fresh mask.
@@ -86,6 +95,7 @@ int RunMultiSourceBfsCore(const GraphPtr& graph,
       std::vector<std::vector<MsBfsArrival>> per_worker(
           static_cast<size_t>(options.num_workers));
       fl.ForEachWorker([&](int w) {
+        per_worker[w].reserve(frontier.Owned(w).size());
         for (VertexId v : frontier.Owned(w)) {
           per_worker[w].push_back({v, fl.Read(v).frontier});
         }
@@ -93,10 +103,17 @@ int RunMultiSourceBfsCore(const GraphPtr& graph,
       MsBfsLevel out;
       out.level = level;
       out.fresh = fl.AllGather(per_worker);
-      std::sort(out.fresh.begin(), out.fresh.end(),
-                [](const MsBfsArrival& a, const MsBfsArrival& b) {
-                  return a.vertex < b.vertex;
-                });
+      // The gather concatenates the workers' ascending runs in worker
+      // order; merging each run into the ordered prefix sorts the level.
+      auto run_end = out.fresh.begin();
+      for (const auto& run : per_worker) {
+        const auto run_begin = run_end;
+        run_end += static_cast<std::ptrdiff_t>(run.size());
+        std::inplace_merge(out.fresh.begin(), run_begin, run_end,
+                           [](const MsBfsArrival& a, const MsBfsArrival& b) {
+                             return a.vertex < b.vertex;
+                           });
+      }
       keep_going = core.on_level(out);
     }
   }

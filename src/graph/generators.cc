@@ -37,7 +37,8 @@ Result<GraphPtr> GenerateRmat(const RmatOptions& options) {
     for (uint64_t i = 0; i < kChunk * (options.scale + 1); ++i) next.Next();
     starts.push_back(next);
   }
-  std::vector<Edge> edges(m);
+  // An EdgeList leaves its slots unwritten: the chunk tasks draw each one.
+  EdgeList edges(m);
   ThreadPool pool(GraphBuilder::PoolWidth(m));
   pool.ParallelForWorkers(static_cast<int>(chunks), [&](int c) {
     Rng rng = starts[c];

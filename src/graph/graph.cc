@@ -217,7 +217,7 @@ Result<GraphPtr> GraphBuilder::Build(const BuildOptions& options,
   // Out-CSR: one counting sort by source over equal slices of the edge
   // list. A symmetrised edge also counts into its target's list, so the
   // reversed copy is never materialised.
-  std::vector<Edge> edges = std::move(edges_);
+  EdgeList edges = std::move(edges_);
   edges_.clear();
   const int threads = pool.num_threads();
   std::vector<size_t> slices(threads + 1);
@@ -234,7 +234,7 @@ Result<GraphPtr> GraphBuilder::Build(const BuildOptions& options,
         if (options.symmetrize) emit(e.dst, e.src, e.weight);
       },
       csr.out_targets, out_weights);
-  std::vector<Edge>().swap(edges);
+  EdgeList().swap(edges);
   SortLists(pool, options.deduplicate, csr.out_offsets, csr.out_targets,
             out_weights);
 

@@ -32,6 +32,31 @@ inline bool operator==(const Edge& a, const Edge& b) {
   return a.src == b.src && a.dst == b.dst && a.weight == b.weight;
 }
 
+/// std::allocator whose value-less construct() writes nothing, so resize()
+/// leaves new elements unwritten. Edge is an aggregate (an implicit-lifetime
+/// type), so the storage already holds Edge objects; the caller writes
+/// every one before it is read. Copies and moves construct as usual.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A builder's pending edge list: GenerateRmat sizes it in one step and its
+/// draw tasks fill their own ranges, with no serial initialising pass.
+using EdgeList = std::vector<Edge, UninitAllocator<Edge>>;
+
 class Graph;
 using GraphPtr = std::shared_ptr<const Graph>;
 class Partition;
@@ -217,7 +242,7 @@ class GraphBuilder {
   explicit GraphBuilder(VertexId num_vertices = 0)
       : num_vertices_(num_vertices) {}
   /// Starts from a whole edge list, taken without a copy.
-  GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
+  GraphBuilder(VertexId num_vertices, EdgeList edges)
       : num_vertices_(num_vertices), edges_(std::move(edges)) {}
 
   void Reserve(size_t edges) { edges_.reserve(edges); }
@@ -245,7 +270,7 @@ class GraphBuilder {
 
  private:
   VertexId num_vertices_;
-  std::vector<Edge> edges_;
+  EdgeList edges_;
 };
 
 }  // namespace flash

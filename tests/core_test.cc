@@ -188,6 +188,43 @@ TEST(VertexMap, UpdatesInvisibleWithinSuperstep) {
   for (auto a : aux) EXPECT_EQ(a, 1u);
 }
 
+// --- Fresh state -------------------------------------------------------------
+
+struct Defaults {
+  uint32_t dist = 7;
+  double mass = 0.25;
+  uint64_t mask = 0;
+  FLASH_FIELDS(dist, mass, mask)
+};
+
+TEST(GraphApi, FreshValuesAreValueInitialised) {
+  // A program needs no reset map: before any primitive, every worker's
+  // replica of every vertex (master or mirror) equals VData{}. A scribbled
+  // engine is destroyed first, so stores that reused its memory without
+  // initialising it would show here.
+  auto graph = GenerateErdosRenyi(80, 300, true, 9).value();
+  for (int workers : {1, 3, 4}) {
+    {
+      GraphApi<Defaults> scribbled(graph, Workers(workers));
+      scribbled.VertexMap(scribbled.V(), CTrue, [](Defaults& v) {
+        v.dist = 99;
+        v.mass = -1.0;
+        v.mask = ~uint64_t{0};
+      });
+    }
+    GraphApi<Defaults> fl(graph, Workers(workers));
+    fl.ForEachWorker([&](int w) {
+      for (VertexId v = 0; v < graph->NumVertices(); ++v) {
+        const Defaults& d = fl.Read(v);
+        EXPECT_EQ(d.dist, Defaults{}.dist) << "worker " << w << " v" << v;
+        EXPECT_EQ(d.mass, Defaults{}.mass) << "worker " << w << " v" << v;
+        EXPECT_EQ(d.mask, Defaults{}.mask) << "worker " << w << " v" << v;
+      }
+    });
+    EXPECT_EQ(fl.metrics().supersteps, 0u);
+  }
+}
+
 // --- EDGEMAP -----------------------------------------------------------------
 
 /// Sums incoming source ids into each target, in both modes.
