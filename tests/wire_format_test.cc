@@ -8,16 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "algorithms/algorithms.h"
 #include "common/fields.h"
+#include "common/hash.h"
 #include "common/serialize.h"
 #include "core/api.h"
+#include "flashware/checkpoint.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "obs/registry.h"
@@ -397,6 +402,222 @@ TEST(WireFormatEngine, CheckpointLoggingDoesNotDoubleSerialize) {
   EXPECT_EQ(encodes.count(),
             committed + snapshots * options.num_workers * kVertices)
       << "redo-log appends must reuse the commit encoding";
+}
+
+// ---------------------------------------------------------------------------
+// Mirror-sync golden digests: every mirror frame the barrier delivers, and
+// every byte of each worker's redo log, after every primitive of three
+// programs — all fields (PageRank), a mixed-width struct synced under a
+// non-prefix mask, and a variable-width one (triangle counting).
+
+// FNV-1a over the mirror frames of each Incoming(dst, src) channel and,
+// separately, over each worker's redo log, folded after every primitive.
+// Sizes are folded too, so empty and missing buffers stay distinct.
+struct SyncDigests {
+  uint64_t frames = Fnv1a64(nullptr, 0);
+  uint64_t log = Fnv1a64(nullptr, 0);
+
+  static uint64_t Fold(uint64_t h, const std::vector<uint8_t>& bytes) {
+    const uint64_t size = bytes.size();
+    h = Fnv1a64(&size, sizeof(size), h);
+    return bytes.empty() ? h : Fnv1a64(bytes.data(), bytes.size(), h);
+  }
+
+  template <typename VData>
+  void Step(const GraphApi<VData>& fl) {
+    const int m = fl.options().num_workers;
+    for (int dst = 0; dst < m; ++dst) {
+      for (int src = 0; src < m; ++src) {
+        frames = Fold(frames, fl.bus().Incoming(dst, src));
+      }
+    }
+    if (const CheckpointManager* ckpt = fl.checkpoints()) {
+      for (int w = 0; w < m; ++w) log = Fold(log, ckpt->log(w).bytes());
+    }
+  }
+};
+
+struct GoldenRank {
+  double rank = 0;
+  double acc = 0;
+  FLASH_FIELDS(rank, acc)
+};
+
+// 4-byte, 8-byte and 1-byte fields; the mirrors get fields 0 and 2 only,
+// and `weight` changes on the master alone, so a commit that shipped the
+// wrong bytes for the non-prefix mask changes the frames.
+struct GoldenMixed {
+  int32_t level = -1;
+  double weight = 0;
+  uint8_t flag = 0;
+  FLASH_FIELDS(level, weight, flag)
+};
+
+struct GoldenTriangles {
+  uint64_t count = 0;
+  std::vector<VertexId> out;
+  FLASH_FIELDS(count, out)
+};
+
+void GoldenPageRank(GraphApi<GoldenRank>& fl, SyncDigests& d) {
+  const double n = fl.NumVertices();
+  fl.VertexMap(fl.V(), CTrue, [&](GoldenRank& v) { v.rank = 1.0 / n; });
+  d.Step(fl);
+  for (int iter = 0; iter < 4; ++iter) {
+    fl.VertexMap(fl.V(), CTrue, [](GoldenRank& v) { v.acc = 0; });
+    d.Step(fl);
+    fl.EdgeMapDense(
+        fl.V(), fl.E(), CTrue,
+        [&](const GoldenRank& s, GoldenRank& t, VertexId sid, VertexId) {
+          t.acc += s.rank / fl.OutDeg(sid);
+        },
+        CTrue);
+    d.Step(fl);
+    fl.VertexMap(fl.V(), CTrue, [&](GoldenRank& v) {
+      v.rank = 0.15 / n + 0.85 * v.acc;
+    });
+    d.Step(fl);
+  }
+}
+
+void GoldenMixedBfs(GraphApi<GoldenMixed>& fl, SyncDigests& d) {
+  fl.SetCriticalFields({0, 2});
+  fl.VertexMap(fl.V(), CTrue, [](GoldenMixed& v, VertexId id) {
+    v.weight = id * 0.25;
+    v.flag = static_cast<uint8_t>(id % 3);
+  });
+  d.Step(fl);
+  VertexSubset frontier = fl.VertexMap(fl.Single(0), CTrue, [](GoldenMixed& v) {
+    v.level = 0;
+    v.flag = 0x40;
+  });
+  d.Step(fl);
+  while (fl.Size(frontier) != 0) {
+    frontier = fl.EdgeMap(
+        frontier, fl.E(), CTrue,
+        [](const GoldenMixed& s, GoldenMixed& t) {
+          t.level = s.level + 1;
+          t.flag = static_cast<uint8_t>(t.flag | (s.flag >> 1));
+        },
+        [](const GoldenMixed& t) { return t.level < 0; },
+        [](const GoldenMixed& u, GoldenMixed& t) {
+          t.level = u.level;
+          t.flag = static_cast<uint8_t>(t.flag | u.flag);
+        });
+    d.Step(fl);
+    fl.VertexMap(frontier, CTrue, [](GoldenMixed& v) {
+      v.weight = v.weight * 2 + v.level;
+      v.flag = static_cast<uint8_t>(v.flag + 1);
+    });
+    d.Step(fl);
+  }
+  fl.EdgeMapDense(
+      fl.V(), fl.E(), CTrue,
+      [](const GoldenMixed& s, GoldenMixed& t) {
+        t.flag = std::max(t.flag, s.flag);
+      },
+      CTrue);
+  d.Step(fl);
+}
+
+void GoldenTriangleCount(GraphApi<GoldenTriangles>& fl, SyncDigests& d) {
+  auto higher = [&](const GoldenTriangles&, const GoldenTriangles&,
+                    VertexId sid, VertexId did) {
+    const uint32_t sd = fl.Deg(sid), dd = fl.Deg(did);
+    return sd > dd || (sd == dd && sid > did);
+  };
+  VertexSubset all = fl.VertexMap(fl.V(), CTrue, [](GoldenTriangles& v) {
+    v.count = 0;
+    v.out.clear();
+  });
+  d.Step(fl);
+  all = fl.EdgeMap(
+      all, fl.E(), higher,
+      [](const GoldenTriangles&, GoldenTriangles& t, VertexId sid, VertexId) {
+        t.out.insert(std::lower_bound(t.out.begin(), t.out.end(), sid), sid);
+      },
+      CTrue,
+      [](const GoldenTriangles& u, GoldenTriangles& t) {
+        std::vector<VertexId> merged;
+        std::set_union(u.out.begin(), u.out.end(), t.out.begin(), t.out.end(),
+                       std::back_inserter(merged));
+        t.out = std::move(merged);
+      });
+  d.Step(fl);
+  fl.EdgeMap(
+      all, fl.E(),
+      [](const GoldenTriangles&, const GoldenTriangles&, VertexId sid,
+         VertexId did) { return sid < did; },
+      [](const GoldenTriangles& s, GoldenTriangles& t) {
+        std::vector<VertexId> common;
+        std::set_intersection(s.out.begin(), s.out.end(), t.out.begin(),
+                              t.out.end(), std::back_inserter(common));
+        t.count += common.size();
+      },
+      CTrue,
+      [](const GoldenTriangles& u, GoldenTriangles& t) { t.count += u.count; });
+  d.Step(fl);
+}
+
+template <typename VData>
+SyncDigests DigestRun(void (*program)(GraphApi<VData>&, SyncDigests&),
+                      bool broadcast, bool checkpoint, int host_threads) {
+  RuntimeOptions options = SweepOpts(host_threads);
+  options.necessary_mirrors_only = !broadcast;
+  if (checkpoint) options.fault_plan.checkpoint_interval = 3;
+  GraphApi<VData> fl(SweepGraph(), options);
+  SyncDigests digests;
+  program(fl, digests);
+  return digests;
+}
+
+// One row per (program, broadcast): the frame digest, which must not depend
+// on the checkpoint plan, and the redo-log digest under the plan.
+struct SyncGoldenRow {
+  const char* program;
+  bool broadcast;
+  uint64_t frames;
+  uint64_t log;
+};
+
+constexpr SyncGoldenRow kSyncGolden[] = {
+    {"pagerank", false, 0xf7cd81a7cec2e9c4ull, 0x8d87bb11357cbe99ull},
+    {"pagerank", true, 0x7cdedcb036f3b1c3ull, 0xb601bbcbe07ed42dull},
+    {"mixed", false, 0xcc19e24fba50441eull, 0x0bd629a68c49378aull},
+    {"mixed", true, 0x736aedd45cfaf91eull, 0x93b9f50c4ce4f55full},
+    {"triangles", false, 0x169356f9e4f4d638ull, 0x394237efbcb91633ull},
+    {"triangles", true, 0xcf727e903f70620eull, 0x5f056b390f04bb13ull},
+};
+
+template <typename VData>
+void CheckSyncGolden(void (*program)(GraphApi<VData>&, SyncDigests&),
+                     const SyncGoldenRow& row) {
+  const SyncDigests empty;
+  for (int host_threads : {1, 4}) {
+    const SyncDigests plain =
+        DigestRun(program, row.broadcast, /*checkpoint=*/false, host_threads);
+    const SyncDigests logged =
+        DigestRun(program, row.broadcast, /*checkpoint=*/true, host_threads);
+    const std::string where = std::string(row.program) +
+                              " broadcast=" + std::to_string(row.broadcast) +
+                              " host_threads=" + std::to_string(host_threads);
+    EXPECT_EQ(plain.log, empty.log) << where;
+    EXPECT_EQ(plain.frames, row.frames)
+        << where << std::hex << " row: {\"" << row.program << "\", "
+        << row.broadcast << ", 0x" << plain.frames << "ull, 0x" << logged.log
+        << "ull}";
+    EXPECT_EQ(logged.frames, row.frames) << where << " (checkpointed)";
+    EXPECT_EQ(logged.log, row.log) << where;
+  }
+}
+
+TEST(MirrorSyncGolden, FramesAndRedoLogsAreByteStable) {
+  CheckSyncGolden<GoldenRank>(&GoldenPageRank, kSyncGolden[0]);
+  CheckSyncGolden<GoldenRank>(&GoldenPageRank, kSyncGolden[1]);
+  CheckSyncGolden<GoldenMixed>(&GoldenMixedBfs, kSyncGolden[2]);
+  CheckSyncGolden<GoldenMixed>(&GoldenMixedBfs, kSyncGolden[3]);
+  CheckSyncGolden<GoldenTriangles>(&GoldenTriangleCount, kSyncGolden[4]);
+  CheckSyncGolden<GoldenTriangles>(&GoldenTriangleCount, kSyncGolden[5]);
 }
 
 // ---------------------------------------------------------------------------
