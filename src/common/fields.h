@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -67,22 +68,12 @@ struct FieldCodec {
   static size_t ByteSize(const std::vector<T>& value) {
     return value.size() * sizeof(T) + 1;
   }
-
-  template <typename T, typename = std::enable_if_t<std::is_trivially_copyable_v<T>>>
-  static constexpr bool FixedWidth(const T&) {
-    return true;
-  }
-  static constexpr bool FixedWidth(const std::string&) { return false; }
-  template <typename T>
-  static constexpr bool FixedWidth(const std::vector<T>&) {
-    return false;
-  }
 };
 
 namespace internal {
-/// Test hook: when armed, every SerializeFields/SerializeFieldsSegmented
-/// call bumps the counter. Lets the serialize-once regression test count
-/// encodes per committed vertex. Arm/disarm only while no engine is running.
+/// Test hook: when armed, every SerializeFields/PackFields call bumps the
+/// counter. Lets the serialize-once regression test count encodes per
+/// committed vertex. Arm/disarm only while no engine is running.
 inline std::atomic<uint64_t>* field_encode_counter = nullptr;
 }  // namespace internal
 
@@ -99,61 +90,18 @@ constexpr uint32_t AllFieldsMask() {
 }
 
 /// Serialises the fields of `value` selected by `mask` (bit i = field i, in
-/// declaration order) into `w`.
+/// declaration order) into `w` and, when `all` is set, every field into
+/// `all` in the same pass — the redo-logged commit's record. One encode.
 template <typename T>
-void SerializeFields(const T& value, uint32_t mask, BufferWriter& w) {
+void SerializeFields(const T& value, uint32_t mask, BufferWriter& w,
+                     BufferWriter* all = nullptr) {
   if (internal::field_encode_counter != nullptr) {
     internal::field_encode_counter->fetch_add(1, std::memory_order_relaxed);
   }
   value.ForEachField([&](int index, const auto& field) {
     if ((mask >> index) & 1u) FieldCodec::Write(w, field);
+    if (all != nullptr) FieldCodec::Write(*all, field);
   });
-}
-
-/// SerializeFields recording where each field's encoding ends:
-/// boundaries[0] = 0 and boundaries[i + 1] = bytes written after field i
-/// (== boundaries[i] when field i is not in `mask`). The boundaries let a
-/// *subset* of the encoded mask be copied straight out of the byte run —
-/// the serialize-once fan-out of the commit barrier. `w` must be empty.
-/// boundaries must hold T::kNumFields + 1 entries.
-template <typename T>
-void SerializeFieldsSegmented(const T& value, uint32_t mask, BufferWriter& w,
-                              uint32_t* boundaries) {
-  if (internal::field_encode_counter != nullptr) {
-    internal::field_encode_counter->fetch_add(1, std::memory_order_relaxed);
-  }
-  boundaries[0] = 0;
-  value.ForEachField([&](int index, const auto& field) {
-    if ((mask >> index) & 1u) FieldCodec::Write(w, field);
-    boundaries[index + 1] = static_cast<uint32_t>(w.size());
-  });
-}
-
-/// Appends the encodings of `sub_mask`'s fields from a byte run produced by
-/// SerializeFieldsSegmented (whose mask must be a superset of `sub_mask`),
-/// coalescing adjacent segments into single copies.
-inline void AppendMaskedSegments(const uint8_t* encoded,
-                                 const uint32_t* boundaries, int num_fields,
-                                 uint32_t sub_mask, BufferWriter& out) {
-  uint32_t run_begin = 0;
-  uint32_t run_end = 0;
-  bool open = false;
-  for (int i = 0; i < num_fields; ++i) {
-    if (((sub_mask >> i) & 1u) == 0) continue;
-    if (open && boundaries[i] == run_end) {
-      run_end = boundaries[i + 1];
-      continue;
-    }
-    if (open && run_end > run_begin) {
-      out.WriteRaw(encoded + run_begin, run_end - run_begin);
-    }
-    run_begin = boundaries[i];
-    run_end = boundaries[i + 1];
-    open = true;
-  }
-  if (open && run_end > run_begin) {
-    out.WriteRaw(encoded + run_begin, run_end - run_begin);
-  }
 }
 
 /// Overwrites the fields of `value` selected by `mask` from `r`. Field order
@@ -163,6 +111,51 @@ void DeserializeFields(T& value, uint32_t mask, BufferReader& r) {
   value.ForEachField([&](int index, auto& field) {
     if ((mask >> index) & 1u) FieldCodec::Read(r, field);
   });
+}
+
+/// Whether T's records are fixed-width, decided at compile time: a
+/// trivially copyable struct holds no string or vector field, so any record
+/// under a mask occupies exactly FixedFieldsByteSize<T>(mask) bytes and a
+/// frame's payload column is record-addressed.
+template <typename T>
+inline constexpr bool kFixedWidthFields = std::is_trivially_copyable_v<T>;
+
+/// The fixed-width record codec, byte-identical to SerializeFields: packs
+/// the `mask` fields of `value` at `out`, one memcpy per field, and — when
+/// `all` is set — every field at `all` in the same pass. One encode.
+/// Returns the end of the `mask` record.
+template <typename T>
+uint8_t* PackFields(const T& value, uint32_t mask, uint8_t* out,
+                    uint8_t* all = nullptr) {
+  static_assert(kFixedWidthFields<T>);
+  if (internal::field_encode_counter != nullptr) {
+    internal::field_encode_counter->fetch_add(1, std::memory_order_relaxed);
+  }
+  value.ForEachField([&](int index, const auto& field) {
+    if ((mask >> index) & 1u) {
+      std::memcpy(out, &field, sizeof(field));
+      out += sizeof(field);
+    }
+    if (all != nullptr) {
+      std::memcpy(all, &field, sizeof(field));
+      all += sizeof(field);
+    }
+  });
+  return out;
+}
+
+/// Inverse of PackFields: overwrites the `mask` fields of `value` from the
+/// record at `in`, which the caller has bounds-checked. Returns its end.
+template <typename T>
+const uint8_t* UnpackFields(T& value, uint32_t mask, const uint8_t* in) {
+  static_assert(kFixedWidthFields<T>);
+  value.ForEachField([&](int index, auto& field) {
+    if ((mask >> index) & 1u) {
+      std::memcpy(&field, in, sizeof(field));
+      in += sizeof(field);
+    }
+  });
+  return in;
 }
 
 /// Number of payload bytes SerializeFields would produce (metrics / the
@@ -176,22 +169,8 @@ size_t FieldsByteSize(const T& value, uint32_t mask) {
   return total;
 }
 
-/// Whether every reflected field of T has a fixed-width encoding (no
-/// strings/vectors). Then any masked record occupies exactly
-/// FixedFieldsByteSize<T>(mask) bytes, so a batch's payload region can be
-/// record-addressed — the parallel receive-side decode relies on this.
-template <typename T>
-bool FieldsAreFixedSize() {
-  bool fixed = true;
-  T probe{};
-  probe.ForEachField([&](int, const auto& field) {
-    if (!FieldCodec::FixedWidth(field)) fixed = false;
-  });
-  return fixed;
-}
-
 /// Byte size of any record under `mask`; valid only when
-/// FieldsAreFixedSize<T>().
+/// kFixedWidthFields<T>.
 template <typename T>
 size_t FixedFieldsByteSize(uint32_t mask) {
   T probe{};

@@ -228,6 +228,13 @@ class BufferWriter {
     bytes_.insert(bytes_.end(), p, p + n);
   }
 
+  /// Appends `n` zeroed bytes and returns where they start, for a writer
+  /// that fills a fixed-size region in place (a frame's payload column).
+  uint8_t* Extend(size_t n) {
+    bytes_.resize(bytes_.size() + n);
+    return bytes_.data() + bytes_.size() - n;
+  }
+
   /// Fixed-width little-endian encoding of trivially copyable values.
   template <typename T>
   void WritePod(const T& value) {

@@ -481,17 +481,13 @@ class AsyncEngine {
     api_.RunPerWorker("async:sync", [&](int w) {
       std::vector<VertexId>& touched = touched_[w];
       std::sort(touched.begin(), touched.end());
-      auto& scratch = api_.worker_scratch_[w];
-      BufferWriter& enc = scratch.enc;
-      for (const VertexId v : touched) {
-        const uint64_t targets = api_.MirrorTargets(w, v, broadcast);
-        if (targets == 0) continue;
-        enc.Clear();
-        SerializeFields(api_.stores_[w].Current(v), mask, enc);
-        Api::FanOut(lanes_[w], v, targets, enc.bytes().data(), enc.size());
-      }
-      enc.Recycle(scratch.enc_high_water);
-      api_.FlushLanes(w, lanes_[w], mask);
+      const VertexStore<VData>& store = api_.stores_[w];
+      api_.ShipMasters(w, touched, mask, broadcast, nullptr,
+                       [&](const auto& ship) {
+                         for (const VertexId v : touched) {
+                           ship(v, store.Current(v));
+                         }
+                       });
     });
     for (int w = 0; w < num_workers_; ++w) committed += touched_[w].size();
     runtime_.bus().Exchange();
