@@ -236,7 +236,7 @@ int main() {
     std::vector<std::vector<VertexId>> levels(bfs.rounds + 1);
     for (VertexId v = 0; v < graph->NumVertices(); ++v) {
       const uint32_t d = bfs.distance[v];
-      if (d <= bfs.rounds) levels[d].push_back(v);
+      if (d <= static_cast<uint32_t>(bfs.rounds)) levels[d].push_back(v);
     }
     for (const auto& level : levels) {
       if (!level.empty()) bfs_steps.push_back(CommitBatches(level, partition));

@@ -42,14 +42,17 @@ void ArgLabels(SpanKind kind, const char** a, const char** b) {
   *a = nullptr;
   *b = nullptr;
   switch (kind) {
-    case SpanKind::kSuperstep: *a = "frontier_in"; *b = "frontier_out"; break;
+    case SpanKind::kSuperstep:
+    case SpanKind::kAsyncRound: *a = "frontier_in"; *b = "frontier_out"; break;
     case SpanKind::kExchange:
     case SpanKind::kChannel: *a = "bytes"; *b = "msgs"; break;
     case SpanKind::kCheckpoint: *a = "bytes"; *b = "workers"; break;
     case SpanKind::kRecovery: *a = "bytes"; *b = "records"; break;
     case SpanKind::kInstant: *a = "seq"; *b = "attempt"; break;
+    case SpanKind::kStorage: *a = "block"; *b = "stored_bytes"; break;
     case SpanKind::kPhase:
-    case SpanKind::kTask: break;
+    case SpanKind::kTask:
+    case SpanKind::kTokenSweep: break;
   }
 }
 

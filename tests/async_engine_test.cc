@@ -157,7 +157,9 @@ TEST(AsyncEquivalence, PprDeterministicAndEpsCloseToBsp) {
         // Converged: every residual below its threshold.
         for (VertexId v = 0; v < graph->NumVertices(); ++v) {
           uint32_t outdeg = graph->OutDegree(v);
-          if (outdeg > 0) EXPECT_LE(run.residual[v], kEps * outdeg);
+          if (outdeg > 0) {
+            EXPECT_LE(run.residual[v], kEps * outdeg);
+          }
         }
         if (reference == nullptr) {
           first = std::move(run);

@@ -872,7 +872,9 @@ TEST(FrameFuzz, TruncationsFlipsAndOutOfRangeIds) {
       const Status st = c.decode(prefix, &decoded);
       if (len == 0) {
         // An empty channel holds zero frames; it is not a truncation.
-        if (st.ok()) EXPECT_TRUE(decoded.ids.empty());
+        if (st.ok()) {
+          EXPECT_TRUE(decoded.ids.empty());
+        }
         continue;
       }
       const auto end = std::find_if(
