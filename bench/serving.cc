@@ -3,8 +3,9 @@
 //
 // Two segments:
 //  1. Measured: replay real BFS-distance query bursts through
-//     flash::serving::Server twice — batch_window=64 (coalesced) and
-//     batch_window=1 (every query its own engine pass) — on the social
+//     flash::serving::Server twice — batch_window=64 (up to 64 distinct
+//     sources per traversal pass) and batch_window=1 (one source per pass;
+//     with random sources, every query its own engine pass) — on the social
 //     twin, recording modelled throughput and latency quantiles.
 //  2. Queue sweep: from the measured per-batch and per-query service
 //     times, price burst queues of 1k / 10k / 100k / 1M requests on the
@@ -66,7 +67,7 @@ struct RunResult {
 };
 
 /// Replays `queries` as one burst at t=0 through a Server with the given
-/// coalescing width; everything reported is modelled time.
+/// width (distinct sources per pass); everything reported is modelled time.
 RunResult Replay(const GraphPtr& graph, const std::vector<Query>& queries,
                  int batch_window) {
   RuntimeOptions runtime;

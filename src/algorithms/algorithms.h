@@ -206,9 +206,6 @@ struct MsBfsLevel {
 
 /// Hooks into the reusable multi-source core (RunMultiSourceBfsCore).
 struct MsBfsCoreOptions {
-  /// Stop after committing this many levels beyond the seeds (the serving
-  /// layer's k-hop cut); kInf32 = run to the frontier fixpoint.
-  uint32_t max_level = kInf32;
   /// When set, each committed level's fresh (vertex, mask) list is gathered
   /// (one billed AllGather per non-empty level; level 0 — the seeds
   /// themselves — costs nothing, the driver already knows them) and handed

@@ -63,9 +63,7 @@ int RunMultiSourceBfsCore(const GraphPtr& graph,
     for (const auto& [v, mask] : seeds) level0.fresh.push_back({v, mask});
     keep_going = core.on_level(level0);
   }
-  for (uint32_t level = 1;
-       keep_going && level <= core.max_level && fl.Size(frontier) != 0;
-       ++level) {
+  for (uint32_t level = 1; keep_going && fl.Size(frontier) != 0; ++level) {
     frontier = fl.EdgeMap(
         frontier, fl.E(),
         [](const MsCoreData& s, const MsCoreData& d) {

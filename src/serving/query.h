@@ -19,17 +19,21 @@
 /// the query.
 namespace flash::serving {
 
+/// bfs-distance, k-hop and landmark queries share one traversal queue and
+/// ride one bit-parallel multi-source BFS pass together: up to 64 distinct
+/// bfs / k-hop sources per pass, one frontier bit each.
 enum class QueryKind : uint8_t {
-  /// Hop distance source -> target (BFS). Coalesces up to 64 distinct
-  /// sources into one bit-parallel pass.
+  /// Hop distance source -> target (BFS). Its rider is done once the
+  /// target is reached.
   kBfsDistance = 0,
   /// Number of vertices within <= k hops of source (incl. the source).
-  /// Coalesces like kBfsDistance; the pass stops at the largest k.
+  /// Its rider is done at level k.
   kKHop = 1,
   /// Landmark shortest-path estimate: min over landmarks l of
   /// d(l, source) + d(l, target) — an upper bound on the true distance
-  /// (exact when some shortest path crosses a landmark). All queries of a
-  /// batch share the lazily-built landmark distance cache.
+  /// (exact when some shortest path crosses a landmark). Takes no frontier
+  /// bit: it reads the lazily-built landmark distance table, whose
+  /// landmarks ride the pass that builds it.
   kLandmark = 2,
   /// Personalized PageRank mass of target for a walk teleporting to
   /// source (forward push). Cannot share a pass — runs per query.
@@ -64,7 +68,7 @@ struct Query {
 
 struct Answer {
   uint64_t query_id = 0;  // Assigned by Server::Submit, dense from 0.
-  QueryKind kind = QueryKind::kBfsDistance;
+  QueryKind kind = QueryKind::kBfsDistance;  // The query's own kind.
   std::string tenant;
   /// kBfsDistance: hop count (kUnreachable if none). kKHop: neighbourhood
   /// size. kLandmark: distance estimate (kUnreachable if no landmark sees
@@ -73,7 +77,7 @@ struct Answer {
   double enqueue_s = 0;   // Modelled submission time.
   double complete_s = 0;  // Modelled completion of the batch's pass.
   double latency_s = 0;   // complete_s - enqueue_s.
-  int batch_width = 0;    // Queries sharing the answering engine pass.
+  int batch_width = 0;    // Queries in the answering batch.
 };
 
 /// Parses a replay log (flash_cli --serve-replay): one query per line,

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "common/status.h"
@@ -11,19 +12,23 @@
 
 /// The request scheduler: admission control + batch cutting.
 ///
-/// Pending queries wait in one FIFO per kind (only same-kind queries can
-/// share an engine pass). A batch is cut when either
-///   (a) a kind's queue reaches its coalescing width — kBfsDistance/kKHop
-///       share 64 frontier bits, kLandmark any number of cache lookups,
-///       kPpr nothing (width 1); or
-///   (b) the modelled clock reaches the *forced-cut time* of a kind's
+/// Pending queries wait in one of two FIFOs. bfs, k-hop and landmark
+/// queries share the *traversal* queue: one multi-source BFS pass answers
+/// all three kinds at once. PPR waits in its own queue and runs alone. A
+/// batch is cut when either
+///   (a) a queue is full — the traversal queue when its bfs / k-hop
+///       queries need `batch_window` distinct frontier bits (one bit per
+///       distinct source, at most 64; landmark queries take none), the PPR
+///       queue as soon as it holds a query; or
+///   (b) the modelled clock reaches the *forced-cut time* of a queue's
 ///       oldest query: enqueue + min(max_batch_wait, remaining deadline
-///       budget after the kind's estimated service time). Waiting past
+///       budget after the queue's estimated service time). Waiting past
 ///       that point could only add batch-mates at the price of blowing
 ///       the wait cap or the oldest query's deadline.
-/// Admission is a single bound over all kinds: at max_queue pending, new
-/// arrivals are shed with Status::OutOfRange — the caller always hears
-/// about it, nothing is dropped silently.
+/// A cut takes the longest FIFO prefix whose sources fit the frontier
+/// bits. Admission is a single bound over both queues: at max_queue
+/// pending, new arrivals are shed with Status::OutOfRange — the caller
+/// always hears about it, nothing is dropped silently.
 ///
 /// The scheduler is driven entirely by the modelled clock its caller
 /// passes in; it never reads wall time, which is what makes an identical
@@ -31,16 +36,25 @@
 namespace flash::serving {
 
 struct SchedulerOptions {
-  /// Coalescing width cap W: the most same-kind queries one engine pass
-  /// carries. Kinds cap it further (64 frontier bits; PPR always 1).
+  /// Coalescing width cap W: the most distinct frontier bits (bfs / k-hop
+  /// sources) one traversal pass carries, further capped at 64. Landmark
+  /// queries take no bit; a PPR batch is always one query.
   int batch_window = 64;
-  /// Admission bound: total pending queries across kinds. At the bound,
+  /// Admission bound: total pending queries across queues. At the bound,
   /// Enqueue sheds with Status::OutOfRange.
   size_t max_queue = 4096;
   /// Longest a query may wait queued before its batch is cut, in modelled
   /// seconds, deadline or not.
   double max_batch_wait_s = 0.005;
 };
+
+/// The scheduler's queues: which engine pass a query can share.
+enum class QueueClass : uint8_t { kTraversal = 0, kPpr = 1 };
+
+inline constexpr int kNumQueues = 2;
+
+QueueClass QueueOf(QueryKind kind);
+const char* QueueClassName(QueueClass queue);
 
 /// A query waiting in (or cut from) the scheduler.
 struct PendingQuery {
@@ -49,9 +63,9 @@ struct PendingQuery {
   double enqueue_s = 0;
 };
 
-/// One cut batch: same-kind queries that will share an engine pass.
+/// One cut batch: queries of one queue that will share an engine pass.
 struct Batch {
-  QueryKind kind = QueryKind::kBfsDistance;
+  QueueClass queue = QueueClass::kTraversal;
   std::vector<PendingQuery> queries;
   double cut_s = 0;  // Modelled time the scheduler released the batch.
 };
@@ -60,16 +74,13 @@ class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions options);
 
-  /// The coalescing width of `kind` under these options.
-  int KindWidth(QueryKind kind) const;
-
   /// Admits `q` at modelled time `now_s`, or sheds it (OutOfRange) when
-  /// the queue bound is hit. Admitted queries keep FIFO order per kind.
+  /// the queue bound is hit. Admitted queries keep FIFO order per queue.
   Status Enqueue(const PendingQuery& q);
 
-  /// Feeds the per-kind service-time estimate (EWMA maintained by the
+  /// Feeds the per-queue service-time estimate (EWMA maintained by the
   /// server from executed batches) used in forced-cut deadline math.
-  void SetServiceEstimate(QueryKind kind, double seconds);
+  void SetServiceEstimate(QueueClass queue, double seconds);
 
   size_t PendingCount() const { return pending_; }
   bool HasPending() const { return pending_ != 0; }
@@ -79,18 +90,23 @@ class Scheduler {
   /// enqueues can only move it earlier.
   double NextForcedCutTime() const;
 
-  /// Cuts and returns the next batch due at `now_s`: any kind at full
-  /// width first (checked in kind order — deterministic), else the kind
-  /// with the earliest forced-cut time <= now_s. Empty batch = nothing
-  /// due. Call in a loop; one call cuts at most one batch.
+  /// Cuts and returns the next batch due at `now_s`: a full queue first
+  /// (traversal before PPR — deterministic), else the queue with the
+  /// earliest forced-cut time <= now_s. Empty batch = nothing due. Call
+  /// in a loop; one call cuts at most one batch.
   Batch CutDue(double now_s);
 
  private:
-  double ForcedCutTime(const PendingQuery& oldest, QueryKind kind) const;
+  double ForcedCutTime(int queue) const;
+  bool Full(int queue) const;
 
   SchedulerOptions options_;
-  std::array<std::deque<PendingQuery>, kNumQueryKinds> queues_;
-  std::array<double, kNumQueryKinds> service_estimate_{};
+  size_t max_bits_;  // min(batch_window, 64) frontier bits per pass.
+  std::array<std::deque<PendingQuery>, kNumQueues> queues_;
+  std::array<double, kNumQueues> service_estimate_{};
+  /// Queued bfs / k-hop queries per distinct source; its size is the
+  /// frontier bits the traversal queue needs.
+  std::map<VertexId, size_t> source_refs_;
   size_t pending_ = 0;
 };
 

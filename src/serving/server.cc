@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "algorithms/algorithms.h"
@@ -15,26 +16,8 @@ namespace flash::serving {
 
 namespace {
 
-/// EWMA smoothing for per-kind batch service times (deadline math input).
+/// EWMA smoothing for per-queue batch service times (deadline math input).
 constexpr double kEwmaAlpha = 0.3;
-
-/// Maps each batch member to a frontier-bit index over *distinct* sources
-/// (first-occurrence order) and returns the distinct source list. Batch
-/// width never exceeds 64, so distinct sources always fit the mask.
-std::vector<VertexId> DistinctSources(const Batch& batch,
-                                      std::vector<size_t>& bit_of_query) {
-  std::vector<VertexId> sources;
-  std::map<VertexId, size_t> bit_of_source;
-  bit_of_query.resize(batch.queries.size());
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    const VertexId s = batch.queries[i].query.source;
-    auto [it, inserted] = bit_of_source.try_emplace(s, sources.size());
-    if (inserted) sources.push_back(s);
-    bit_of_query[i] = it->second;
-  }
-  FLASH_CHECK_LE(sources.size(), 64u);
-  return sources;
-}
 
 /// Parses all of `token` as an unsigned 32-bit number: no sign, no
 /// trailing characters, nothing past 2^32 - 1.
@@ -243,11 +226,15 @@ void Server::ExecuteDueBatches() {
 
 void Server::ExecuteBatch(const Batch& batch) {
   OBS_SPAN_VAR(span, tracer_.get(), "serve:batch", obs::SpanKind::kPhase);
-  span.args(static_cast<uint64_t>(batch.kind), batch.queries.size());
+  span.args(static_cast<uint64_t>(batch.queue), batch.queries.size());
 
-  std::vector<double> values;
-  Metrics pass_metrics = AnswerBatch(batch, values);
-  FLASH_CHECK_EQ(values.size(), batch.queries.size());
+  std::vector<double> values(batch.queries.size(), 0.0);
+  Metrics pass_metrics;
+  if (batch.queue == QueueClass::kPpr) {
+    AnswerPpr(batch, values, pass_metrics);
+  } else {
+    AnswerTraversal(batch, values, pass_metrics);
+  }
 
   // Price the batch: fixed dispatch + the pass on the modelled cluster +
   // per-query admission/demux — then run it on the single modelled
@@ -260,16 +247,13 @@ void Server::ExecuteBatch(const Batch& batch) {
   const double complete = start + service;
   busy_until_s_ = complete;
 
-  const auto kind_index = static_cast<size_t>(batch.kind);
-  service_ewma_[kind_index] =
-      service_ewma_[kind_index] == 0.0
-          ? service
-          : (1.0 - kEwmaAlpha) * service_ewma_[kind_index] +
-                kEwmaAlpha * service;
-  scheduler_.SetServiceEstimate(batch.kind, service_ewma_[kind_index]);
+  double& ewma = service_ewma_[static_cast<size_t>(batch.queue)];
+  ewma = ewma == 0.0 ? service
+                     : (1.0 - kEwmaAlpha) * ewma + kEwmaAlpha * service;
+  scheduler_.SetServiceEstimate(batch.queue, ewma);
 
   BatchStat stat;
-  stat.kind = batch.kind;
+  stat.queue = batch.queue;
   stat.width = static_cast<int>(batch.queries.size());
   stat.cut_s = batch.cut_s;
   stat.oldest_wait_s = batch.cut_s - batch.queries.front().enqueue_s;
@@ -284,7 +268,7 @@ void Server::ExecuteBatch(const Batch& batch) {
     const PendingQuery& p = batch.queries[i];
     Answer answer;
     answer.query_id = p.id;
-    answer.kind = batch.kind;
+    answer.kind = p.query.kind;
     answer.tenant = p.query.tenant;
     answer.value = values[i];
     answer.enqueue_s = p.enqueue_s;
@@ -298,186 +282,166 @@ void Server::ExecuteBatch(const Batch& batch) {
   }
 }
 
-Metrics Server::AnswerBatch(const Batch& batch, std::vector<double>& values) {
-  values.assign(batch.queries.size(), 0.0);
-  Metrics metrics;
-  switch (batch.kind) {
-    case QueryKind::kBfsDistance:
-      AnswerBfsDistance(batch, values, metrics);
-      break;
-    case QueryKind::kKHop:
-      AnswerKHop(batch, values, metrics);
-      break;
-    case QueryKind::kLandmark:
-      AnswerLandmark(batch, values, metrics);
-      break;
-    case QueryKind::kPpr:
-      AnswerPpr(batch, values, metrics);
-      break;
-  }
-  return metrics;
-}
-
-void Server::AnswerBfsDistance(const Batch& batch, std::vector<double>& values,
-                               Metrics& metrics) {
-  // Cross-batch result cache: a bfs-distance answer is a pure function of
-  // (graph, source, target), so repeats — within or across batches — are
-  // served from memory and only the cache-missing remainder rides the pass.
-  std::vector<size_t> pending;
+void Server::AnswerTraversal(const Batch& batch, std::vector<double>& values,
+                             Metrics& metrics) {
+  // bfs-distance and landmark answers are pure functions of (graph, source,
+  // target): a repeat — of an earlier batch's query or of a miss earlier in
+  // this batch — is a cache hit and rides no pass. Every k-hop query and
+  // each first bfs miss ride the pass; landmark misses read its table.
+  std::map<CacheKey, size_t> first_miss;
+  std::vector<std::pair<size_t, size_t>> repeats;  // (copy, first miss)
+  std::vector<size_t> riders;
+  std::vector<size_t> landmark_misses;
   for (size_t i = 0; i < batch.queries.size(); ++i) {
     const Query& q = batch.queries[i].query;
-    const auto hit = bfs_cache_.find({q.source, q.target});
-    if (hit != bfs_cache_.end()) {
+    if (q.kind == QueryKind::kKHop) {
+      riders.push_back(i);
+      continue;
+    }
+    const CacheKey key{q.kind, q.source, q.target};
+    const auto hit = result_cache_.find(key);
+    if (hit != result_cache_.end()) {
       values[i] = hit->second;
       ++stats_.cache_hits;
-    } else {
-      pending.push_back(i);
-      ++stats_.cache_misses;
+      continue;
     }
-  }
-  if (pending.empty()) return;  // Fully cached: no engine pass at all.
-  // Distinct sources over the pending subset only, first-occurrence order.
-  std::vector<VertexId> sources;
-  std::map<VertexId, size_t> bit_of_source;
-  std::vector<size_t> bit_of_query(batch.queries.size(), 0);
-  for (const size_t i : pending) {
-    const VertexId s = batch.queries[i].query.source;
-    auto [it, inserted] = bit_of_source.try_emplace(s, sources.size());
-    if (inserted) sources.push_back(s);
-    bit_of_query[i] = it->second;
-  }
-  FLASH_CHECK_LE(sources.size(), 64u);
-  // target vertex -> pending queries waiting on it.
-  std::multimap<VertexId, size_t> by_target;
-  for (const size_t i : pending) {
-    by_target.emplace(batch.queries[i].query.target, i);
-    values[i] = kUnreachable;
-  }
-  size_t unanswered = pending.size();
-  algo::MsBfsCoreOptions core;
-  core.on_level = [&](const algo::MsBfsLevel& lv) {
-    for (const auto& [v, mask] : lv.fresh) {
-      auto [begin, end] = by_target.equal_range(v);
-      for (auto it = begin; it != end; ++it) {
-        const size_t q = it->second;
-        if ((mask >> bit_of_query[q]) & 1) {
-          // First arrival of this query's source bit at its target: the
-          // level is the exact hop distance.
-          values[q] = static_cast<double>(lv.level);
-          --unanswered;
-        }
-      }
-    }
-    return unanswered != 0;  // Every rider answered: stop the pass early.
-  };
-  stats_.engine_passes++;
-  algo::RunMultiSourceBfsCore(graph_, sources, runtime_, core, &metrics);
-  for (const size_t i : pending) {
-    const Query& q = batch.queries[i].query;
-    bfs_cache_.emplace(std::make_pair(q.source, q.target), values[i]);
-  }
-}
-
-void Server::AnswerKHop(const Batch& batch, std::vector<double>& values,
-                        Metrics& metrics) {
-  std::vector<size_t> bit_of_query;
-  const std::vector<VertexId> sources = DistinctSources(batch, bit_of_query);
-  uint32_t max_k = 0;
-  for (const PendingQuery& p : batch.queries) {
-    max_k = std::max(max_k, p.query.k);
-  }
-  // reached[bit][level] = vertices first reached at `level` from that
-  // source; a query's answer sums its bit's levels 0..k.
-  std::vector<std::vector<uint64_t>> reached(
-      sources.size(), std::vector<uint64_t>(max_k + 1, 0));
-  algo::MsBfsCoreOptions core;
-  core.max_level = max_k;
-  core.on_level = [&](const algo::MsBfsLevel& lv) {
-    for (const auto& [v, mask] : lv.fresh) {
-      uint64_t bits = mask;
-      while (bits != 0) {
-        const int bit = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        ++reached[static_cast<size_t>(bit)][lv.level];
-      }
-    }
-    return true;
-  };
-  stats_.engine_passes++;
-  algo::RunMultiSourceBfsCore(graph_, sources, runtime_, core, &metrics);
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    const uint32_t k = std::min(batch.queries[i].query.k, max_k);
-    uint64_t total = 0;
-    for (uint32_t level = 0; level <= k; ++level) {
-      total += reached[bit_of_query[i]][level];
-    }
-    values[i] = static_cast<double>(total);
-  }
-}
-
-void Server::BuildLandmarkCache(Metrics& metrics) {
-  const VertexId n = graph_->NumVertices();
-  const size_t count = std::min<size_t>(
-      {static_cast<size_t>(std::max(1, options_.num_landmarks)), 64,
-       static_cast<size_t>(n)});
-  // Highest-degree vertices (ties to the lower id — deterministic).
-  std::vector<VertexId> order(n);
-  for (VertexId v = 0; v < n; ++v) order[v] = v;
-  std::partial_sort(order.begin(), order.begin() + count, order.end(),
-                    [&](VertexId a, VertexId b) {
-                      const uint32_t da = graph_->OutDegree(a);
-                      const uint32_t db = graph_->OutDegree(b);
-                      return da != db ? da > db : a < b;
-                    });
-  landmarks_.assign(order.begin(), order.begin() + count);
-  landmark_dist_.assign(count * static_cast<size_t>(n), algo::kInf32);
-  algo::MsBfsCoreOptions core;
-  core.on_level = [&](const algo::MsBfsLevel& lv) {
-    for (const auto& [v, mask] : lv.fresh) {
-      uint64_t bits = mask;
-      while (bits != 0) {
-        const int bit = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        landmark_dist_[static_cast<size_t>(bit) * n + v] = lv.level;
-      }
-    }
-    return true;
-  };
-  stats_.engine_passes++;
-  algo::RunMultiSourceBfsCore(graph_, landmarks_, runtime_, core, &metrics);
-}
-
-void Server::AnswerLandmark(const Batch& batch, std::vector<double>& values,
-                            Metrics& metrics) {
-  const VertexId n = graph_->NumVertices();
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    const Query& q = batch.queries[i].query;
-    const auto hit = landmark_cache_.find({q.source, q.target});
-    if (hit != landmark_cache_.end()) {
-      values[i] = hit->second;
+    const auto [first, fresh] = first_miss.try_emplace(key, i);
+    if (!fresh) {
+      repeats.emplace_back(i, first->second);
       ++stats_.cache_hits;
       continue;
     }
     ++stats_.cache_misses;
-    // Deferred past the cache lookup: a batch served fully from cache never
-    // builds (or pays for) the landmark table.
-    if (landmark_dist_.empty()) BuildLandmarkCache(metrics);
-    if (q.source == q.target) {
-      values[i] = 0.0;
-      landmark_cache_.emplace(std::make_pair(q.source, q.target), values[i]);
-      continue;
-    }
-    uint64_t best = algo::kInf32;
-    for (size_t l = 0; l < landmarks_.size(); ++l) {
-      const uint32_t ds = landmark_dist_[l * n + q.source];
-      const uint32_t dt = landmark_dist_[l * n + q.target];
-      if (ds == algo::kInf32 || dt == algo::kInf32) continue;
-      best = std::min<uint64_t>(best, uint64_t{ds} + dt);
-    }
-    values[i] =
-        best == algo::kInf32 ? kUnreachable : static_cast<double>(best);
-    landmark_cache_.emplace(std::make_pair(q.source, q.target), values[i]);
+    (q.kind == QueryKind::kBfsDistance ? riders : landmark_misses).push_back(i);
   }
+  // Deferred past the cache lookups: a batch whose landmark queries all hit
+  // never builds (or pays for) the landmark table.
+  const bool build_table = !landmark_misses.empty() && landmark_dist_.empty();
+  if (build_table) {
+    // Highest-degree vertices (ties to the lower id — deterministic).
+    const VertexId n = graph_->NumVertices();
+    const size_t count = std::min<size_t>(
+        {static_cast<size_t>(std::max(1, options_.num_landmarks)), 64,
+         static_cast<size_t>(n)});
+    std::vector<VertexId> order(n);
+    for (VertexId v = 0; v < n; ++v) order[v] = v;
+    std::partial_sort(order.begin(), order.begin() + count, order.end(),
+                      [&](VertexId a, VertexId b) {
+                        const uint32_t da = graph_->OutDegree(a);
+                        const uint32_t db = graph_->OutDegree(b);
+                        return da != db ? da > db : a < b;
+                      });
+    landmarks_.assign(order.begin(), order.begin() + count);
+  }
+  if (!riders.empty() || build_table) {
+    RunRiders(batch, riders, build_table, values, metrics);
+  }
+  for (const size_t i : landmark_misses) {
+    values[i] = LandmarkEstimate(batch.queries[i].query);
+  }
+  for (const auto& [key, i] : first_miss) result_cache_.emplace(key, values[i]);
+  for (const auto& [copy, first] : repeats) values[copy] = values[first];
+}
+
+void Server::RunRiders(const Batch& batch, const std::vector<size_t>& riders,
+                       bool build_table, std::vector<double>& values,
+                       Metrics& metrics) {
+  // One frontier bit per distinct source (first-occurrence order); the
+  // cut rule keeps the riders' sources within 64 bits.
+  std::vector<VertexId> sources;
+  std::map<VertexId, int> bit_of_source;
+  const auto bit = [&](VertexId v) {
+    const auto [it, fresh] =
+        bit_of_source.try_emplace(v, static_cast<int>(sources.size()));
+    if (fresh) sources.push_back(v);
+    return it->second;
+  };
+  // bfs riders by target vertex; k-hop riders with their bits.
+  std::multimap<VertexId, std::pair<size_t, int>> by_target;
+  std::vector<std::pair<size_t, int>> khop;
+  uint32_t max_k = 0;
+  for (const size_t i : riders) {
+    const Query& q = batch.queries[i].query;
+    const int b = bit(q.source);
+    if (q.kind == QueryKind::kBfsDistance) {
+      by_target.emplace(q.target, std::make_pair(i, b));
+      values[i] = kUnreachable;
+    } else {
+      khop.emplace_back(i, b);
+      max_k = std::max(max_k, q.k);
+    }
+  }
+  FLASH_CHECK_LE(sources.size(), 64u);
+  const VertexId n = graph_->NumVertices();
+  std::array<int, 64> row_of_bit;  // Landmark table row riding each bit.
+  row_of_bit.fill(-1);
+  uint64_t counted = 0;  // Bits whose arrivals are counted or recorded.
+  for (const auto& [i, b] : khop) counted |= uint64_t{1} << b;
+  if (build_table) {
+    size_t extra = 0;
+    for (const VertexId l : landmarks_) extra += bit_of_source.count(l) == 0;
+    if (sources.size() + extra > 64) {
+      // The table's bits do not fit beside the batch's sources: build it
+      // first, in a pass with landmark riders only.
+      RunRiders(batch, {}, true, values, metrics);
+      build_table = false;
+    } else {
+      landmark_dist_.assign(landmarks_.size() * size_t{n}, algo::kInf32);
+      for (size_t l = 0; l < landmarks_.size(); ++l) {
+        const int b = bit(landmarks_[l]);
+        row_of_bit[static_cast<size_t>(b)] = static_cast<int>(l);
+        counted |= uint64_t{1} << b;
+      }
+    }
+  }
+  size_t unanswered = by_target.size();
+  std::array<uint64_t, 64> within{};  // Vertices reached so far, per bit.
+  algo::MsBfsCoreOptions core;
+  core.on_level = [&](const algo::MsBfsLevel& lv) {
+    for (const auto& [v, mask] : lv.fresh) {
+      const auto [begin, end] = by_target.equal_range(v);
+      for (auto it = begin; it != end; ++it) {
+        const auto [q, b] = it->second;
+        if ((mask >> b) & 1) {
+          // First arrival of this rider's bit at its target: the level is
+          // the exact hop distance.
+          values[q] = static_cast<double>(lv.level);
+          --unanswered;
+        }
+      }
+      for (uint64_t bits = mask & counted; bits != 0; bits &= bits - 1) {
+        const auto b = static_cast<size_t>(__builtin_ctzll(bits));
+        ++within[b];
+        if (row_of_bit[b] >= 0) {
+          landmark_dist_[static_cast<size_t>(row_of_bit[b]) * n + v] =
+              lv.level;
+        }
+      }
+    }
+    for (const auto& [q, b] : khop) {
+      if (batch.queries[q].query.k >= lv.level) {
+        values[q] = static_cast<double>(within[static_cast<size_t>(b)]);
+      }
+    }
+    // Each rider's own stop rule: a bfs rider is done once its target is
+    // reached, a k-hop rider at level k, the landmark table at completion.
+    return unanswered != 0 || build_table || lv.level < max_k;
+  };
+  stats_.engine_passes++;
+  algo::RunMultiSourceBfsCore(graph_, sources, runtime_, core, &metrics);
+}
+
+double Server::LandmarkEstimate(const Query& q) const {
+  if (q.source == q.target) return 0.0;
+  const VertexId n = graph_->NumVertices();
+  uint64_t best = algo::kInf32;
+  for (size_t l = 0; l < landmarks_.size(); ++l) {
+    const uint32_t ds = landmark_dist_[l * n + q.source];
+    const uint32_t dt = landmark_dist_[l * n + q.target];
+    if (ds == algo::kInf32 || dt == algo::kInf32) continue;
+    best = std::min<uint64_t>(best, uint64_t{ds} + dt);
+  }
+  return best == algo::kInf32 ? kUnreachable : static_cast<double>(best);
 }
 
 void Server::AnswerPpr(const Batch& batch, std::vector<double>& values,

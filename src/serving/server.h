@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -21,9 +22,11 @@
 /// flash::serving::Server — the multi-tenant query front door.
 ///
 /// Submit() admits point queries against one loaded graph; the scheduler
-/// batches same-kind queries and the server executes each batch as one
-/// shared engine pass (bit-parallel multi-source BFS for distance / k-hop
-/// / landmark kinds, per-query forward push for PPR). Time is *modelled*:
+/// batches them and the server executes each batch as one shared engine
+/// pass. A traversal batch (bfs-distance, k-hop and landmark queries
+/// together) is one bit-parallel multi-source BFS in which every query
+/// rides its source's frontier bit under its own stop rule; a PPR batch is
+/// one forward push. Time is *modelled*:
 /// the caller stamps each submission with an offered-load clock, batch
 /// service times come from the cost model pricing the pass's measured
 /// counters, and queries queue behind earlier batches on a single modelled
@@ -44,8 +47,8 @@ struct ServerOptions {
   /// query_admit_seconds / batch_dispatch_seconds.
   ClusterConfig cluster;
   /// Landmarks for kLandmark estimates: the `num_landmarks` highest-degree
-  /// vertices (<= 64; cache built lazily on the first landmark batch and
-  /// billed to it).
+  /// vertices (<= 64). The table is built lazily, riding the pass of the
+  /// first batch with a landmark cache miss, and billed to it.
   int num_landmarks = 8;
   /// Tenant label used when a query's tenant is empty.
   std::string default_tenant = "default";
@@ -66,7 +69,7 @@ struct TenantCounters {
 
 /// One executed batch's ledger entry.
 struct BatchStat {
-  QueryKind kind = QueryKind::kBfsDistance;
+  QueueClass queue = QueueClass::kTraversal;
   int width = 0;          // Queries the pass carried.
   double cut_s = 0;       // When the scheduler released it.
   double oldest_wait_s = 0;  // cut_s - oldest member's enqueue_s.
@@ -81,11 +84,13 @@ struct ServingStats {
   uint64_t answered = 0;
   uint64_t shed = 0;
   uint64_t batches = 0;
-  uint64_t engine_passes = 0;  // Actual GraphApi runs (landmark cache adds 1).
-  /// Cross-batch result cache accounting (bfs-distance and landmark kinds;
-  /// both answer pure functions of (graph, source, target)). Every cacheable
-  /// query is exactly one of the two, so cache_hits + cache_misses equals
-  /// the answered count of those kinds — the cache conservation invariant.
+  uint64_t engine_passes = 0;  // Actual GraphApi runs.
+  /// Result cache accounting (bfs-distance and landmark kinds; both answer
+  /// pure functions of (graph, source, target)). A query found in the
+  /// cross-batch cache, or repeating an earlier miss of its own batch, is a
+  /// hit. Every cacheable query is exactly one of the two, so cache_hits +
+  /// cache_misses equals the answered count of those kinds — the cache
+  /// conservation invariant.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   std::map<std::string, TenantCounters> tenants;
@@ -132,18 +137,20 @@ class Server {
   void AdvanceTo(double now_s);
   void ExecuteDueBatches();
   void ExecuteBatch(const Batch& batch);
-  /// Runs the batch's shared pass(es); fills `values` (one per query, in
-  /// batch order) and returns the passes' merged engine counters.
-  Metrics AnswerBatch(const Batch& batch, std::vector<double>& values);
-  void AnswerBfsDistance(const Batch& batch, std::vector<double>& values,
-                         Metrics& metrics);
-  void AnswerKHop(const Batch& batch, std::vector<double>& values,
-                  Metrics& metrics);
-  void AnswerLandmark(const Batch& batch, std::vector<double>& values,
-                      Metrics& metrics);
+  /// Answers a traversal batch (fills `values`, one per query in batch
+  /// order): cache lookups, then one rider pass for the misses.
+  void AnswerTraversal(const Batch& batch, std::vector<double>& values,
+                       Metrics& metrics);
+  /// One multi-source BFS pass: each rider (a bfs or k-hop query of
+  /// `batch`) rides its source's frontier bit, and with `build_table` the
+  /// landmark table rides too; the pass ends when no rider needs another
+  /// level.
+  void RunRiders(const Batch& batch, const std::vector<size_t>& riders,
+                 bool build_table, std::vector<double>& values,
+                 Metrics& metrics);
+  double LandmarkEstimate(const Query& q) const;
   void AnswerPpr(const Batch& batch, std::vector<double>& values,
                  Metrics& metrics);
-  void BuildLandmarkCache(Metrics& metrics);
 
   GraphPtr graph_;
   RuntimeOptions runtime_;
@@ -154,22 +161,23 @@ class Server {
   double now_s_ = 0;         // Modelled front-door clock.
   double busy_until_s_ = 0;  // Modelled executor availability.
   uint64_t next_id_ = 0;
-  /// Per-kind EWMA of executed batch service times (seconds); feeds the
+  /// Per-queue EWMA of executed batch service times (seconds); feeds the
   /// scheduler's deadline math.
-  std::array<double, kNumQueryKinds> service_ewma_{};
+  std::array<double, kNumQueues> service_ewma_{};
 
   std::vector<VertexId> landmarks_;
-  /// dist(landmark l, vertex v) at landmarks_cache_[l * n + v]; kInf32 =
-  /// unreachable. Empty until the first landmark batch.
+  /// dist(landmark l, vertex v) at landmark_dist_[l * n + v]; kInf32 =
+  /// unreachable. Empty until the first landmark cache miss.
   std::vector<uint32_t> landmark_dist_;
 
-  /// Cross-batch result caches, keyed by (source, target). Valid for the
-  /// server's lifetime: the graph is immutable once loaded, and both kinds'
-  /// answers are deterministic — a hit returns the exact value the pass
-  /// would recompute. Queries served entirely from cache skip the engine
-  /// pass (engine_passes does not advance).
-  std::map<std::pair<VertexId, VertexId>, double> bfs_cache_;
-  std::map<std::pair<VertexId, VertexId>, double> landmark_cache_;
+  /// Cross-batch result cache, keyed by (kind, source, target) for the
+  /// bfs-distance and landmark kinds. Valid for the server's lifetime: the
+  /// graph is immutable once loaded, and both kinds' answers are
+  /// deterministic — a hit returns the exact value the pass would
+  /// recompute. A batch served entirely from cache skips the engine pass
+  /// (engine_passes does not advance).
+  using CacheKey = std::tuple<QueryKind, VertexId, VertexId>;
+  std::map<CacheKey, double> result_cache_;
 
   std::vector<Answer> answers_;
   ServingStats stats_;

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,15 +62,10 @@ std::vector<Query> MixedQueries(const GraphPtr& graph, size_t count) {
   return queries;
 }
 
-/// Submits `queries` as one burst at t=0, drains, and returns the answer
-/// values indexed by query id (== submission index when nothing sheds).
-std::vector<double> RunValues(const GraphPtr& graph,
-                              const std::vector<Query>& queries,
-                              int batch_window, int host_threads) {
-  ServerOptions options;
-  options.scheduler.batch_window = batch_window;
-  options.scheduler.max_queue = queries.size() + 8;
-  Server server(graph, Runtime(host_threads), options);
+/// Submits `queries` to `server` as one burst at t=0, drains, and returns
+/// the answer values indexed by query id (== submission index when nothing
+/// sheds). Every answer must report its own query's kind.
+std::vector<double> Replay(Server& server, const std::vector<Query>& queries) {
   for (const Query& q : queries) {
     auto id = server.Submit(q, 0.0);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
@@ -80,9 +76,27 @@ std::vector<double> RunValues(const GraphPtr& graph,
                              std::numeric_limits<double>::quiet_NaN());
   for (const Answer& a : server.answers()) {
     EXPECT_LT(a.query_id, values.size());
+    if (a.query_id >= values.size()) continue;
+    EXPECT_EQ(a.kind, queries[a.query_id].kind) << "query " << a.query_id;
     values[a.query_id] = a.value;
   }
   return values;
+}
+
+ServerOptions BurstOptions(const std::vector<Query>& queries,
+                           int batch_window) {
+  ServerOptions options;
+  options.scheduler.batch_window = batch_window;
+  options.scheduler.max_queue = queries.size() + 8;
+  return options;
+}
+
+std::vector<double> RunValues(const GraphPtr& graph,
+                              const std::vector<Query>& queries,
+                              int batch_window, int host_threads) {
+  Server server(graph, Runtime(host_threads),
+                BurstOptions(queries, batch_window));
+  return Replay(server, queries);
 }
 
 void ExpectConserved(const ServingStats& stats) {
@@ -347,7 +361,7 @@ TEST(ServingDeadlines, CutBatchesNeverExceedConfiguredWait) {
   ASSERT_GT(stats.batches, 1u);
   for (const BatchStat& b : stats.batch_log) {
     EXPECT_LE(b.oldest_wait_s, kWait + 1e-12)
-        << QueryKindName(b.kind) << " batch cut at " << b.cut_s;
+        << QueueClassName(b.queue) << " batch cut at " << b.cut_s;
     EXPECT_GE(b.start_s, b.cut_s);
     EXPECT_EQ(b.complete_s, b.start_s + b.service_s);
   }
@@ -532,20 +546,10 @@ uint64_t ReplayDigest(const GraphPtr& graph, int batch_window,
     q.k = 1 + static_cast<uint32_t>(i % 4);
     queries.push_back(q);
   }
-  ServerOptions options;
-  options.scheduler.batch_window = batch_window;
-  options.scheduler.max_queue = queries.size() + 8;
+  ServerOptions options = BurstOptions(queries, batch_window);
   options.num_landmarks = 64;
   Server server(graph, Runtime(host_threads), options);
-  for (const Query& q : queries) EXPECT_TRUE(server.Submit(q, 0.0).ok());
-  server.Drain();
-  std::vector<double> values(queries.size(),
-                             std::numeric_limits<double>::quiet_NaN());
-  for (const Answer& a : server.answers()) {
-    EXPECT_LT(a.query_id, values.size());
-    EXPECT_EQ(a.kind, queries[a.query_id].kind);
-    values[a.query_id] = a.value;
-  }
+  const std::vector<double> values = Replay(server, queries);
   for (const double v : values) EXPECT_FALSE(std::isnan(v));
   return Fnv1a64(values.data(), values.size() * sizeof(double));
 }
@@ -581,6 +585,159 @@ TEST(MsBfsGolden, ServeReplayAnswersArePinned) {
       }
     }
   }
+}
+
+// --- ServingFusion ----------------------------------------------------------
+//
+// bfs-distance, k-hop and landmark queries share one scheduler queue and one
+// multi-source pass, each query riding its source's frontier bit under its
+// own stop rule. The batch_window=1 server (one source per pass) is the
+// oracle throughout.
+
+/// `count` queries cycling bfs / k-hop / landmark over `distinct` sources;
+/// targets span the whole graph, so some are unreachable and bfs riders
+/// keep the pass running past every k.
+std::vector<Query> TraversalBurst(const GraphPtr& graph, size_t count,
+                                  size_t distinct) {
+  const std::vector<VertexId> active = ActiveVertices(*graph);
+  const VertexId n = graph->NumVertices();
+  std::vector<Query> queries;
+  for (size_t i = 0; i < count; ++i) {
+    Query q;
+    q.kind = static_cast<QueryKind>(i % 3);
+    q.tenant = i % 4 == 0 ? "analytics" : "app";
+    q.source = active[((i % distinct) * 31 + 7) % active.size()];
+    q.target = static_cast<VertexId>((i * 53 + 11) % n);
+    if (i % 16 == 5) q.target = q.source;
+    q.k = static_cast<uint32_t>(i % 4);
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& oracle, const std::string& what) {
+  ASSERT_EQ(got.size(), oracle.size()) << what;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(got[i], oracle[i]) << what << " query " << i;
+    EXPECT_FALSE(std::isnan(got[i])) << what << " query " << i;
+  }
+}
+
+TEST(ServingFusion, MixedBurstRunsOnePassAndMatchesOracle) {
+  const GoldenBackends backends;
+  const std::vector<Query> queries = TraversalBurst(GoldenRmat(), 60, 20);
+  const std::vector<double> oracle =
+      RunValues(GoldenRmat(), queries, /*batch_window=*/1, /*host_threads=*/1);
+  for (bool paged : {false, true}) {
+    for (int host_threads : {1, 4}) {
+      Server server(backends.Open(paged), Runtime(host_threads),
+                    BurstOptions(queries, 64));
+      const std::string what = std::string(paged ? "paged" : "mem") +
+                               " host_threads " +
+                               std::to_string(host_threads);
+      ExpectSameBits(Replay(server, queries), oracle, what);
+      // 20 sources and 8 landmarks fit one 64-bit mask: one batch, one
+      // pass, which also builds the landmark table.
+      EXPECT_EQ(server.stats().batches, 1u) << what;
+      EXPECT_EQ(server.stats().engine_passes, 1u) << what;
+      ExpectConserved(server.stats());
+    }
+  }
+}
+
+TEST(ServingFusion, CutsNeverNeedMoreThanSixtyFourBits) {
+  // Scheduler alone: 65 distinct sources queued without a cut in between.
+  // The cut takes the longest prefix that fits 64 bits — a repeat of an
+  // earlier source and a landmark query ride free — and leaves the rest.
+  SchedulerOptions options;
+  Scheduler scheduler(options);
+  uint64_t id = 0;
+  const auto enqueue = [&](QueryKind kind, VertexId source) {
+    PendingQuery p;
+    p.query.kind = kind;
+    p.query.source = source;
+    p.id = id++;
+    ASSERT_TRUE(scheduler.Enqueue(p).ok());
+  };
+  for (VertexId s = 0; s < 64; ++s) {
+    enqueue(s % 2 == 0 ? QueryKind::kBfsDistance : QueryKind::kKHop, s);
+  }
+  enqueue(QueryKind::kBfsDistance, 3);
+  enqueue(QueryKind::kLandmark, 900);
+  enqueue(QueryKind::kKHop, 64);
+  enqueue(QueryKind::kBfsDistance, 5);
+  const Batch first = scheduler.CutDue(0.0);
+  EXPECT_EQ(first.queue, QueueClass::kTraversal);
+  EXPECT_EQ(first.queries.size(), 66u);
+  EXPECT_EQ(scheduler.PendingCount(), 2u);
+  EXPECT_TRUE(scheduler.CutDue(0.0).queries.empty());  // Two bits: not full.
+  const Batch second = scheduler.CutDue(options.max_batch_wait_s);
+  ASSERT_EQ(second.queries.size(), 2u);
+  EXPECT_EQ(second.queries[0].query.source, 64u);
+
+  // Through the server: a 65-source burst cuts into batches of at most 64
+  // distinct bfs / k-hop sources each, and still answers like the oracle.
+  const std::vector<Query> queries = TraversalBurst(GoldenRmat(), 130, 65);
+  Server server(GoldenRmat(), Runtime(4), BurstOptions(queries, 64));
+  ExpectSameBits(Replay(server, queries),
+                 RunValues(GoldenRmat(), queries, 1, 1), "65 sources");
+  const ServingStats& stats = server.stats();
+  ASSERT_GE(stats.batches, 2u);
+  size_t a = 0;
+  for (const BatchStat& b : stats.batch_log) {
+    std::set<VertexId> bits;
+    for (int k = 0; k < b.width; ++k, ++a) {
+      const Query& q = queries[server.answers()[a].query_id];
+      if (q.kind != QueryKind::kLandmark) bits.insert(q.source);
+    }
+    EXPECT_LE(bits.size(), 64u) << "batch cut at " << b.cut_s;
+  }
+  EXPECT_EQ(a, queries.size());
+}
+
+TEST(ServingFusion, SixtyFourLandmarksBesideBfsRidersMatchOracle) {
+  // 64 landmarks cannot share a mask with the batch's sources, so the
+  // landmark table is built first, in a pass of its own.
+  const GoldenBackends backends;
+  const std::vector<Query> queries = TraversalBurst(GoldenRmat(), 45, 12);
+  ServerOptions oracle_options = BurstOptions(queries, 1);
+  oracle_options.num_landmarks = 64;
+  Server oracle_server(GoldenRmat(), Runtime(1), oracle_options);
+  const std::vector<double> oracle = Replay(oracle_server, queries);
+  for (bool paged : {false, true}) {
+    ServerOptions options = BurstOptions(queries, 64);
+    options.num_landmarks = 64;
+    Server server(backends.Open(paged), Runtime(4), options);
+    ExpectSameBits(Replay(server, queries), oracle,
+                   paged ? "paged" : "mem");
+    EXPECT_EQ(server.stats().batches, 1u);
+    EXPECT_EQ(server.stats().engine_passes, 2u);
+  }
+}
+
+TEST(ServingFusion, WithinBatchRepeatsRideOnceAsCacheHits) {
+  GraphPtr graph = testing::TestGraphs()[6].second;  // er_medium
+  std::vector<Query> queries;
+  for (QueryKind kind : {QueryKind::kBfsDistance, QueryKind::kLandmark}) {
+    for (int copy = 0; copy < 3; ++copy) {
+      Query q;
+      q.kind = kind;
+      q.source = 2;
+      q.target = 17;
+      queries.push_back(q);
+    }
+  }
+  Server server(graph, Runtime(1), BurstOptions(queries, 64));
+  const std::vector<double> values = Replay(server, queries);
+  // One miss per distinct (kind, source, target); the copies take its
+  // answer and count as hits.
+  EXPECT_EQ(server.stats().batches, 1u);
+  EXPECT_EQ(server.stats().cache_misses, 2u);
+  EXPECT_EQ(server.stats().cache_hits, 4u);
+  for (size_t i : {1, 2}) EXPECT_EQ(values[i], values[0]);
+  for (size_t i : {4, 5}) EXPECT_EQ(values[i], values[3]);
+  ExpectSameBits(values, RunValues(graph, queries, 1, 1), "repeats");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -407,18 +408,17 @@ struct GoldenValues {
   std::string ToString() const {
     const WalkStats& w = walks;
     const FaultStats& f = fault;
-    auto u = [](uint64_t v) { return std::to_string(v) + "u"; };
     // Printed as a table row, so a deliberate change can be re-pinned.
-    return "{" + std::to_string(digest) + "ull, {" + u(w.walkers) + ", " +
-           u(w.steps) + ", " + u(w.walker_steps) + ", " +
-           u(w.shuffle_entries) + ", " + u(w.walkers_shipped) + ", " +
-           u(w.frame_bytes) + ", " +
-           u(w.restarts) + ", " + u(w.terminations) + ", " +
-           u(w.rejections) + "}, " + u(bytes) + ", " + u(messages) + ", {" +
-           u(f.fragments_sent) + ", " + u(f.drops) + ", " + u(f.duplicates) +
-           ", " + u(f.reorders) + ", " + u(f.retries) + ", " +
-           u(f.escalations) + "}, " + u(blocks_read) + ", " +
-           u(demand_misses) + "}";
+    std::ostringstream row;
+    row << "{" << digest << "ull, {" << w.walkers << "u, " << w.steps
+        << "u, " << w.walker_steps << "u, " << w.shuffle_entries << "u, "
+        << w.walkers_shipped << "u, " << w.frame_bytes << "u, " << w.restarts
+        << "u, " << w.terminations << "u, " << w.rejections << "u}, " << bytes
+        << "u, " << messages << "u, {" << f.fragments_sent << "u, " << f.drops
+        << "u, " << f.duplicates << "u, " << f.reorders << "u, " << f.retries
+        << "u, " << f.escalations << "u}, " << blocks_read << "u, "
+        << demand_misses << "u}";
+    return row.str();
   }
 };
 

@@ -38,7 +38,7 @@
 //     --ckpt-interval=N   supersteps between checkpoints (0 = auto)
 //   serving (algorithm name "serve"; see docs/SERVING.md):
 //     --serve-replay=FILE query log to replay (bfs|khop|landmark|ppr lines)
-//     --serve-batch=N     coalescing width W per batch        (default 64)
+//     --serve-batch=N     distinct sources per traversal pass (default 64)
 //     --serve-queue=N     admission bound (pending queries)   (default 4096)
 //     --serve-wait-ms=F   max batch wait, modelled ms         (default 5)
 //     --serve-qps=F       offered load; 0 = submit all at t=0 (default 0)
