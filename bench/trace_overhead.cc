@@ -139,9 +139,7 @@ int main() {
                  static_cast<unsigned long long>(on.spans),
                  exact ? "exact" : "DRIFT");
     report.Add(graph_name,
-               {{"app", app.name},
-                {"obs_compiled_in",
-                 flash::obs::Tracer::compiled_in() ? "true" : "false"}},
+               {{"app", app.name}},
                {{"seconds_off", off.best_seconds},
                 {"seconds_on", on.best_seconds},
                 {"overhead_frac", overhead},

@@ -9,10 +9,10 @@
 #include "common/fields.h"
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "flashware/message_bus.h"
 #include "flashware/metrics.h"
 #include "graph/partition.h"
+#include "obs/tracer.h"
 
 namespace flash::baselines::gas {
 
@@ -108,51 +108,46 @@ class Engine {
       uint64_t changed = 0;
       std::vector<VertexId> changed_list;
       for (int w = 0; w < options_.num_workers; ++w) {
-        Timer worker_timer;
-        uint64_t worker_edges = 0;
-        uint64_t worker_verts = 0;
-        for (VertexId v : partition_.OwnedVertices(w)) {
-          if (!active_[v]) continue;
-          ++worker_verts;
-          // Gather over the full in-neighbourhood (GAS cannot early-stop).
-          std::optional<G> total;
-          auto nbrs = graph_->InNeighbors(v);
-          for (size_t i = 0; i < nbrs.size(); ++i) {
-            ++worker_edges;
-            float weight =
-                graph_->is_weighted() ? graph_->InWeights(v)[i] : 1.0f;
-            std::optional<G> g =
-                program.gather(prev_values_[v], v, prev_values_[nbrs[i]],
-                               nbrs[i], weight);
-            if (!g.has_value()) continue;
-            total = total.has_value() ? program.sum(*total, *g)
-                                      : std::move(g);
-          }
-          // Mirrors ship partial gathers to the master.
-          size_t gather_bytes = std::min<size_t>(sizeof(G), 64);
-          if (total.has_value() && program.gather_size) {
-            gather_bytes = program.gather_size(*total);
-          }
-          ShipGatherPartials(w, v, total.has_value(), gather_bytes);
-          if (program.apply(values_[v], v, total, iteration_)) {
-            ++changed;
-            changed_list.push_back(v);
-            ShipApplyToMirrors(w, v);
-            for (VertexId u : graph_->OutNeighbors(v)) {
-              if (!program.scatter_activates ||
-                  program.scatter_activates(values_[v], prev_values_[u], u)) {
-                next_active_[u] = 1;
+        StepTally tally;
+        {
+          obs::ScopedSpan clock(&tally.seconds);
+          for (VertexId v : partition_.OwnedVertices(w)) {
+            if (!active_[v]) continue;
+            ++tally.verts;
+            // Gather over the full in-neighbourhood (GAS cannot early-stop).
+            std::optional<G> total;
+            auto nbrs = graph_->InNeighbors(v);
+            for (size_t i = 0; i < nbrs.size(); ++i) {
+              ++tally.edges;
+              float weight =
+                  graph_->is_weighted() ? graph_->InWeights(v)[i] : 1.0f;
+              std::optional<G> g =
+                  program.gather(prev_values_[v], v, prev_values_[nbrs[i]],
+                                 nbrs[i], weight);
+              if (!g.has_value()) continue;
+              total = total.has_value() ? program.sum(*total, *g)
+                                        : std::move(g);
+            }
+            // Mirrors ship partial gathers to the master.
+            size_t gather_bytes = std::min<size_t>(sizeof(G), 64);
+            if (total.has_value() && program.gather_size) {
+              gather_bytes = program.gather_size(*total);
+            }
+            ShipGatherPartials(w, v, total.has_value(), gather_bytes);
+            if (program.apply(values_[v], v, total, iteration_)) {
+              ++changed;
+              changed_list.push_back(v);
+              ShipApplyToMirrors(w, v);
+              for (VertexId u : graph_->OutNeighbors(v)) {
+                if (!program.scatter_activates ||
+                    program.scatter_activates(values_[v], prev_values_[u], u)) {
+                  next_active_[u] = 1;
+                }
               }
             }
           }
         }
-        sample.edges_total += worker_edges;
-        sample.edges_max = std::max(sample.edges_max, worker_edges);
-        sample.verts_total += worker_verts;
-        sample.verts_max = std::max(sample.verts_max, worker_verts);
-        double seconds = worker_timer.Seconds();
-        sample.comp_total += seconds;
-        sample.comp_max = std::max(sample.comp_max, seconds);
+        FoldWorkerTally(tally, sample);
       }
       bus_.Exchange();
       bus_.AddLastExchange(sample);

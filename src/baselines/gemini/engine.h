@@ -7,10 +7,10 @@
 #include "common/bitset.h"
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "flashware/message_bus.h"
 #include "flashware/metrics.h"
 #include "graph/partition.h"
+#include "obs/tracer.h"
 
 namespace flash::baselines::gemini {
 
@@ -77,18 +77,16 @@ class Engine {
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
     for (int w = 0; w < options_.num_workers; ++w) {
-      Timer worker_timer;
-      uint64_t worker_verts = 0;
-      for (VertexId v : partition_.OwnedVertices(w)) {
-        if (!active.Test(v)) continue;
-        ++worker_verts;
-        total += fn(v);
+      StepTally tally;
+      {
+        obs::ScopedSpan clock(&tally.seconds);
+        for (VertexId v : partition_.OwnedVertices(w)) {
+          if (!active.Test(v)) continue;
+          ++tally.verts;
+          total += fn(v);
+        }
       }
-      sample.verts_total += worker_verts;
-      sample.verts_max = std::max(sample.verts_max, worker_verts);
-      double seconds = worker_timer.Seconds();
-      sample.comp_total += seconds;
-      sample.comp_max = std::max(sample.comp_max, seconds);
+      FoldWorkerTally(tally, sample);
     }
     AccountAllReduce(&sample);
     metrics_.AddStep(sample, true);
@@ -122,41 +120,40 @@ class Engine {
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
     for (int w = 0; w < options_.num_workers; ++w) {
-      Timer worker_timer;
-      uint64_t worker_edges = 0;
-      for (VertexId u : partition_.OwnedVertices(w)) {
-        if (!active.Test(u)) continue;
-        bool emitted = false;
-        Msg message{};
-        signal(u, [&](const Msg& m) {
-          FLASH_CHECK(!emitted) << "Gemini signals emit at most once";
-          emitted = true;
-          message = m;
-        });
-        if (!emitted) continue;
-        // One wire message per remote node hosting out-neighbours of u.
-        uint64_t mask = partition_.MirrorMask(u);
-        while (mask != 0) {
-          int dst = __builtin_ctzll(mask);
-          mask &= mask - 1;
-          BufferWriter& channel = bus_.Channel(w, dst);
-          channel.WritePod(u);
-          channel.WritePod(message);
-          bus_.CountMessages(w, dst);
-        }
-        // The slot runs once per out-edge, wherever the target lives.
-        auto nbrs = graph_->OutNeighbors(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          ++worker_edges;
-          float weight = graph_->is_weighted() ? graph_->OutWeights(u)[i] : 1.0f;
-          total += slot(nbrs[i], message, weight);
+      StepTally tally;
+      {
+        obs::ScopedSpan clock(&tally.seconds);
+        for (VertexId u : partition_.OwnedVertices(w)) {
+          if (!active.Test(u)) continue;
+          bool emitted = false;
+          Msg message{};
+          signal(u, [&](const Msg& m) {
+            FLASH_CHECK(!emitted) << "Gemini signals emit at most once";
+            emitted = true;
+            message = m;
+          });
+          if (!emitted) continue;
+          // One wire message per remote node hosting out-neighbours of u.
+          uint64_t mask = partition_.MirrorMask(u);
+          while (mask != 0) {
+            int dst = __builtin_ctzll(mask);
+            mask &= mask - 1;
+            BufferWriter& channel = bus_.Channel(w, dst);
+            channel.WritePod(u);
+            channel.WritePod(message);
+            bus_.CountMessages(w, dst);
+          }
+          // The slot runs once per out-edge, wherever the target lives.
+          auto nbrs = graph_->OutNeighbors(u);
+          for (size_t i = 0; i < nbrs.size(); ++i) {
+            ++tally.edges;
+            float weight =
+                graph_->is_weighted() ? graph_->OutWeights(u)[i] : 1.0f;
+            total += slot(nbrs[i], message, weight);
+          }
         }
       }
-      sample.edges_total += worker_edges;
-      sample.edges_max = std::max(sample.edges_max, worker_edges);
-      double seconds = worker_timer.Seconds();
-      sample.comp_total += seconds;
-      sample.comp_max = std::max(sample.comp_max, seconds);
+      FoldWorkerTally(tally, sample);
     }
     FinishExchange(&sample);
     return total;
@@ -169,35 +166,33 @@ class Engine {
     sample.frontier_in = static_cast<uint32_t>(active.Count());
     uint64_t total = 0;
     for (int w = 0; w < options_.num_workers; ++w) {
-      Timer worker_timer;
-      uint64_t worker_edges = 0;
-      for (VertexId v : partition_.OwnedVertices(w)) {
-        worker_edges += graph_->InDegree(v);
-        bool emitted = false;
-        Msg message{};
-        signal(v, active, [&](const Msg& m) {
-          FLASH_CHECK(!emitted) << "Gemini signals emit at most once";
-          emitted = true;
-          message = m;
-        });
-        if (!emitted) continue;
-        // One partial per mirror node converges on the master's slot.
-        uint64_t mask = partition_.MirrorMask(v);
-        while (mask != 0) {
-          int src = __builtin_ctzll(mask);
-          mask &= mask - 1;
-          BufferWriter& channel = bus_.Channel(src, w);
-          channel.WritePod(v);
-          channel.WritePod(message);
-          bus_.CountMessages(src, w);
+      StepTally tally;
+      {
+        obs::ScopedSpan clock(&tally.seconds);
+        for (VertexId v : partition_.OwnedVertices(w)) {
+          tally.edges += graph_->InDegree(v);
+          bool emitted = false;
+          Msg message{};
+          signal(v, active, [&](const Msg& m) {
+            FLASH_CHECK(!emitted) << "Gemini signals emit at most once";
+            emitted = true;
+            message = m;
+          });
+          if (!emitted) continue;
+          // One partial per mirror node converges on the master's slot.
+          uint64_t mask = partition_.MirrorMask(v);
+          while (mask != 0) {
+            int src = __builtin_ctzll(mask);
+            mask &= mask - 1;
+            BufferWriter& channel = bus_.Channel(src, w);
+            channel.WritePod(v);
+            channel.WritePod(message);
+            bus_.CountMessages(src, w);
+          }
+          total += slot(v, message);
         }
-        total += slot(v, message);
       }
-      sample.edges_total += worker_edges;
-      sample.edges_max = std::max(sample.edges_max, worker_edges);
-      double seconds = worker_timer.Seconds();
-      sample.comp_total += seconds;
-      sample.comp_max = std::max(sample.comp_max, seconds);
+      FoldWorkerTally(tally, sample);
     }
     FinishExchange(&sample);
     return total;

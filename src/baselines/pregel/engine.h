@@ -10,10 +10,10 @@
 #include "common/fields.h"
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "flashware/message_bus.h"
 #include "flashware/metrics.h"
 #include "graph/partition.h"
+#include "obs/tracer.h"
 
 namespace flash::baselines::pregel {
 
@@ -122,23 +122,21 @@ class Engine {
       sample.kind = StepKind::kVertexMap;
       bool any_active = false;
       for (int w = 0; w < options_.num_workers; ++w) {
-        Timer worker_timer;
-        uint64_t worker_verts = 0;
-        for (VertexId v : partition_.OwnedVertices(w)) {
-          bool has_mail = !inbox_[v].empty();
-          if (halted_[v] && !has_mail) continue;
-          halted_[v] = 0;
-          any_active = true;
-          ++worker_verts;
-          Context ctx(this, w, v);
-          compute(ctx, std::span<const Msg>(inbox_[v]));
-          inbox_[v].clear();
+        StepTally tally;
+        {
+          obs::ScopedSpan clock(&tally.seconds);
+          for (VertexId v : partition_.OwnedVertices(w)) {
+            bool has_mail = !inbox_[v].empty();
+            if (halted_[v] && !has_mail) continue;
+            halted_[v] = 0;
+            any_active = true;
+            ++tally.verts;
+            Context ctx(this, w, v);
+            compute(ctx, std::span<const Msg>(inbox_[v]));
+            inbox_[v].clear();
+          }
         }
-        sample.verts_total += worker_verts;
-        sample.verts_max = std::max(sample.verts_max, worker_verts);
-        double seconds = worker_timer.Seconds();
-        sample.comp_total += seconds;
-        sample.comp_max = std::max(sample.comp_max, seconds);
+        FoldWorkerTally(tally, sample);
       }
       DeliverMessages(&sample);
       if (any_active) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "core/detail.h"
 #include "core/engine.h"
 #include "flashware/metrics.h"
@@ -187,13 +186,11 @@ class AsyncEngine {
         stats.msgs_applied += applied_[Channel(src, dst)];
       }
     }
-    stats.comp_seconds_total = 0;
     stats.relaxations = 0;
     stats.bucket_inserts = 0;
     for (int w = 0; w < num_workers_; ++w) {
       stats.comp_seconds_max =
           std::max(stats.comp_seconds_max, worker_seconds_[w]);
-      stats.comp_seconds_total += worker_seconds_[w];
       stats.relaxations += drains_[w];
       stats.bucket_inserts += inserts_[w];
     }
@@ -248,9 +245,7 @@ class AsyncEngine {
     const uint64_t round_begin_ns = tracer != nullptr ? tracer->NowNs() : 0;
     StepSample sample;
     sample.kind = StepKind::kAsyncRound;
-    const int shards = 1;  // Async drains are per-worker sequential tasks.
-    std::vector<StepTally> task_tally(num_workers_);
-    std::vector<StepTally> worker_tally(num_workers_);
+    api_.ResetTallies();
     prev_inserts_ = inserts_;
     prev_drains_ = drains_;
     // Plan-ahead paging: each round's block set is knowable before its drain
@@ -277,26 +272,24 @@ class AsyncEngine {
       runtime_.storage()->PlanBlocks(runtime_.pool(), plan_scratch_,
                                      /*out_dir=*/true);
     }
-    api_.RunPerWorker("async:drain", [&](int w) {
-      Timer timer;
-      task_tally[w].edges = DrainLowestBucket(w);
-      task_tally[w].verts = drains_[w] - prev_drains_[w];
+    // Async drains are per-worker sequential tasks: each worker's drain and
+    // apply both tally into its WorkerScratch slot.
+    api_.RunPerWorker("async:drain", Api::Priced::kYes, [&](int w) {
+      StepTally& tally = api_.worker_scratch_[w].tally;
+      tally.edges = DrainLowestBucket(w);
+      tally.verts = drains_[w] - prev_drains_[w];
       api_.FlushLanes(w, lanes_[w], internal::kAsyncFrameMask);
-      const double seconds = timer.Seconds();
-      task_tally[w].seconds = seconds;
-      worker_seconds_[w] += seconds;
     });
     runtime_.bus().Exchange();
     runtime_.bus().AddLastExchange(sample);
-    api_.RunPerWorker("async:apply", [&](int w) {
-      Timer timer;
-      worker_tally[w].verts = ApplyInbound(w);
-      const double seconds = timer.Seconds();
-      worker_tally[w].seconds = seconds;
-      worker_seconds_[w] += seconds;
+    api_.RunPerWorker("async:apply", Api::Priced::kYes, [&](int w) {
+      api_.worker_scratch_[w].tally.verts += ApplyInbound(w);
     });
     if (planned) runtime_.CloseEpoch(sample, api_.metrics_);
-    FoldTallies(task_tally, shards, worker_tally, sample);
+    api_.FoldTallies(sample);
+    for (int w = 0; w < num_workers_; ++w) {
+      worker_seconds_[w] += api_.worker_scratch_[w].tally.seconds;
+    }
     uint64_t drained = 0;
     uint64_t enqueued = 0;
     for (int w = 0; w < num_workers_; ++w) {
@@ -478,7 +471,7 @@ class AsyncEngine {
     const uint32_t mask = api_.SyncMask();
     const bool broadcast = api_.BroadcastsMirrors();
     uint64_t committed = 0;
-    api_.RunPerWorker("async:sync", [&](int w) {
+    api_.RunPerWorker("async:sync", Api::Priced::kNo, [&](int w) {
       std::vector<VertexId>& touched = touched_[w];
       std::sort(touched.begin(), touched.end());
       const VertexStore<VData>& store = api_.stores_[w];
@@ -491,7 +484,7 @@ class AsyncEngine {
     });
     for (int w = 0; w < num_workers_; ++w) committed += touched_[w].size();
     runtime_.bus().Exchange();
-    api_.RunPerWorker("async:sync_apply", [&](int w) {
+    api_.RunPerWorker("async:sync_apply", Api::Priced::kNo, [&](int w) {
       for (int src = 0; src < num_workers_; ++src) {
         if (src == w) continue;
         api_.ApplyMirrorFrame(w, mask, runtime_.bus().Incoming(w, src));

@@ -12,7 +12,6 @@
 
 #include "common/fields.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/detail.h"
 #include "core/edge_set.h"
 #include "core/vertex_subset.h"
@@ -299,7 +298,6 @@ class GraphApi {
     sample.kind = StepKind::kEdgeMapDense;
     sample.frontier_in = static_cast<uint32_t>(U.TotalSize());
     const Bitset& ubits = DenseBitmap(U, &sample);
-    const int num_workers = options_.num_workers;
     const int shards = options_.threads_per_worker;
     if (runtime_.paged()) {
       // Pull mode scans every master's in-adjacency (or out for reversed
@@ -313,19 +311,15 @@ class GraphApi {
       }
     }
 
-    std::vector<StepTally> task_tally(num_workers * shards);
-    std::vector<StepTally> worker_tally(num_workers);
     // The pull kernel; for_in(v, store, fn) enumerates v's in-edges in H.
     auto scan = [&](const auto& for_in) {
       RunWorkerShards(
-          "dense:scan",
+          "dense:scan", Priced::kYes,
           [&](int w) { return runtime_.partition().OwnedVertices(w).size(); },
           [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
             VertexStore<VData>& store = stores_[w];
             const auto& targets = runtime_.partition().OwnedVertices(w);
-            const int t = w * shards + s;
-            TaskScratch& task = task_scratch_[t];
+            TaskScratch& task = task_scratch_[w * shards + s];
             uint64_t edges = 0;
             VData vnew;
             for (size_t i = lo; i < hi; ++i) {
@@ -354,8 +348,7 @@ class GraphApi {
                 task.out.push_back(v);
               }
             }
-            task_tally[t].edges = edges;
-            task_tally[t].seconds = task_timer.Seconds();
+            task.tally.edges = edges;
           });
     };
     if (IsEngineCsr(H)) {
@@ -366,13 +359,12 @@ class GraphApi {
         H->ForIn(v, store, fn);
       });
     }
-    RunPerWorker("dense:merge", [&](int w) {
-      Timer merge_timer;
+    RunPerWorker("dense:merge", Priced::kYes, [&](int w) {
       MergeTaskLists(w);
-      worker_tally[w].verts = runtime_.partition().OwnedVertices(w).size();
-      worker_tally[w].seconds = merge_timer.Seconds();
+      worker_scratch_[w].tally.verts =
+          runtime_.partition().OwnedVertices(w).size();
     });
-    FoldTallies(task_tally, shards, worker_tally, sample);
+    FoldTallies(sample);
     return FinishStep(sample);
   }
 
@@ -408,9 +400,6 @@ class GraphApi {
       }
     }
 
-    std::vector<StepTally> task_tally(num_workers * shards);
-    std::vector<StepTally> worker_tally(num_workers);
-
     // Round 1 compute: every (worker, shard) slice of the frontier runs as
     // one task. Updates to the executing worker's own masters never touch
     // the wire — they are deferred into per-shard pending lists (a real
@@ -419,10 +408,9 @@ class GraphApi {
     // fn) enumerates u's out-edges in H.
     auto push = [&](const auto& for_out) {
       RunWorkerShards(
-          "sparse:push",
+          "sparse:push", Priced::kYes,
           [&](int w) { return U.Owned(w).size(); },
           [&](int w, int s, size_t lo, size_t hi) {
-            Timer task_timer;
             VertexStore<VData>& store = stores_[w];
             const auto& frontier = U.Owned(w);
             TaskScratch& task = task_scratch_[w * shards + s];
@@ -451,9 +439,7 @@ class GraphApi {
                 SerializeFields(tmp, mask, lane.payload);
               });
             }
-            StepTally& tally = task_tally[w * shards + s];
-            tally.edges = edges;
-            tally.seconds = task_timer.Seconds();
+            task.tally.edges = edges;
           });
     };
     if (IsEngineCsr(H)) {
@@ -472,8 +458,7 @@ class GraphApi {
     // sequence is frontier emission order — invariant to the shard count
     // — so frame bytes are schedule-invariant. Each worker touches only
     // its own store and outgoing channels.
-    RunPerWorker("sparse:flush", [&](int w) {
-      Timer merge_timer;
+    RunPerWorker("sparse:flush", Priced::kYes, [&](int w) {
       VertexStore<VData>& store = stores_[w];
       WorkerScratch& scratch = worker_scratch_[w];
       uint64_t applied = 0;
@@ -511,8 +496,7 @@ class GraphApi {
           lane.Recycle();
         }
       }
-      worker_tally[w].verts += applied;
-      worker_tally[w].seconds += merge_timer.Seconds();
+      scratch.tally.verts += applied;
     });
 
     // Round 1 exchange + owner-side reduce.
@@ -526,29 +510,23 @@ class GraphApi {
     // strictly in the original (source, record) order on one task per
     // worker, so the reduction chain — and any floating-point rounding —
     // is bit-identical at every host thread count.
-    RunPerWorker("sparse:scan", [&](int w) {
-      Timer scan_timer;
-      ScanIncomingFrames(w, mask);
-      worker_tally[w].seconds += scan_timer.Seconds();
-    });
+    RunPerWorker("sparse:scan", Priced::kYes,
+                 [&](int w) { ScanIncomingFrames(w, mask); });
     constexpr bool kFixed = kFixedWidthFields<VData>;
     RunWorkerShards(
-        "sparse:decode",
+        "sparse:decode", Priced::kYes,
         [&](int w) {
           const RecvScratch& recv = worker_scratch_[w].recv;
           return kFixed ? recv.ids.size() : recv.frames.size();
         },
-        [&](int w, int s, size_t lo, size_t hi) {
-          Timer task_timer;
+        [&](int w, int /*shard*/, size_t lo, size_t hi) {
           if constexpr (kFixed) {
             DecodeRecordRange(w, lo, hi, mask);
           } else {
             DecodeFrameRange(w, lo, hi, mask);
           }
-          task_tally[w * shards + s].seconds += task_timer.Seconds();
         });
-    RunPerWorker("sparse:apply", [&](int w) {
-      Timer apply_timer;
+    RunPerWorker("sparse:apply", Priced::kYes, [&](int w) {
       WorkerScratch& scratch = worker_scratch_[w];
       RecvScratch& recv = scratch.recv;
       VertexStore<VData>& store = stores_[w];
@@ -563,10 +541,9 @@ class GraphApi {
       }
       store.AppendDirty(std::move(scratch.dirty));
       recv.Recycle();
-      worker_tally[w].verts += n;
-      worker_tally[w].seconds += apply_timer.Seconds();
+      scratch.tally.verts += n;
     });
-    FoldTallies(task_tally, shards, worker_tally, sample);
+    FoldTallies(sample);
     return FinishStep(sample);
   }
 
@@ -586,7 +563,7 @@ class GraphApi {
       std::vector<T> values;
     };
     std::vector<Mapped> mapped(options_.num_workers);
-    RunPerWorker("reduce:map", [&](int w) {
+    RunPerWorker("reduce:map", Priced::kNo, [&](int w) {
       const auto& owned = U.Owned(w);
       std::vector<T>& values = mapped[w].values;
       values.reserve(owned.size());
@@ -728,6 +705,7 @@ class GraphApi {
     std::vector<LocalUpdate> pending;
     size_t pending_high_water = 0;
     std::vector<WireLane> lanes;
+    StepTally tally;  // This superstep's priced work.
   };
 
   /// Everything one worker's merge, barrier and receive passes write, one
@@ -738,7 +716,12 @@ class GraphApi {
     RecvScratch recv;
     std::vector<WireLane> commit_lanes;  // Mirror-sync ids, per destination.
     uint64_t committed = 0;
+    StepTally tally;  // This superstep's priced per-worker passes.
   };
+
+  /// Whether a phase's task time is compute that the cost model prices
+  /// (StepSample::comp_max). Unpriced phases read no clock untraced.
+  enum class Priced : bool { kNo, kYes };
 
   /// Inline enumerator for the engine's own E / reverse(E): walks the CSR
   /// spans with the kernel's edge callback inlined, where the virtual
@@ -794,9 +777,12 @@ class GraphApi {
   /// the executing thread count — so the per-shard buffers each kernel
   /// fills are identical however tasks are scheduled. The Read() context is
   /// bound inside each task. `label` names the phase span (host lane) and
-  /// every per-task span (worker/shard lane) when tracing is armed.
+  /// every per-task span (worker/shard lane) when tracing is armed. Each
+  /// task of a priced phase is timed once, into its TaskScratch tally; its
+  /// span shares the two clock readings.
   template <typename SizeFn, typename TaskFn>
-  void RunWorkerShards(const char* label, SizeFn&& size_of, TaskFn&& task) {
+  void RunWorkerShards(const char* label, Priced priced, SizeFn&& size_of,
+                       TaskFn&& task) {
     const int shards = options_.threads_per_worker;
     const int num_workers = options_.num_workers;
     obs::Tracer* const tracer = runtime_.tracer();
@@ -809,7 +795,9 @@ class GraphApi {
       const size_t n = size_of(w);
       const size_t lo = n * static_cast<size_t>(s) / shards;
       const size_t hi = n * static_cast<size_t>(s + 1) / shards;
-      OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, s);
+      OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, s,
+               priced == Priced::kYes ? &task_scratch_[t].tally.seconds
+                                      : nullptr);
       task(w, s, lo, hi);
     });
   }
@@ -817,17 +805,40 @@ class GraphApi {
   /// Runs fn(w) once per worker and blocks until all complete — the
   /// merge/commit/apply phases whose targets (a worker's store, its
   /// outgoing channels, its output list) are single-writer per worker.
-  /// `label` names the phase/task spans as in RunWorkerShards.
+  /// `label` and `priced` act as in RunWorkerShards; a priced task's time
+  /// goes to its WorkerScratch tally.
   template <typename Fn>
-  void RunPerWorker(const char* label, Fn&& fn) {
+  void RunPerWorker(const char* label, Priced priced, Fn&& fn) {
     obs::Tracer* const tracer = runtime_.tracer();
     if (tracer != nullptr) tracer->BeginPhase();
     OBS_SPAN(tracer, label, obs::SpanKind::kPhase);
     runtime_.pool().ParallelForWorkers(options_.num_workers, [&](int w) {
       internal::WorkerScope scope(w);
-      OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, -1);
+      OBS_SPAN(tracer, label, obs::SpanKind::kTask, w, -1,
+               priced == Priced::kYes ? &worker_scratch_[w].tally.seconds
+                                      : nullptr);
       fn(w);
     });
+  }
+
+  /// Zeroes every task and worker tally; a superstep or async round opens
+  /// with this.
+  void ResetTallies() {
+    for (TaskScratch& task : task_scratch_) task.tally = StepTally{};
+    for (WorkerScratch& scratch : worker_scratch_) scratch.tally = StepTally{};
+  }
+
+  /// Folds the tallies of the open superstep (or async round) into
+  /// `sample`: each worker's shard tasks plus its per-worker passes.
+  void FoldTallies(StepSample& sample) const {
+    const int shards = options_.threads_per_worker;
+    for (int w = 0; w < options_.num_workers; ++w) {
+      StepTally worker = worker_scratch_[w].tally;
+      for (int s = 0; s < shards; ++s) {
+        worker += task_scratch_[w * shards + s].tally;
+      }
+      FoldWorkerTally(worker, sample);
+    }
   }
 
   /// Superstep-span bracket. ObsBeginSuperstep (from BeginSuperstep, i.e.
@@ -1044,20 +1055,14 @@ class GraphApi {
     StepSample sample;
     sample.kind = StepKind::kVertexMap;
     sample.frontier_in = static_cast<uint32_t>(U.TotalSize());
-    const int num_workers = options_.num_workers;
     const int shards = options_.threads_per_worker;
-
-    std::vector<StepTally> task_tally(num_workers * shards);
-    std::vector<StepTally> worker_tally(num_workers);
     RunWorkerShards(
-        "vmap:filter",
+        "vmap:filter", Priced::kYes,
         [&](int w) { return U.Owned(w).size(); },
         [&](int w, int s, size_t lo, size_t hi) {
-          Timer task_timer;
           VertexStore<VData>& store = stores_[w];
           const auto& owned = U.Owned(w);
-          const int t = w * shards + s;
-          TaskScratch& task = task_scratch_[t];
+          TaskScratch& task = task_scratch_[w * shards + s];
           for (size_t i = lo; i < hi; ++i) {
             VertexId v = owned[i];
             const VData& cur = store.Current(v);
@@ -1068,15 +1073,12 @@ class GraphApi {
               internal::InvokeVertexM(m, next, v);
             }
           }
-          task_tally[t].seconds = task_timer.Seconds();
         });
-    RunPerWorker("vmap:merge", [&](int w) {
-      Timer merge_timer;
+    RunPerWorker("vmap:merge", Priced::kYes, [&](int w) {
       MergeTaskLists(w);
-      worker_tally[w].verts = U.Owned(w).size();
-      worker_tally[w].seconds = merge_timer.Seconds();
+      worker_scratch_[w].tally.verts = U.Owned(w).size();
     });
-    FoldTallies(task_tally, shards, worker_tally, sample);
+    FoldTallies(sample);
     return FinishStep(sample);
   }
 
@@ -1096,7 +1098,7 @@ class GraphApi {
     CheckpointManager* const ckpt = runtime_.checkpoints();
     const bool log_recovery = ckpt != nullptr;
 
-    RunPerWorker("barrier:commit", [&](int w) {
+    RunPerWorker("barrier:commit", Priced::kNo, [&](int w) {
       // Ascending commit order makes every destination's id batch sorted —
       // the densest delta encoding — and is unobservable otherwise:
       // committed masters are disjoint promotions and the out-frontier was
@@ -1128,7 +1130,7 @@ class GraphApi {
     // Mirror updates for a vertex come only from its unique master, so
     // source channels decode + apply concurrently across shards.
     RunWorkerShards(
-        "barrier:apply",
+        "barrier:apply", Priced::kNo,
         [&](int) { return static_cast<size_t>(num_workers); },
         [&](int w, int /*shard*/, size_t lo, size_t hi) {
           for (size_t src = lo; src < hi; ++src) {
@@ -1283,6 +1285,7 @@ class GraphApi {
   void BeginSuperstep() {
     runtime_.OpenEpoch();
     ObsBeginSuperstep();
+    ResetTallies();
     FaultInjector* const injector = runtime_.injector();
     if (injector == nullptr) return;
     const uint64_t step = metrics_.supersteps;
@@ -1300,7 +1303,7 @@ class GraphApi {
     OBS_SPAN_VAR(snap_span, runtime_.tracer(), "ckpt:snapshot",
                  obs::SpanKind::kCheckpoint);
     std::vector<std::vector<uint8_t>> states(options_.num_workers);
-    RunPerWorker("ckpt:encode",
+    RunPerWorker("ckpt:encode", Priced::kNo,
                  [&](int w) { states[w] = EncodeWorkerState(w, step); });
     runtime_.checkpoints()->StoreSnapshot(
         step, std::move(states), EncodeFrontierLists(step, last_frontier_),

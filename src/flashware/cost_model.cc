@@ -90,8 +90,7 @@ ModeledTime ModelTime(const Metrics& metrics, const ClusterConfig& config) {
           static_cast<double>(step.verts_max) * config.ns_per_vertex * 1e-9;
     }
     if (step.comp_max > 0) {
-      work_seconds = std::max(work_seconds,
-                              step.comp_max / config.host_compute_scale);
+      work_seconds = std::max(work_seconds, step.comp_max);
     }
     double compute =
         work_seconds * (kSerialFraction + (1.0 - kSerialFraction) / cores);
@@ -154,7 +153,7 @@ ModeledTime ModelTime(const Metrics& metrics, const ClusterConfig& config) {
   const AsyncStats& async = metrics.async;
   if (async.Any()) {
     const double async_compute =
-        (async.comp_seconds_max / config.host_compute_scale) *
+        async.comp_seconds_max *
         (kSerialFraction + (1.0 - kSerialFraction) / cores);
     const double sweeps =
         static_cast<double>(async.token_sweeps) * config.token_sweep_seconds;

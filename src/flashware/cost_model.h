@@ -87,11 +87,6 @@ struct ClusterConfig {
   // its pool before compute, so measured time does not overlap them.
   double storage_decode_bytes_per_second = 4.0e9;
 
-  /// Ratio of the modelled cluster core's speed to the host core that ran
-  /// the simulation (measured per-superstep compute seconds are divided by
-  /// this before pricing). 1.0 = same single-core speed.
-  double host_compute_scale = 1.0;
-
   /// §IV-C optimization 1: communication overlapped with computation.
   bool overlap_comm_compute = true;
 

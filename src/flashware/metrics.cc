@@ -5,26 +5,13 @@
 
 namespace flash {
 
-void FoldTallies(const std::vector<StepTally>& task_tally,
-                 int shards_per_worker,
-                 const std::vector<StepTally>& worker_tally,
-                 StepSample& sample) {
-  const int num_workers = static_cast<int>(worker_tally.size());
-  for (int w = 0; w < num_workers; ++w) {
-    StepTally acc = worker_tally[w];
-    for (int s = 0; s < shards_per_worker; ++s) {
-      const StepTally& task = task_tally[w * shards_per_worker + s];
-      acc.edges += task.edges;
-      acc.verts += task.verts;
-      acc.seconds += task.seconds;
-    }
-    sample.edges_total += acc.edges;
-    sample.edges_max = std::max(sample.edges_max, acc.edges);
-    sample.verts_total += acc.verts;
-    sample.verts_max = std::max(sample.verts_max, acc.verts);
-    sample.comp_total += acc.seconds;
-    sample.comp_max = std::max(sample.comp_max, acc.seconds);
-  }
+void FoldWorkerTally(const StepTally& worker, StepSample& sample) {
+  sample.edges_total += worker.edges;
+  sample.edges_max = std::max(sample.edges_max, worker.edges);
+  sample.verts_total += worker.verts;
+  sample.verts_max = std::max(sample.verts_max, worker.verts);
+  sample.comp_total += worker.seconds;
+  sample.comp_max = std::max(sample.comp_max, worker.seconds);
 }
 
 void Metrics::Absorb(const Metrics& other) {
@@ -60,7 +47,6 @@ void Metrics::Absorb(const Metrics& other) {
   async.msgs_received += other.async.msgs_received;
   async.msgs_applied += other.async.msgs_applied;
   async.comp_seconds_max += other.async.comp_seconds_max;
-  async.comp_seconds_total += other.async.comp_seconds_total;
 
   walks.walkers += other.walks.walkers;
   walks.steps += other.walks.steps;

@@ -51,24 +51,27 @@ struct StepSample {
 };
 
 /// Single-writer work tallies for one (worker, shard) compute task or one
-/// per-worker merge pass of a superstep phase. Concurrent tasks each fill
-/// their own slot — never a shared StepSample — and FoldTallies aggregates
-/// after the phase barrier on one thread.
+/// per-worker pass of a superstep. Concurrent tasks each fill their own
+/// slot — never a shared StepSample — and the engine folds the slots after
+/// the phase barrier on one thread. Kernels count edges and verts; the
+/// task runner's clock adds the seconds.
 struct StepTally {
   uint64_t edges = 0;    // Edge examinations.
   uint64_t verts = 0;    // Vertex evaluations / updates applied.
   double seconds = 0;    // Measured task time.
+
+  StepTally& operator+=(const StepTally& other) {
+    edges += other.edges;
+    verts += other.verts;
+    seconds += other.seconds;
+    return *this;
+  }
 };
 
-/// Aggregates per-task tallies (shards_per_worker slots per worker, laid
-/// out worker-major) plus per-worker merge tallies into `sample`'s
-/// total/max fields. A worker's compute seconds are the sum of its shard
-/// tasks and its merge pass — the single-threaded time a real worker would
-/// spend, regardless of how the host scheduled the tasks.
-void FoldTallies(const std::vector<StepTally>& task_tally,
-                 int shards_per_worker,
-                 const std::vector<StepTally>& worker_tally,
-                 StepSample& sample);
+/// Folds one worker's tally of a superstep — its shard tasks and per-worker
+/// passes summed, the single-threaded time a real worker would spend
+/// however the host scheduled them — into `sample`'s totals and maxima.
+void FoldWorkerTally(const StepTally& worker, StepSample& sample);
 
 /// Fault-injection and recovery counters of one run. All zero when the run
 /// executed without a FaultPlan. Transport counters are at fragment
@@ -119,12 +122,10 @@ struct AsyncStats {
   uint64_t msgs_sent = 0;      // Remote messages framed onto the bus.
   uint64_t msgs_received = 0;  // Messages decoded from inbound frames.
   uint64_t msgs_applied = 0;   // Messages folded into owner state.
-  /// Cumulative single-threaded compute seconds: the busiest worker and the
-  /// sum over workers. The cost model prices async compute from the busiest
-  /// worker's *cumulative* time — workers never wait for per-round
-  /// stragglers, so no per-round max applies.
+  /// Cumulative single-threaded compute seconds of the busiest worker. The
+  /// cost model prices async compute from it: workers never wait for
+  /// per-round stragglers, so no per-round max applies.
   double comp_seconds_max = 0;
-  double comp_seconds_total = 0;
 
   bool Any() const {
     return rounds | token_sweeps | relaxations | bucket_inserts | msgs_sent |

@@ -71,6 +71,19 @@ void WriteEventArgs(std::ostream& out, const Span& span) {
   out << "}";
 }
 
+// The timeline's `kind` column. No default case: -Wswitch flags a new kind.
+const char* TimelineKindName(flash::StepKind kind) {
+  switch (kind) {
+    case flash::StepKind::kVertexMap: return "vertexmap";
+    case flash::StepKind::kEdgeMapDense: return "dense";
+    case flash::StepKind::kEdgeMapSparse: return "sparse";
+    case flash::StepKind::kAggregate: return "aggregate";
+    case flash::StepKind::kAsyncRound: return "async_round";
+    case flash::StepKind::kWalkStep: return "walk";
+  }
+  return "?";
+}
+
 }  // namespace
 
 void WriteChromeTrace(std::ostream& out, const Tracer& tracer) {
@@ -216,11 +229,6 @@ void WriteTimelineTsv(std::ostream& out, const flash::Metrics& metrics,
       if (span.kind == SpanKind::kSuperstep) by_step[span.superstep] = &span;
     }
   }
-  const char* kind_names[] = {"vertexmap", "dense", "sparse", "aggregate",
-                              "async_round"};
-  static_assert(sizeof(kind_names) / sizeof(kind_names[0]) ==
-                    static_cast<size_t>(flash::StepKind::kAsyncRound) + 1,
-                "kind_names must cover every StepKind");
   char buffer[64];
   auto secs = [&](double value) {
     std::snprintf(buffer, sizeof(buffer), "%.9f", value);
@@ -228,7 +236,7 @@ void WriteTimelineTsv(std::ostream& out, const flash::Metrics& metrics,
   };
   for (size_t i = 0; i < metrics.steps.size(); ++i) {
     const StepSample& s = metrics.steps[i];
-    out << i << "\t" << kind_names[static_cast<int>(s.kind)] << "\t"
+    out << i << "\t" << TimelineKindName(s.kind) << "\t"
         << s.frontier_in << "\t" << s.frontier_out << "\t" << s.edges_total
         << "\t" << s.edges_max << "\t" << s.verts_total << "\t" << s.verts_max
         << "\t" << s.bytes_total << "\t" << s.bytes_max << "\t"

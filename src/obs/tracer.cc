@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 
@@ -25,8 +24,6 @@ const char* SpanKindName(SpanKind kind) {
   return "?";
 }
 
-#ifndef FLASH_OBS_DISABLED
-
 namespace {
 
 // A buffer hitting this cap stops recording (dropped spans are counted at
@@ -45,8 +42,6 @@ thread_local TlsRef tls_ref;
 
 std::atomic<uint64_t> next_tracer_id{1};
 
-using SteadyClock = std::chrono::steady_clock;
-
 }  // namespace
 
 struct Tracer::ThreadLog {
@@ -57,7 +52,6 @@ struct Tracer::ThreadLog {
 struct Tracer::Impl {
   std::mutex mu;  // Guards registration and folding; never the hot path.
   std::vector<std::unique_ptr<ThreadLog>> logs;
-  SteadyClock::time_point t0 = SteadyClock::now();
   std::vector<Span> scratch;
 };
 
@@ -66,13 +60,6 @@ Tracer::Tracer()
       id_(next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Tracer::~Tracer() { delete impl_; }
-
-uint64_t Tracer::NowNs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() -
-                                                           impl_->t0)
-          .count());
-}
 
 Tracer::ThreadLog* Tracer::Log() {
   if (tls_ref.tracer_id == id_) {
@@ -138,7 +125,5 @@ void Tracer::Fold() {
                    });
   folded_.insert(folded_.end(), batch.begin(), batch.end());
 }
-
-#endif  // !FLASH_OBS_DISABLED
 
 }  // namespace flash::obs

@@ -1,6 +1,7 @@
 #ifndef FLASH_OBS_TRACER_H_
 #define FLASH_OBS_TRACER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -22,12 +23,11 @@
 /// folded sequence is identical at every host thread count even though the
 /// work-stealing scheduler assigns tasks to threads nondeterministically.
 ///
-/// Two off switches, both zero-overhead:
-///  - runtime: RuntimeOptions::trace defaults to false; the engine then
-///    never constructs a Tracer and every hook is a null-pointer check.
-///  - compile time: -DFLASH_OBS_DISABLED swaps this header's classes for
-///    empty inline stubs, so instrumentation vanishes entirely.
+/// The off switch is RuntimeOptions::trace, false by default: the engine
+/// then never constructs a Tracer and every hook is a null-pointer check.
 namespace flash::obs {
+
+using SteadyClock = std::chrono::steady_clock;
 
 /// Lane index of driver-side (non-worker) spans.
 inline constexpr int kHostLane = -1;
@@ -62,30 +62,6 @@ struct Span {
   uint64_t arg1 = 0;       // Kind-specific (msgs, attempt, records, ...).
 };
 
-#ifdef FLASH_OBS_DISABLED
-
-/// Compiled-out tracer: the full recording surface as empty inlines. Every
-/// call site folds to nothing; exporters see an empty span list.
-class Tracer {
- public:
-  Tracer() = default;
-  uint64_t NowNs() const { return 0; }
-  void SetSuperstep(uint64_t) {}
-  void BeginPhase() {}
-  void Record(const char*, SpanKind, int, int, uint64_t, uint64_t,
-              uint64_t = 0, uint64_t = 0) {}
-  void Instant(const char*, SpanKind, int, int, uint64_t = 0, uint64_t = 0) {}
-  void Fold() {}
-  const std::vector<Span>& spans() const {
-    static const std::vector<Span> kEmpty;
-    return kEmpty;
-  }
-  uint64_t dropped() const { return 0; }
-  static constexpr bool compiled_in() { return false; }
-};
-
-#else  // !FLASH_OBS_DISABLED
-
 /// Lock-free-on-the-hot-path span recorder. One Tracer per engine run; all
 /// superstep tasks record into thread-local buffers, the engine folds at
 /// barriers, exporters read the folded list after the run.
@@ -104,7 +80,12 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Nanoseconds since this tracer was constructed (steady clock).
-  uint64_t NowNs() const;
+  uint64_t NowNs() const { return NsAt(SteadyClock::now()); }
+  /// The reading `t` of the steady clock, in NowNs() units.
+  uint64_t NsAt(SteadyClock::time_point t) const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - t0_).count());
+  }
 
   /// Binds subsequently recorded spans to `step` (host thread, between
   /// phases only).
@@ -137,8 +118,6 @@ class Tracer {
   /// Spans discarded because a thread buffer hit its cap.
   uint64_t dropped() const { return dropped_; }
 
-  static constexpr bool compiled_in() { return true; }
-
  private:
   struct ThreadLog;
   struct Impl;
@@ -146,6 +125,7 @@ class Tracer {
   ThreadLog* Log();
 
   Impl* impl_;           // Registration state (mutexed, cold path only).
+  SteadyClock::time_point t0_ = SteadyClock::now();
   uint64_t id_;          // Process-unique; keys the thread-local log cache.
   uint64_t superstep_ = 0;
   uint32_t epoch_ = 0;
@@ -153,19 +133,25 @@ class Tracer {
   std::vector<Span> folded_;
 };
 
-#endif  // FLASH_OBS_DISABLED
-
-/// RAII span: stamps the begin time at construction (if `tracer` is
-/// non-null) and records at scope exit. `args` attaches the two
-/// kind-specific attributes any time before destruction.
+/// RAII span and task clock: reads the steady clock once at construction
+/// and once at scope exit, and only if the readings go somewhere. With
+/// `seconds`, the elapsed time is added to *seconds; with a non-null
+/// `tracer`, the span is recorded. A task's compute seconds and its span
+/// thus come from the same two readings, and an untraced span with no
+/// `seconds` reads no clock at all. `args` attaches the two kind-specific
+/// attributes any time before destruction.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, const char* name, SpanKind kind,
-             int worker = kHostLane, int shard = -1)
+             int worker = kHostLane, int shard = -1,
+             double* seconds = nullptr)
       : tracer_(tracer), name_(name), kind_(kind), worker_(worker),
-        shard_(shard) {
-    if (tracer_ != nullptr) begin_ns_ = tracer_->NowNs();
+        shard_(shard), seconds_(seconds) {
+    if (tracer_ != nullptr || seconds_ != nullptr) begin_ = SteadyClock::now();
   }
+  /// A task clock with no span.
+  explicit ScopedSpan(double* seconds)
+      : ScopedSpan(nullptr, "", SpanKind::kTask, kHostLane, -1, seconds) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -176,9 +162,14 @@ class ScopedSpan {
   }
 
   ~ScopedSpan() {
+    if (tracer_ == nullptr && seconds_ == nullptr) return;
+    const SteadyClock::time_point end = SteadyClock::now();
+    if (seconds_ != nullptr) {
+      *seconds_ += std::chrono::duration<double>(end - begin_).count();
+    }
     if (tracer_ != nullptr) {
-      tracer_->Record(name_, kind_, worker_, shard_, begin_ns_,
-                      tracer_->NowNs(), arg0_, arg1_);
+      tracer_->Record(name_, kind_, worker_, shard_, tracer_->NsAt(begin_),
+                      tracer_->NsAt(end), arg0_, arg1_);
     }
   }
 
@@ -188,7 +179,8 @@ class ScopedSpan {
   SpanKind kind_;
   int worker_;
   int shard_;
-  uint64_t begin_ns_ = 0;
+  double* seconds_;
+  SteadyClock::time_point begin_;
   uint64_t arg0_ = 0;
   uint64_t arg1_ = 0;
 };
@@ -197,9 +189,7 @@ class ScopedSpan {
 
 // RAII span macros. OBS_SPAN names the span object implicitly (use when no
 // args are attached later); OBS_SPAN_VAR binds it to `var` so the caller
-// can set args before scope exit. Both are no-ops when `tracer` is null and
-// compile to nothing under FLASH_OBS_DISABLED (the stub ScopedSpan carries
-// a null tracer the optimizer deletes).
+// can set args before scope exit. Both are no-ops when `tracer` is null.
 #define FLASH_OBS_CONCAT_INNER(a, b) a##b
 #define FLASH_OBS_CONCAT(a, b) FLASH_OBS_CONCAT_INNER(a, b)
 #define OBS_SPAN(tracer, ...)                                       \

@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "flashware/runtime.h"
 #include "obs/tracer.h"
 
@@ -101,8 +100,9 @@ void SortGroup(Walker* a, size_t n, Walker* tmp, int cur_bits, int id_bits) {
   if (src != a) std::copy(src, src + n, a);
 }
 
-/// Single-writer walk counters of one task, folded at the step barrier.
-struct WalkTally {
+/// Single-writer walk counters and compute seconds of one task, folded at
+/// the step barrier; each owns its cache line.
+struct alignas(64) WalkTally {
   uint64_t processed = 0;     // Walkers handled this step.
   uint64_t hops = 0;          // Advances that produced a next vertex.
   uint64_t shuffled = 0;      // Walkers passed through a by-vertex sort.
@@ -110,6 +110,10 @@ struct WalkTally {
   uint64_t restarts = 0;      // PPR dead-end teleports to the source.
   uint64_t terminations = 0;  // Geometric deaths + dead-end exits.
   uint64_t rejections = 0;    // node2vec rejected proposals.
+  double seconds = 0;         // The task clock's reading.
+
+  /// The cost model's view: walkers sorted and advanced, and task time.
+  StepTally Tally() const { return StepTally{shuffled, processed, seconds}; }
 
   void AddTo(WalkStats& ws) const {
     ws.walker_steps += hops;
@@ -202,19 +206,6 @@ struct StepEnv {
   uint64_t num_vertices;
 };
 
-/// Per-task outputs of one step: walk counters and the cost-model tally.
-struct TaskTallies {
-  std::vector<WalkTally> walk;
-  std::vector<StepTally> step;
-  std::vector<StepTally> worker;  // Per-worker passes outside the tasks.
-
-  void Reset(int tasks, int workers) {
-    walk.assign(tasks, WalkTally{});
-    step.assign(tasks, StepTally{});
-    worker.assign(workers, StepTally{});
-  }
-};
-
 /// The first walker of a run sorted by cur that sits at or past vertex v.
 const Walker* FirstAt(std::span<const Walker> run, uint64_t v) {
   const auto at = std::partition_point(
@@ -295,19 +286,32 @@ class BatchedStepper {
     cut_.resize(shards_ + 1);
     merge_cut_.resize(static_cast<size_t>(m_) * (shards_ + 1));
     inputs_.resize(static_cast<size_t>(m_) * m_);
-    channel_seconds_.assign(channels_.size(), 0.0);
   }
 
+  /// Runs one step and folds its tallies into `sample` and `ws`.
   void Step(const StepEnv& env, std::vector<std::vector<Walker>>& pools,
-            TaskTallies& tallies) {
+            StepSample& sample, WalkStats& ws) {
+    for (Channel& ch : channels_) ch.seconds = 0;
     CutShards(pools, env.num_vertices);
-    Advance(env, pools, tallies);
+    Advance(env, pools);
     PlaceSlots();
     Scatter(env, pools);
-    SortAndFrame(env, tallies);
+    SortAndFrame(env);
     env.runtime.bus().Exchange();
     Decode(env);
     Merge(env, pools);
+    // A channel's sort and frame time is compute of its source worker.
+    for (int w = 0; w < m_; ++w) {
+      StepTally worker;
+      for (int s = 0; s < shards_; ++s) {
+        slots_[w * shards_ + s].walk.AddTo(ws);
+        worker += slots_[w * shards_ + s].walk.Tally();
+      }
+      for (int dst = 0; dst < m_; ++dst) {
+        worker.seconds += channel(w, dst).seconds;
+      }
+      FoldWorkerTally(worker, sample);
+    }
   }
 
  private:
@@ -317,12 +321,13 @@ class BatchedStepper {
     const Walker* end;
   };
 
-  /// One (worker, shard) task's pool slice and departure counts, and the
-  /// runs of the merge task with the same index; each task owns its cache
-  /// lines.
+  /// One (worker, shard) task's pool slice, departure counts and tallies,
+  /// and the runs of the merge task with the same index; each task owns its
+  /// cache lines.
   struct alignas(64) ShardSlot {
     size_t begin = 0;
     size_t end = 0;
+    WalkTally walk;
     // Departures per (dst, group), row-major; after PlaceSlots, the next
     // free slot of each (dst, group) in channel (worker, dst).
     std::vector<size_t> counts;
@@ -339,6 +344,7 @@ class BatchedStepper {
     std::vector<WalkerRecord> records;  // Frame input, then decode output.
     std::vector<Walker> arrived;        // Decoded, in walkers' order.
     WalkerFrameScratch frame;
+    double seconds = 0;  // This step's sort and frame time.
   };
 
   int Group(VertexId v) const { return static_cast<int>(v >> group_shift_); }
@@ -360,12 +366,12 @@ class BatchedStepper {
     }
   }
 
-  void Advance(const StepEnv& env, std::vector<std::vector<Walker>>& pools,
-               TaskTallies& tallies) {
+  void Advance(const StepEnv& env, std::vector<std::vector<Walker>>& pools) {
     env.runtime.pool().ParallelForWorkers(tasks_, [&](int t) {
-      Timer timer;
       const int w = t / shards_;
       ShardSlot& slot = slots_[t];
+      // Destroyed last: adds the task time after slot.walk is set below.
+      obs::ScopedSpan clock(&slot.walk.seconds);
       std::fill(slot.counts.begin(), slot.counts.end(), 0);
       const Partition& part = env.runtime.partition();
       Walker* p = pools[w].data();
@@ -391,8 +397,7 @@ class BatchedStepper {
       // shipped walker, which its channel's frame carries sorted. It does
       // not depend on how the pool was cut into shards.
       wt.shuffled = (slot.end - slot.begin) + wt.shipped;
-      tallies.walk[t] = wt;
-      tallies.step[t] = StepTally{wt.shuffled, wt.processed, timer.Seconds()};
+      slot.walk = wt;
     });
   }
 
@@ -449,22 +454,19 @@ class BatchedStepper {
 
   /// Sorts every group of every channel by (cur, id) and frames the remote
   /// channels: one sealed frame per non-empty channel, one wire message.
-  void SortAndFrame(const StepEnv& env, TaskTallies& tallies) {
+  void SortAndFrame(const StepEnv& env) {
     env.runtime.pool().ParallelForWorkers(m_ * m_, [&](int c) {
       const int w = c / m_;
       const int dst = c % m_;
       Channel& ch = channels_[c];
       if (ch.walkers.empty()) return;
-      Timer timer;
-      {
-        OBS_SPAN_VAR(shuffle_span, env.runtime.tracer(), "walk:shuffle",
-                     obs::SpanKind::kTask, w, dst);
-        for (int g = 0; g < groups_; ++g) {
-          SortGroup(ch.walkers.data() + ch.group_begin[g],
-                    ch.group_begin[g + 1] - ch.group_begin[g],
-                    ch.sort_scratch.data(), group_shift_, id_bits_);
-        }
-        shuffle_span.args(ch.walkers.size(), 0);
+      OBS_SPAN_VAR(shuffle_span, env.runtime.tracer(), "walk:shuffle",
+                   obs::SpanKind::kTask, w, dst, &ch.seconds);
+      shuffle_span.args(ch.walkers.size(), 0);
+      for (int g = 0; g < groups_; ++g) {
+        SortGroup(ch.walkers.data() + ch.group_begin[g],
+                  ch.group_begin[g + 1] - ch.group_begin[g],
+                  ch.sort_scratch.data(), group_shift_, id_bits_);
       }
       if (dst != w) {
         std::transform(ch.walkers.begin(), ch.walkers.end(),
@@ -473,13 +475,7 @@ class BatchedStepper {
                           ch.records.size(), ch.frame);
         env.runtime.bus().CountMessages(w, dst, 1);
       }
-      channel_seconds_[c] = timer.Seconds();
     });
-    // A channel's sort and frame time is compute of its source worker.
-    for (int c = 0; c < m_ * m_; ++c) {
-      tallies.worker[c / m_].seconds += channel_seconds_[c];
-      channel_seconds_[c] = 0;
-    }
   }
 
   /// Decodes every remote channel's frames back into walkers, one task per
@@ -578,7 +574,6 @@ class BatchedStepper {
   std::vector<uint64_t> cut_;        // One pool's shard cuts.
   std::vector<uint64_t> merge_cut_;  // Per dst, shards_ + 1 vertex ids.
   std::vector<std::span<const Walker>> inputs_;  // Row-major (dst, src).
-  std::vector<double> channel_seconds_;  // SortAndFrame task times.
 };
 
 /// The naive per-walker baseline: one task per worker advances its pool in
@@ -591,12 +586,15 @@ class NaiveStepper {
         next_pools_(workers),
         staged_(static_cast<size_t>(workers) * workers),
         frame_scratch_(workers),
-        decode_scratch_(workers) {}
+        decode_scratch_(workers),
+        tallies_(workers) {}
 
+  /// Runs one step and folds its tallies into `sample` and `ws`.
   void Step(const StepEnv& env, std::vector<std::vector<Walker>>& pools,
-            TaskTallies& tallies) {
+            StepSample& sample, WalkStats& ws) {
     env.runtime.pool().ParallelForWorkers(m_, [&](int w) {
-      Timer timer;
+      // Destroyed last: adds the task time after tallies_[w] is set below.
+      obs::ScopedSpan clock(&tallies_[w].seconds);
       WalkTally wt;
       const Partition& part = env.runtime.partition();
       std::vector<Walker>& next = next_pools_[w];
@@ -625,9 +623,12 @@ class NaiveStepper {
         env.runtime.bus().CountMessages(w, dst, lane.size());
         lane.clear();
       }
-      tallies.walk[w] = wt;
-      tallies.step[w] = StepTally{0, wt.processed, timer.Seconds()};
+      tallies_[w] = wt;
     });
+    for (const WalkTally& wt : tallies_) {
+      wt.AddTo(ws);
+      FoldWorkerTally(wt.Tally(), sample);
+    }
 
     env.runtime.bus().Exchange();
     env.runtime.pool().ParallelForWorkers(m_, [&](int dst) {
@@ -658,6 +659,7 @@ class NaiveStepper {
   std::vector<std::vector<WalkerRecord>> staged_;  // Row-major (src, dst).
   std::vector<WalkerFrameScratch> frame_scratch_;
   std::vector<std::vector<WalkerRecord>> decode_scratch_;
+  std::vector<WalkTally> tallies_;  // This step's, per worker.
 };
 
 /// Walker placement, each pool born sorted by (cur, id). DeepWalk/node2vec
@@ -757,7 +759,6 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
   } else {
     naive = std::make_unique<NaiveStepper>(m);
   }
-  TaskTallies tallies;
   std::vector<VertexId> plan_scratch;
 
   uint64_t live = num_walkers;
@@ -791,27 +792,23 @@ WalkResult WalkEngine::Run(const WalkSpec& spec) {
                                     /*out_dir=*/true);
     }
 
-    tallies.Reset(m * shards, m);
     const StepEnv env{law, runtime, step, n};
-    if (batched) {
-      batched->Step(env, pools, tallies);
-    } else {
-      naive->Step(env, pools, tallies);
-    }
-
-    // Fold the step: counters first, then the storage epoch (the paged
-    // backend bills this step's planned + demand block I/O here).
     StepSample sample;
     sample.kind = StepKind::kWalkStep;
     sample.frontier_in = static_cast<uint32_t>(
         std::min<uint64_t>(live, UINT32_MAX));
-    FoldTallies(tallies.step, shards, tallies.worker, sample);
+    WalkStats& ws = result.metrics.walks;
+    if (batched) {
+      batched->Step(env, pools, sample, ws);
+    } else {
+      naive->Step(env, pools, sample, ws);
+    }
+
+    // Then the wire and the storage epoch (the paged backend bills this
+    // step's planned + demand block I/O here).
     runtime.bus().AddLastExchange(sample);
     runtime.CloseEpoch(sample, result.metrics);
-
-    WalkStats& ws = result.metrics.walks;
     ws.steps += 1;
-    for (const WalkTally& wt : tallies.walk) wt.AddTo(ws);
     ws.frame_bytes += sample.bytes_total;
 
     live = 0;

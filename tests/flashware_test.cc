@@ -161,20 +161,6 @@ TEST(CostModel, MeasuredComputeOverridesCounters) {
   EXPECT_GT(ModelTime(metrics, config).compute, 0.4);
 }
 
-TEST(CostModel, HostComputeScaleDividesMeasuredTime) {
-  Metrics metrics;
-  StepSample s;
-  s.comp_max = 0.4;
-  metrics.AddStep(s, true);
-  ClusterConfig slow_host;
-  slow_host.nodes = 1;
-  slow_host.cores_per_node = 1;
-  ClusterConfig fast_cluster = slow_host;
-  fast_cluster.host_compute_scale = 2.0;  // Cluster cores 2x faster.
-  EXPECT_NEAR(ModelTime(metrics, slow_host).compute,
-              2 * ModelTime(metrics, fast_cluster).compute, 1e-9);
-}
-
 TEST(CostModel, CalibrationProducesSaneRates) {
   ClusterConfig config = CalibrateComputeRate();
   EXPECT_GE(config.ns_per_edge, 0.5);

@@ -2,9 +2,11 @@
 // deterministic fold order, the metric registry's exact-integer mapping,
 // and the Chrome-trace / Prometheus / timeline exporters.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "tests/test_util.h"
+#include "walks/walk_engine.h"
 
 namespace flash {
 namespace {
@@ -64,7 +67,6 @@ std::vector<SpanKey> Keys(const obs::Tracer& tracer) {
 }
 
 TEST(TracerTest, SpanAndInstantRoundTrip) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   obs::Tracer tracer;
   tracer.SetSuperstep(7);
   tracer.BeginPhase();
@@ -113,7 +115,6 @@ TEST(TracerTest, SpanAndInstantRoundTrip) {
 }
 
 TEST(TracerTest, EngineTraceCoversEverySuperstepAndWorker) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   GraphPtr graph = TestGraph();
   RuntimeOptions options = TracedOptions(4, 2);
   auto r = algo::RunBfs(graph, 0, options);
@@ -142,7 +143,6 @@ TEST(TracerTest, EngineTraceCoversEverySuperstepAndWorker) {
 }
 
 TEST(TracerTest, FoldOrderIdenticalAcrossHostThreadCounts) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   GraphPtr graph = TestGraph();
   std::vector<std::vector<SpanKey>> sequences;
   for (int host_threads : {1, 4, 8}) {
@@ -172,7 +172,6 @@ TEST(TracerTest, DisabledTraceLeavesCountersIdentical) {
 }
 
 TEST(TracerTest, FaultyTraceRecordsCheckpointAndRecoverySpans) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   GraphPtr graph = TestGraph();
   RuntimeOptions options = TracedOptions(4, 1);
   options.fault_plan.msg_drop_rate = 0.05;
@@ -273,7 +272,6 @@ bool BalancedJson(const std::string& text) {
 }
 
 TEST(ExporterTest, ChromeTraceParsesAndIsSortedPerLane) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   GraphPtr graph = TestGraph();
   RuntimeOptions options = TracedOptions(4, 2);
   algo::RunBfs(graph, 0, options);
@@ -311,7 +309,6 @@ TEST(ExporterTest, ChromeTraceParsesAndIsSortedPerLane) {
 }
 
 TEST(ExporterTest, TimelineTsvJoinsStepSamples) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   GraphPtr graph = TestGraph();
   RuntimeOptions options = TracedOptions(4, 1);
   auto r = algo::RunBfs(graph, 0, options);
@@ -331,6 +328,101 @@ TEST(ExporterTest, TimelineTsvJoinsStepSamples) {
   }
   EXPECT_EQ(rows, r.metrics.steps.size());
   EXPECT_GT(rows_with_wall, 0u);
+}
+
+TEST(ExporterTest, TimelineTsvNamesWalkSteps) {
+  RuntimeOptions options = TracedOptions(2, 1);
+  options.num_walkers = 100;
+  options.walk_length = 3;
+  const walks::WalkResult r =
+      walks::WalkEngine(TestGraph(), options).Run(walks::WalkSpec{});
+  ASSERT_FALSE(r.metrics.steps.empty());
+
+  std::ostringstream out;
+  obs::WriteTimelineTsv(out, r.metrics, r.tracer.get());
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  size_t rows = 0;
+  while (std::getline(lines, line)) {
+    ++rows;
+    const size_t begin = line.find('\t') + 1;
+    EXPECT_EQ(line.substr(begin, line.find('\t', begin) - begin), "walk")
+        << line;
+  }
+  EXPECT_EQ(rows, r.metrics.steps.size());
+}
+
+// Each priced task reads the clock once: the compute seconds a superstep or
+// async round folds for a worker are exactly the summed durations of that
+// worker's priced task spans, since both come from the same two readings.
+// Unpriced phases (commit, mirror apply, syncs) add to neither.
+void ExpectComputeSecondsAreTaskSpans(const Metrics& metrics,
+                                      const obs::Tracer& tracer) {
+  const std::set<std::string> priced = {
+      "dense:scan",    "dense:merge",  "sparse:push",  "sparse:flush",
+      "sparse:scan",   "sparse:decode", "sparse:apply", "vmap:filter",
+      "vmap:merge",    "async:drain",  "async:apply"};
+  // Every step sample is closed by its superstep or async-round span, the
+  // last span of the fold that ends it; group the task spans by that.
+  std::map<int, uint64_t> worker_ns;
+  size_t step = 0;
+  size_t priced_steps = 0;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.kind == obs::SpanKind::kTask && priced.count(span.name) > 0) {
+      worker_ns[span.worker] += span.end_ns - span.begin_ns;
+      continue;
+    }
+    if (span.kind != obs::SpanKind::kSuperstep &&
+        span.kind != obs::SpanKind::kAsyncRound) {
+      continue;
+    }
+    ASSERT_LT(step, metrics.steps.size());
+    double max_s = 0;
+    double total_s = 0;
+    for (const auto& [worker, ns] : worker_ns) {
+      max_s = std::max(max_s, ns * 1e-9);
+      total_s += ns * 1e-9;
+    }
+    const StepSample& sample = metrics.steps[step];
+    EXPECT_NEAR(sample.comp_max, max_s, 1e-12) << "step " << step;
+    EXPECT_NEAR(sample.comp_total, total_s, 1e-12) << "step " << step;
+    priced_steps += worker_ns.empty() ? 0 : 1;
+    worker_ns.clear();
+    ++step;
+  }
+  EXPECT_EQ(step, metrics.steps.size());
+  EXPECT_GT(priced_steps, 0u);
+}
+
+TEST(TimeOnce, ComputeSecondsAreTheSumOfTaskSpans) {
+  GraphPtr graph = TestGraph();
+  for (int host_threads : {1, 4}) {
+    SCOPED_TRACE(host_threads);
+    {
+      SCOPED_TRACE("pagerank");
+      RuntimeOptions options = TracedOptions(4, 2, host_threads);
+      auto r = algo::RunPageRank(graph, 3, options);
+      EXPECT_GT(r.metrics.dense_steps, 0u);
+      ExpectComputeSecondsAreTaskSpans(r.metrics, *options.tracer);
+    }
+    {
+      SCOPED_TRACE("sssp push");
+      RuntimeOptions options = TracedOptions(4, 2, host_threads);
+      options.edgemap_mode = EdgeMapMode::kPush;
+      auto r = algo::RunSssp(graph, 0, options);
+      EXPECT_GT(r.metrics.sparse_steps, 0u);
+      ExpectComputeSecondsAreTaskSpans(r.metrics, *options.tracer);
+    }
+    {
+      SCOPED_TRACE("async bfs");
+      RuntimeOptions options = TracedOptions(4, 1, host_threads);
+      options.execution_mode = ExecutionMode::kAsync;
+      auto r = algo::RunBfs(graph, 0, options);
+      EXPECT_GT(r.metrics.async.rounds, 0u);
+      ExpectComputeSecondsAreTaskSpans(r.metrics, *options.tracer);
+    }
+  }
 }
 
 }  // namespace

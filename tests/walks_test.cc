@@ -356,7 +356,6 @@ TEST(WalkEngine, RejectsCrashAndCheckpointPlans) {
 // reads 0 with no error. One span per non-empty channel, whose first arg is
 // the walkers it sorted: every walker that survives a step is sorted once.
 TEST(WalkEngine, TracedBatchedRunRecordsShuffleSpansEveryStep) {
-  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "FLASH_OBS_DISABLED";
   RuntimeOptions options = WalkOptions(4, 2000, 6, /*threads_per_worker=*/2);
   options.trace = true;
   const WalkResult r = WalkEngine(TestGraph(), options).Run(WalkSpec{});

@@ -362,20 +362,16 @@ int ExportObservability(const Args& args, const RuntimeOptions& options,
                         const serving::ServingStats* serving = nullptr) {
   obs::Tracer* tracer = options.tracer.get();
   if (tracer != nullptr) tracer->Fold();
+  // MakeRuntime arms the tracer whenever a traced output is asked for.
   if (!args.trace_out.empty()) {
-    if (tracer == nullptr || !obs::Tracer::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace-out: tracer unavailable (FLASH_OBS_DISABLED?)\n");
-    } else {
-      Status s = obs::WriteChromeTraceFile(args.trace_out, *tracer);
-      if (!s.ok()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", args.trace_out.c_str(),
-                     s.ToString().c_str());
-        return 1;
-      }
-      std::printf("chrome trace (%zu spans) written to %s\n",
-                  tracer->spans().size(), args.trace_out.c_str());
+    Status s = obs::WriteChromeTraceFile(args.trace_out, *tracer);
+    if (!s.ok()) {
+      std::fprintf(stderr, "cannot write %s: %s\n", args.trace_out.c_str(),
+                   s.ToString().c_str());
+      return 1;
     }
+    std::printf("chrome trace (%zu spans) written to %s\n",
+                tracer->spans().size(), args.trace_out.c_str());
   }
   if (!args.metrics_out.empty()) {
     obs::Registry registry = obs::BuildRegistry(metrics, &options);
@@ -399,14 +395,7 @@ int ExportObservability(const Args& args, const RuntimeOptions& options,
     std::printf("superstep timeline written to %s\n",
                 args.timeline_out.c_str());
   }
-  if (args.profile) {
-    if (tracer == nullptr || !obs::Tracer::compiled_in()) {
-      std::fprintf(stderr,
-                   "--profile: tracer unavailable (FLASH_OBS_DISABLED?)\n");
-    } else {
-      obs::PrintSlowestSpans(std::cout, *tracer);
-    }
-  }
+  if (args.profile) obs::PrintSlowestSpans(std::cout, *tracer);
   return 0;
 }
 
